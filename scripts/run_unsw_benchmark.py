@@ -4,7 +4,9 @@
 Needs the two official CSVs; point FSEL_IDS_DATA_DIR at the directory
 holding them. For every requested feature set this script fits each
 requested classifier on the training split and reports ACC/DR/FAR on the
-test split, plus timings, as one Markdown table.
+test split, plus timings, as one Markdown table. Each cell goes through
+the pipeline's fit and evaluate steps, so its train_seconds covers plan
+fitting plus model fitting, as in run_pipeline.
 
 Feature sets are the bundled reference subsets (a fresh wrapper search on
 the full data takes hours, so the curated 19-feature lists ship with the
@@ -20,36 +22,37 @@ Usage:
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
-import time
 from pathlib import Path
 
-from fsel_ids.dataset import load_csv, stratified_subsample
-from fsel_ids.metrics import build_report, confusion, markdown_table, report_to_json
-from fsel_ids.models import ALGORITHMS, fit_model, params_from_dict, predict_model
-from fsel_ids.pipeline import RunConfig, select_features
-from fsel_ids.preprocess import apply_preprocess, fit_preprocess
-from fsel_ids.unsw import REFERENCE_SUBSETS, UNSW_SCHEMA, split_paths
+from fsel_ids.metrics import markdown_table, report_to_json
+from fsel_ids.models import ALGORITHMS, params_from_dict
+from fsel_ids.pipeline import (
+    RunConfig,
+    evaluate_model,
+    fit_plan_and_model,
+    load_and_select,
+    select_features,
+)
+from fsel_ids.unsw import REFERENCE_SUBSETS, split_paths
 
 SUBSET_CHOICES = ("full",) + tuple(sorted(REFERENCE_SUBSETS))
 
 
-def resolve_subset(train, name: str, fresh: bool, k: int, seed: int):
+def resolve_subset(train, name: str, fresh: bool, config: RunConfig):
     """Feature indices plus the seconds spent choosing them."""
     if name == "full":
         return sorted(range(len(train.columns))), 0.0
     if fresh and name != "wrapper":
-        config = RunConfig(
-            train_path="-", test_path="-", fs=name, k=k, seed=seed
-        )
-        subset, fs_seconds, _, _ = select_features(train, config)
+        subset, fs_seconds, _, _ = select_features(train, dataclasses.replace(config, fs=name))
         return sorted(subset), fs_seconds
     names = REFERENCE_SUBSETS[name]
     return sorted(train.index_of(n) for n in names), 0.0
 
 
-def main() -> int:
+def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--subsets", nargs="+", default=["full", "wrapper"],
                         choices=SUBSET_CHOICES, help="feature sets to evaluate")
@@ -65,7 +68,7 @@ def main() -> int:
     parser.add_argument("--set", metavar="KEY=VALUE", action="append", default=[],
                         dest="overrides", help="hyperparameter override, repeatable")
     parser.add_argument("--out", help="directory for per-cell report JSON files")
-    args = parser.parse_args()
+    args = parser.parse_args(argv)
 
     overrides = {}
     for item in args.overrides:
@@ -81,10 +84,10 @@ def main() -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     print(f"loading {train_path.name} / {test_path.name} ...", flush=True)
-    train = load_csv(train_path, UNSW_SCHEMA)
-    test = load_csv(test_path, UNSW_SCHEMA, vocab=train.vocabulary())
+    config = RunConfig(train_path=str(train_path), test_path=str(test_path), k=args.k,
+                       seed=args.seed, subsample=args.subsample, dataset_name="unsw-nb15")
+    train, test, _ = load_and_select(config)
     if args.subsample < 1.0:
-        train = stratified_subsample(train, args.subsample, args.seed)
         print(f"subsampled training split to {train.row_count} rows")
 
     out = Path(args.out) if args.out else None
@@ -93,30 +96,13 @@ def main() -> int:
 
     reports = []
     for subset_name in args.subsets:
-        indices, fs_seconds = resolve_subset(
-            train, subset_name, args.fresh_filters, args.k, args.seed
-        )
-        plan = fit_preprocess(train, indices)
-        encoded_train = apply_preprocess(plan, train)
-        encoded_test = apply_preprocess(plan, test)
+        indices, fs_seconds = resolve_subset(train, subset_name, args.fresh_filters, config)
         for algo in args.algos:
-            started = time.perf_counter()
             params = params_from_dict(algo, overrides, seed=args.seed)
-            model = fit_model(encoded_train, params)
-            train_seconds = time.perf_counter() - started
-            started = time.perf_counter()
-            predictions = predict_model(model, encoded_test)
-            eval_seconds = time.perf_counter() - started
-            report = build_report(
-                dataset="unsw-nb15",
-                fs_method=subset_name,
-                selected_count=len(indices),
-                algorithm=algo,
-                cm=confusion(predictions, test.labels),
-                fs_seconds=fs_seconds,
-                train_seconds=train_seconds,
-                eval_seconds=eval_seconds,
-            )
+            plan, model, train_seconds = fit_plan_and_model(train, indices, params)
+            _, report = evaluate_model(plan, model, test, dataset=config.name,
+                                       fs_method=subset_name, fs_seconds=fs_seconds,
+                                       train_seconds=train_seconds)
             reports.append(report)
             print(f"  {subset_name}/{algo}: ACC {report.acc:.2f} DR {report.dr:.2f} "
                   f"FAR {report.far:.2f} (train {train_seconds:.1f}s)", flush=True)

@@ -1,7 +1,7 @@
 """Feature selection and intrusion detection modeling toolkit.
 
 Builds binary traffic classifiers over typed CSV datasets: filter and
-wrapper feature selection, fitted preprocessing plans, five classifier
+wrapper feature selection, fitted preprocessing plans, six classifier
 families, and a hold-out evaluation harness reporting accuracy, detection
 rate and false alarm rate with per-stage timings.
 """
@@ -44,15 +44,12 @@ from .models import (
 )
 from .pipeline import PipelineError, PipelineResult, RunConfig, run_pipeline
 from .preprocess import (
-    DiscretizationPlan,
     MinMaxParams,
     OneHotPlan,
     PreprocessPlan,
-    apply_discretizer,
     apply_minmax,
     apply_onehot,
     apply_preprocess,
-    fit_discretizer,
     fit_minmax,
     fit_onehot,
     fit_preprocess,
@@ -70,7 +67,6 @@ __all__ = [
     "ConfusionMatrix",
     "Dataset",
     "DatasetError",
-    "DiscretizationPlan",
     "EvaluationReport",
     "FeatureSchema",
     "FilterScores",
@@ -87,7 +83,6 @@ __all__ = [
     "TrainParams",
     "TrainedModel",
     "accuracy",
-    "apply_discretizer",
     "apply_minmax",
     "apply_onehot",
     "apply_preprocess",
@@ -97,7 +92,6 @@ __all__ = [
     "detection_rate",
     "entropy",
     "false_alarm_rate",
-    "fit_discretizer",
     "fit_minmax",
     "fit_model",
     "fit_onehot",

@@ -11,23 +11,21 @@ import argparse
 import dataclasses
 import json
 import sys
-import time
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
-from .dataset import stratified_subsample
-from .metrics import build_report, confusion, markdown_table, report_to_json
-from .models import model_from_json, model_to_json, predict_model
+from .metrics import markdown_table, report_to_json
+from .models import model_from_json, model_to_json
 from .pipeline import (
     FS_METHODS,
     PipelineError,
-    PipelineResult,
     RunConfig,
+    evaluate_model,
+    load_and_select,
     load_splits,
     run_pipeline,
-    select_features,
 )
-from .preprocess import apply_preprocess, plan_from_json, plan_to_json
+from .preprocess import plan_from_json, plan_to_json
 from .wrapper import subset_names, trace_to_jsonl
 
 SELECTION_FORMAT = "fsel-ids/selection"
@@ -126,19 +124,27 @@ def _load_config(args, allow_grid: bool = False) -> tuple[RunConfig, dict]:
     return RunConfig(**doc), grid
 
 
-def _selection_doc(config: RunConfig, names, scores) -> str:
+def _write_selection(out: Path, config: RunConfig, feature_names, selected, scores, trace):
+    """Write selected.json, and trace.jsonl after a wrapper search.
+
+    ``feature_names`` are the training split's columns, which the trace's
+    subsets index; ``selected`` holds the kept names in the method's order.
+    """
     doc = {
         "format": SELECTION_FORMAT,
         "version": 1,
         "fs_method": config.fs,
-        "selected": list(names),
+        "selected": list(selected),
     }
     if scores is not None:
         doc["scores"] = [
             {"feature": scores.feature_names[i], "score": float(scores.scores[i])}
             for i in scores.ranked
         ]
-    return json.dumps(doc, indent=2)
+    (out / "selected.json").write_text(json.dumps(doc, indent=2), encoding="utf-8")
+    if trace is not None:
+        (out / "trace.jsonl").write_text(trace_to_jsonl(trace, feature_names),
+                                         encoding="utf-8")
 
 
 def cmd_select(args) -> int:
@@ -147,17 +153,9 @@ def cmd_select(args) -> int:
         raise ValueError("select needs an fs method other than 'none'")
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    train, _, _ = load_splits(config)
-    if config.subsample < 1.0:
-        train = stratified_subsample(train, config.subsample, config.seed)
-    subset, fs_seconds, scores, trace = select_features(train, config)
+    train, _, (subset, fs_seconds, scores, trace) = load_and_select(config)
     names = subset_names(train, subset)
-    (out / "selected.json").write_text(_selection_doc(config, names, scores),
-                                       encoding="utf-8")
-    if trace is not None:
-        (out / "trace.jsonl").write_text(
-            trace_to_jsonl(trace, train.feature_names), encoding="utf-8"
-        )
+    _write_selection(out, config, train.feature_names, names, scores, trace)
     print(f"{config.fs}: selected {len(names)} features in {fs_seconds:.2f}s "
           f"-> {out / 'selected.json'}")
     for name in names:
@@ -165,24 +163,15 @@ def cmd_select(args) -> int:
     return 0
 
 
-def _write_run_artifacts(result: PipelineResult, config: RunConfig, out: Path):
-    (out / "model.json").write_text(model_to_json(result.model), encoding="utf-8")
-    (out / "plan.json").write_text(plan_to_json(result.plan), encoding="utf-8")
-    (out / "selected.json").write_text(
-        _selection_doc(config, result.selected_names, result.scores), encoding="utf-8"
-    )
-    if result.trace is not None:
-        (out / "trace.jsonl").write_text(
-            trace_to_jsonl(result.trace, result.selected_names), encoding="utf-8"
-        )
-
-
 def cmd_train(args) -> int:
     config, _ = _load_config(args)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     result = run_pipeline(config)
-    _write_run_artifacts(result, config, out)
+    (out / "model.json").write_text(model_to_json(result.model), encoding="utf-8")
+    (out / "plan.json").write_text(plan_to_json(result.plan), encoding="utf-8")
+    _write_selection(out, config, result.feature_names, result.selected_names,
+                     result.scores, result.trace)
     print(f"trained {config.algorithm} on {result.report.selected_count} features "
           f"(train {result.report.train_seconds:.2f}s) -> {out / 'model.json'}")
     return 0
@@ -203,20 +192,8 @@ def cmd_evaluate(args) -> int:
         model = model_from_json(Path(args.model).read_text(encoding="utf-8"))
         plan = plan_from_json(Path(args.plan).read_text(encoding="utf-8"))
         _, test, _ = load_splits(config)
-        started = time.perf_counter()
-        encoded = apply_preprocess(plan, test)
-        predictions = predict_model(model, encoded)
-        eval_seconds = time.perf_counter() - started
-        report = build_report(
-            dataset=config.name,
-            fs_method="saved",
-            selected_count=len(plan.selected),
-            algorithm=model.algorithm,
-            cm=confusion(predictions, test.labels),
-            fs_seconds=0.0,
-            train_seconds=model.train_seconds,
-            eval_seconds=eval_seconds,
-        )
+        _, report = evaluate_model(plan, model, test, dataset=config.name, fs_method="saved",
+                                   fs_seconds=0.0, train_seconds=model.train_seconds)
     else:
         report = run_pipeline(config).report
     _write_report(report, out)

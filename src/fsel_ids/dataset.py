@@ -86,15 +86,6 @@ class Dataset:
         entries = tuple((c.name, c.kind) for c in self.columns)
         return FeatureSchema(entries + ((self.label_name, "class"),))
 
-    def column(self, index: int) -> Column:
-        return self.columns[index]
-
-    def column_by_name(self, name: str) -> Column:
-        for c in self.columns:
-            if c.name == name:
-                return c
-        raise DatasetError(f"no column named {name!r}")
-
     def index_of(self, name: str) -> int:
         for i, c in enumerate(self.columns):
             if c.name == name:

@@ -87,7 +87,9 @@ class EvaluationReport:
 
     fs_seconds covers selection scoring or search only; train_seconds
     covers transform fitting plus model training; eval_seconds covers
-    transform replay plus prediction.
+    transform replay plus prediction. A report on a saved model
+    (``evaluate --model``) carries the model's own fit time as
+    train_seconds, without plan fitting, and an fs_seconds of 0.
     """
 
     dataset: str

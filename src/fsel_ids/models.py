@@ -5,6 +5,12 @@ fit is deterministic given (data, params, seed). Trees and naive Bayes
 accept mixed nominal/numeric datasets; knn, mlp and linear_svm require
 all-numeric (already encoded) datasets. Prediction ties always resolve to
 the attack class.
+
+``ALGORITHM_TABLE`` is the one place that knows the families: it maps each
+tag to an ``Algorithm`` entry holding its fit, predict, to-doc and from-doc
+functions. ``fit_model``, ``predict_model``, ``model_to_json`` and
+``model_from_json`` look the tag up there, and ``ALGORITHMS`` lists the
+table's tags in order.
 """
 
 from __future__ import annotations
@@ -12,15 +18,14 @@ from __future__ import annotations
 import json
 import math
 import time
+from collections.abc import Callable
 from dataclasses import asdict, dataclass, fields, replace
 
 import numpy as np
 
 from . import tree as tree_mod
-from .dataset import Dataset, DatasetError
+from .dataset import Dataset
 from .tree import TreeNode
-
-ALGORITHMS = ("tree", "forest", "naive_bayes", "knn", "mlp", "linear_svm")
 
 MODEL_FORMAT = "fsel-ids/model"
 MODEL_VERSION = 1
@@ -177,6 +182,18 @@ def _fit_tree(train: Dataset, params: TrainParams) -> TreeNode:
     return root
 
 
+def _predict_tree(root: TreeNode, ds: Dataset, params: TrainParams) -> np.ndarray:
+    return tree_mod.predict(root, ds)
+
+
+def _tree_to_doc(root: TreeNode) -> dict:
+    return {"root": tree_mod.node_to_dict(root)}
+
+
+def _tree_from_doc(doc: dict) -> TreeNode:
+    return tree_mod.node_from_dict(doc["root"])
+
+
 def _fit_forest(train: Dataset, params: TrainParams) -> ForestPayload:
     d = len(train.columns)
     sample = params.feature_sample
@@ -200,6 +217,27 @@ def _fit_forest(train: Dataset, params: TrainParams) -> ForestPayload:
             )
         )
     return ForestPayload(tuple(roots), sample)
+
+
+def _predict_forest(p: ForestPayload, ds: Dataset, params: TrainParams) -> np.ndarray:
+    votes = np.zeros(ds.row_count, dtype=np.int64)
+    for root in p.roots:
+        votes += tree_mod.predict(root, ds)
+    return (2 * votes >= len(p.roots)).astype(np.uint8)
+
+
+def _forest_to_doc(p: ForestPayload) -> dict:
+    return {
+        "feature_sample": p.feature_sample,
+        "roots": [tree_mod.node_to_dict(r) for r in p.roots],
+    }
+
+
+def _forest_from_doc(doc: dict) -> ForestPayload:
+    return ForestPayload(
+        tuple(tree_mod.node_from_dict(r) for r in doc["roots"]),
+        int(doc["feature_sample"]),
+    )
 
 
 def _fit_naive_bayes(train: Dataset, params: TrainParams) -> NBPayload:
@@ -264,6 +302,38 @@ def nb_posterior(model: TrainedModel, ds: Dataset) -> np.ndarray:
     return p / p.sum(axis=1, keepdims=True)
 
 
+def _predict_naive_bayes(p: NBPayload, ds: Dataset, params: TrainParams) -> np.ndarray:
+    joint = nb_log_joint(p, ds)
+    return (joint[:, 1] >= joint[:, 0]).astype(np.uint8)
+
+
+def _nb_to_doc(p: NBPayload) -> dict:
+    stats = []
+    for s in p.feature_stats:
+        if isinstance(s, GaussianStats):
+            stats.append({"kind": "numeric", "mean": list(s.mean), "var": list(s.var)})
+        else:
+            stats.append({
+                "kind": "nominal",
+                "log_table": [list(s.log_table[0]), list(s.log_table[1])],
+                "log_default": list(s.log_default),
+            })
+    return {"log_prior": list(p.log_prior), "feature_stats": stats}
+
+
+def _nb_from_doc(doc: dict) -> NBPayload:
+    stats: list[object] = []
+    for s in doc["feature_stats"]:
+        if s["kind"] == "numeric":
+            stats.append(GaussianStats(tuple(s["mean"]), tuple(s["var"])))
+        else:
+            stats.append(NominalStats(
+                (tuple(s["log_table"][0]), tuple(s["log_table"][1])),
+                tuple(s["log_default"]),
+            ))
+    return NBPayload(tuple(doc["log_prior"]), tuple(stats))
+
+
 def _fit_knn(train: Dataset, params: TrainParams) -> KNNPayload:
     if params.k > train.row_count:
         raise ModelError(f"k={params.k} exceeds training rows {train.row_count}")
@@ -282,6 +352,22 @@ def _knn_votes(payload: KNNPayload, queries: np.ndarray, k: int) -> np.ndarray:
         order = np.argsort(d2, axis=1, kind="stable")[:, :k]
         votes[start:start + chunk] = payload.labels[order].sum(axis=1)
     return votes
+
+
+def _predict_knn(p: KNNPayload, ds: Dataset, params: TrainParams) -> np.ndarray:
+    votes = _knn_votes(p, ds.as_matrix(), params.k)
+    return (2 * votes >= params.k).astype(np.uint8)
+
+
+def _knn_to_doc(p: KNNPayload) -> dict:
+    return {"matrix": p.matrix.tolist(), "labels": p.labels.tolist()}
+
+
+def _knn_from_doc(doc: dict) -> KNNPayload:
+    return KNNPayload(
+        np.asarray(doc["matrix"], dtype=np.float64).reshape(len(doc["labels"]), -1),
+        np.asarray(doc["labels"], dtype=np.uint8),
+    )
 
 
 def sigmoid(z: np.ndarray) -> np.ndarray:
@@ -346,6 +432,25 @@ def _fit_mlp(train: Dataset, params: TrainParams) -> MLPPayload:
     return MLPPayload(weights["w1"], weights["b1"], weights["w2"], weights["b2"])
 
 
+def _predict_mlp(p: MLPPayload, ds: Dataset, params: TrainParams) -> np.ndarray:
+    weights = {"w1": p.w1, "b1": p.b1, "w2": p.w2, "b2": p.b2}
+    return (mlp_logits(weights, ds.as_matrix()) >= 0.0).astype(np.uint8)
+
+
+def _mlp_to_doc(p: MLPPayload) -> dict:
+    return {"w1": p.w1.tolist(), "b1": p.b1.tolist(),
+            "w2": p.w2.tolist(), "b2": p.b2.tolist()}
+
+
+def _mlp_from_doc(doc: dict) -> MLPPayload:
+    return MLPPayload(
+        np.asarray(doc["w1"], dtype=np.float64),
+        np.asarray(doc["b1"], dtype=np.float64),
+        np.asarray(doc["w2"], dtype=np.float64),
+        np.asarray(doc["b2"], dtype=np.float64),
+    )
+
+
 def svm_objective(w: np.ndarray, b: float, x: np.ndarray, s: np.ndarray, lam: float) -> float:
     """Mean hinge loss plus L2 penalty; s holds labels in {-1, +1}."""
     margins = 1.0 - s * (x @ w + b)
@@ -376,21 +481,53 @@ def _fit_svm(train: Dataset, params: TrainParams) -> SVMPayload:
     return SVMPayload(w, b, tuple(trace))
 
 
-ALGORITHM_FITTERS = {
-    "tree": _fit_tree,
-    "forest": _fit_forest,
-    "naive_bayes": _fit_naive_bayes,
-    "knn": _fit_knn,
-    "mlp": _fit_mlp,
-    "linear_svm": _fit_svm,
+def _predict_svm(p: SVMPayload, ds: Dataset, params: TrainParams) -> np.ndarray:
+    return (ds.as_matrix() @ p.w + p.b >= 0.0).astype(np.uint8)
+
+
+def _svm_to_doc(p: SVMPayload) -> dict:
+    return {"w": p.w.tolist(), "b": p.b, "objective_trace": list(p.objective_trace)}
+
+
+def _svm_from_doc(doc: dict) -> SVMPayload:
+    return SVMPayload(
+        np.asarray(doc["w"], dtype=np.float64),
+        float(doc["b"]),
+        tuple(doc.get("objective_trace", ())),
+    )
+
+
+@dataclass(frozen=True)
+class Algorithm:
+    """One classifier family's entry in ``ALGORITHM_TABLE``.
+
+    ``fit(train, params)`` returns the payload and ``predict(payload, ds,
+    params)`` the uint8 class ids; ``to_doc`` and ``from_doc`` turn the
+    payload into its JSON document and back.
+    """
+
+    fit: Callable[[Dataset, TrainParams], object]
+    predict: Callable[[object, Dataset, TrainParams], np.ndarray]
+    to_doc: Callable[[object], dict]
+    from_doc: Callable[[dict], object]
+
+
+ALGORITHM_TABLE = {
+    "tree": Algorithm(_fit_tree, _predict_tree, _tree_to_doc, _tree_from_doc),
+    "forest": Algorithm(_fit_forest, _predict_forest, _forest_to_doc, _forest_from_doc),
+    "naive_bayes": Algorithm(_fit_naive_bayes, _predict_naive_bayes, _nb_to_doc, _nb_from_doc),
+    "knn": Algorithm(_fit_knn, _predict_knn, _knn_to_doc, _knn_from_doc),
+    "mlp": Algorithm(_fit_mlp, _predict_mlp, _mlp_to_doc, _mlp_from_doc),
+    "linear_svm": Algorithm(_fit_svm, _predict_svm, _svm_to_doc, _svm_from_doc),
 }
+ALGORITHMS = tuple(ALGORITHM_TABLE)
 
 
 def fit_model(train: Dataset, params: TrainParams) -> TrainedModel:
     """Train one classifier on the dataset's full feature set."""
     _check_not_empty(train)
     started = time.perf_counter()
-    payload = ALGORITHM_FITTERS[params.algorithm](train, params)
+    payload = ALGORITHM_TABLE[params.algorithm].fit(train, params)
     elapsed = time.perf_counter() - started
     return TrainedModel(params, train.feature_names, payload, elapsed)
 
@@ -407,131 +544,7 @@ def _check_signature(model: TrainedModel, ds: Dataset):
 def predict_model(model: TrainedModel, ds: Dataset) -> np.ndarray:
     """Class ids (uint8: 1 = attack) for every row; ties go to attack."""
     _check_signature(model, ds)
-    algo = model.algorithm
-    if algo == "tree":
-        return tree_mod.predict(model.payload, ds)
-    if algo == "forest":
-        votes = np.zeros(ds.row_count, dtype=np.int64)
-        for root in model.payload.roots:
-            votes += tree_mod.predict(root, ds)
-        return (2 * votes >= len(model.payload.roots)).astype(np.uint8)
-    if algo == "naive_bayes":
-        joint = nb_log_joint(model.payload, ds)
-        return (joint[:, 1] >= joint[:, 0]).astype(np.uint8)
-    if algo == "knn":
-        votes = _knn_votes(model.payload, ds.as_matrix(), model.params.k)
-        return (2 * votes >= model.params.k).astype(np.uint8)
-    if algo == "mlp":
-        p = model.payload
-        weights = {"w1": p.w1, "b1": p.b1, "w2": p.w2, "b2": p.b2}
-        return (mlp_logits(weights, ds.as_matrix()) >= 0.0).astype(np.uint8)
-    if algo == "linear_svm":
-        scores = ds.as_matrix() @ model.payload.w + model.payload.b
-        return (scores >= 0.0).astype(np.uint8)
-    raise ModelError(f"unknown algorithm {algo!r}")
-
-
-def _node_to_dict(node: TreeNode) -> dict:
-    doc: dict = {"counts": list(node.counts)}
-    if node.is_leaf:
-        return doc
-    doc["feature"] = node.feature
-    doc["children"] = [_node_to_dict(c) for c in node.children]
-    if node.is_numeric_split:
-        doc["threshold"] = node.threshold
-    else:
-        doc["codes"] = list(node.codes)
-        doc["default_child"] = node.default_child
-    return doc
-
-
-def _node_from_dict(doc: dict) -> TreeNode:
-    counts = (int(doc["counts"][0]), int(doc["counts"][1]))
-    if "children" not in doc:
-        return TreeNode(counts)
-    children = tuple(_node_from_dict(c) for c in doc["children"])
-    if "threshold" in doc:
-        return TreeNode(counts, int(doc["feature"]), float(doc["threshold"]), (), children)
-    return TreeNode(
-        counts,
-        int(doc["feature"]),
-        math.nan,
-        tuple(int(c) for c in doc["codes"]),
-        children,
-        int(doc["default_child"]),
-    )
-
-
-def _payload_to_dict(model: TrainedModel) -> dict:
-    algo = model.algorithm
-    p = model.payload
-    if algo == "tree":
-        return {"root": _node_to_dict(p)}
-    if algo == "forest":
-        return {
-            "feature_sample": p.feature_sample,
-            "roots": [_node_to_dict(r) for r in p.roots],
-        }
-    if algo == "naive_bayes":
-        stats = []
-        for s in p.feature_stats:
-            if isinstance(s, GaussianStats):
-                stats.append({"kind": "numeric", "mean": list(s.mean), "var": list(s.var)})
-            else:
-                stats.append({
-                    "kind": "nominal",
-                    "log_table": [list(s.log_table[0]), list(s.log_table[1])],
-                    "log_default": list(s.log_default),
-                })
-        return {"log_prior": list(p.log_prior), "feature_stats": stats}
-    if algo == "knn":
-        return {"matrix": p.matrix.tolist(), "labels": p.labels.tolist()}
-    if algo == "mlp":
-        return {"w1": p.w1.tolist(), "b1": p.b1.tolist(),
-                "w2": p.w2.tolist(), "b2": p.b2.tolist()}
-    if algo == "linear_svm":
-        return {"w": p.w.tolist(), "b": p.b, "objective_trace": list(p.objective_trace)}
-    raise ModelError(f"unknown algorithm {algo!r}")
-
-
-def _payload_from_dict(algo: str, doc: dict):
-    if algo == "tree":
-        return _node_from_dict(doc["root"])
-    if algo == "forest":
-        return ForestPayload(
-            tuple(_node_from_dict(r) for r in doc["roots"]),
-            int(doc["feature_sample"]),
-        )
-    if algo == "naive_bayes":
-        stats: list[object] = []
-        for s in doc["feature_stats"]:
-            if s["kind"] == "numeric":
-                stats.append(GaussianStats(tuple(s["mean"]), tuple(s["var"])))
-            else:
-                stats.append(NominalStats(
-                    (tuple(s["log_table"][0]), tuple(s["log_table"][1])),
-                    tuple(s["log_default"]),
-                ))
-        return NBPayload(tuple(doc["log_prior"]), tuple(stats))
-    if algo == "knn":
-        return KNNPayload(
-            np.asarray(doc["matrix"], dtype=np.float64).reshape(len(doc["labels"]), -1),
-            np.asarray(doc["labels"], dtype=np.uint8),
-        )
-    if algo == "mlp":
-        return MLPPayload(
-            np.asarray(doc["w1"], dtype=np.float64),
-            np.asarray(doc["b1"], dtype=np.float64),
-            np.asarray(doc["w2"], dtype=np.float64),
-            np.asarray(doc["b2"], dtype=np.float64),
-        )
-    if algo == "linear_svm":
-        return SVMPayload(
-            np.asarray(doc["w"], dtype=np.float64),
-            float(doc["b"]),
-            tuple(doc.get("objective_trace", ())),
-        )
-    raise ModelError(f"unknown algorithm {algo!r}")
+    return ALGORITHM_TABLE[model.algorithm].predict(model.payload, ds, model.params)
 
 
 def model_to_json(model: TrainedModel) -> str:
@@ -542,7 +555,7 @@ def model_to_json(model: TrainedModel) -> str:
         "params": asdict(model.params),
         "feature_names": list(model.feature_names),
         "train_seconds": model.train_seconds,
-        "payload": _payload_to_dict(model),
+        "payload": ALGORITHM_TABLE[model.algorithm].to_doc(model.payload),
     }
     return json.dumps(doc)
 
@@ -557,6 +570,6 @@ def model_from_json(text: str) -> TrainedModel:
     return TrainedModel(
         params,
         tuple(doc["feature_names"]),
-        _payload_from_dict(params.algorithm, doc["payload"]),
+        ALGORITHM_TABLE[params.algorithm].from_doc(doc["payload"]),
         float(doc["train_seconds"]),
     )

@@ -18,7 +18,7 @@ import numpy as np
 from .dataset import Dataset, load_csv, stratified_subsample
 from .filters import FILTER_METHODS, FilterScores, score_features
 from .metrics import EvaluationReport, build_report, confusion
-from .models import TrainedModel, fit_model, params_from_dict, predict_model
+from .models import TrainedModel, TrainParams, fit_model, params_from_dict, predict_model
 from .preprocess import PreprocessPlan, apply_preprocess, fit_preprocess
 from .schema import FeatureSchema, parse_schema
 from .unsw import UNSW_SCHEMA
@@ -79,6 +79,7 @@ class PipelineResult:
     model: TrainedModel
     plan: PreprocessPlan
     predictions: np.ndarray
+    feature_names: tuple[str, ...]  # the training split's, which trace subsets index
     scores: FilterScores | None = None
     trace: SearchTrace | None = None
 
@@ -146,50 +147,79 @@ def select_features(
         return subset, time.perf_counter() - started, scores, None
 
 
-def run_pipeline(config: RunConfig) -> PipelineResult:
-    """Execute one full experiment cell and assemble its report."""
-    train, test, _ = load_splits(config)
+def load_and_select(config: RunConfig):
+    """Load both splits, subsample the training one, and select on it.
 
+    Returns ``(train, test, select_features(train, config))``; ``train`` is
+    the subsampled split that the selection indices refer to.
+    """
+    train, test, _ = load_splits(config)
     with _stage("subsample"):
         if config.subsample < 1.0:
             train = stratified_subsample(train, config.subsample, config.seed)
+    return train, test, select_features(train, config)
 
-    subset, fs_seconds, scores, trace = select_features(train, config)
-    selected_names = subset_names(train, subset)
+
+def fit_plan_and_model(
+    train: Dataset, subset, params: TrainParams
+) -> tuple[PreprocessPlan, TrainedModel, float]:
+    """Fit the preprocessing plan on ``subset`` of ``train``, then the model.
+
+    Models always see features in original column order; a selection's
+    ranked order is reporting metadata only. Returns the plan, the model
+    and the seconds both fits took together.
+    """
+    started = time.perf_counter()
+    plan = fit_preprocess(train, sorted(subset))
+    model = fit_model(apply_preprocess(plan, train), params)
+    return plan, model, time.perf_counter() - started
+
+
+def evaluate_model(
+    plan: PreprocessPlan, model: TrainedModel, test: Dataset, *,
+    dataset: str, fs_method: str, fs_seconds: float, train_seconds: float,
+) -> tuple[np.ndarray, EvaluationReport]:
+    """Replay ``plan`` on ``test``, predict, and score the predictions.
+
+    ``eval_seconds`` covers the replay and the prediction; the selection
+    and training times are the caller's.
+    """
+    started = time.perf_counter()
+    predictions = predict_model(model, apply_preprocess(plan, test))
+    eval_seconds = time.perf_counter() - started
+    report = build_report(
+        dataset=dataset,
+        fs_method=fs_method,
+        selected_count=len(plan.selected),
+        algorithm=model.algorithm,
+        cm=confusion(predictions, test.labels),
+        fs_seconds=fs_seconds,
+        train_seconds=train_seconds,
+        eval_seconds=eval_seconds,
+    )
+    return predictions, report
+
+
+def run_pipeline(config: RunConfig) -> PipelineResult:
+    """Execute one full experiment cell and assemble its report."""
+    train, test, (subset, fs_seconds, scores, trace) = load_and_select(config)
 
     with _stage("train"):
-        started = time.perf_counter()
-        # Models always see features in original column order; the ranked
-        # order above is reporting metadata only.
-        plan = fit_preprocess(train, sorted(subset))
-        encoded_train = apply_preprocess(plan, train)
         params = params_from_dict(config.algorithm, config.params, seed=config.seed)
-        model = fit_model(encoded_train, params)
-        train_seconds = time.perf_counter() - started
+        plan, model, train_seconds = fit_plan_and_model(train, subset, params)
 
     with _stage("evaluate"):
-        started = time.perf_counter()
-        encoded_test = apply_preprocess(plan, test)
-        predictions = predict_model(model, encoded_test)
-        eval_seconds = time.perf_counter() - started
-        cm = confusion(predictions, test.labels)
-        report = build_report(
-            dataset=config.name,
-            fs_method=config.fs,
-            selected_count=len(subset),
-            algorithm=config.algorithm,
-            cm=cm,
-            fs_seconds=fs_seconds,
-            train_seconds=train_seconds,
-            eval_seconds=eval_seconds,
-        )
+        predictions, report = evaluate_model(
+            plan, model, test, dataset=config.name, fs_method=config.fs,
+            fs_seconds=fs_seconds, train_seconds=train_seconds)
 
     return PipelineResult(
         report=report,
-        selected_names=selected_names,
+        selected_names=subset_names(train, subset),
         model=model,
         plan=plan,
         predictions=predictions,
+        feature_names=train.feature_names,
         scores=scores,
         trace=trace,
     )

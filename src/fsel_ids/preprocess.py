@@ -1,10 +1,12 @@
-"""Fitted, replayable feature transforms: scaling, encoding, binning.
+"""Fitted, replayable feature transforms, and equal-frequency binning.
 
 Every transform is split into a fit step (training data only) and a pure
 apply step that maps a dataset to a new dataset. The full chain runs in a
 fixed order: select features, min-max scale the numeric ones, one-hot
 encode the nominal ones. Out-of-range numeric values clamp into [0, 1] and
-categories never seen during fitting encode as an all-zero block.
+categories never seen during fitting encode as an all-zero block. The
+entropy filters bin numeric columns with ``equal_frequency_edges`` and
+``bin_codes``.
 """
 
 from __future__ import annotations
@@ -83,18 +85,6 @@ class OneHotPlan:
     @property
     def output_width(self) -> int:
         return sum(len(cats) for _, cats in self.dictionaries)
-
-
-@dataclass(frozen=True)
-class DiscretizationPlan:
-    """Per-feature strictly increasing bin boundaries."""
-
-    boundaries: tuple[tuple[str, tuple[float, ...]], ...]
-
-    def __post_init__(self):
-        for name, edges in self.boundaries:
-            if any(b >= a for a, b in zip(edges[1:], edges)):
-                raise DatasetError(f"column {name!r}: boundaries not strictly increasing")
 
 
 def _check_features(ds: Dataset, features, want_kind: str) -> list[int]:
@@ -182,38 +172,6 @@ def apply_onehot(ds: Dataset, plan: OneHotPlan) -> Dataset:
             columns.append(Column(f"{col.name}={cat}", "numeric", block[:, j].copy()))
     if planned:
         raise DatasetError(f"encoder columns missing from dataset: {sorted(planned)}")
-    return Dataset(tuple(columns), ds.labels, ds.label_name)
-
-
-def fit_discretizer(train: Dataset, features=None, bins: int = 10) -> DiscretizationPlan:
-    """Equal-frequency boundaries for the requested numeric columns."""
-    if features is None:
-        features = [i for i, c in enumerate(train.columns) if c.kind == "numeric"]
-    idx = _check_features(train, features, "numeric")
-    boundaries = []
-    for i in idx:
-        col = train.columns[i]
-        edges = equal_frequency_edges(col.values, bins)
-        boundaries.append((col.name, tuple(float(e) for e in edges)))
-    return DiscretizationPlan(tuple(boundaries))
-
-
-def apply_discretizer(ds: Dataset, plan: DiscretizationPlan) -> Dataset:
-    """Turn planned numeric columns into nominal bin-id columns."""
-    planned = dict(plan.boundaries)
-    columns = []
-    for col in ds.columns:
-        if col.name not in planned:
-            columns.append(col)
-            continue
-        if col.kind != "numeric":
-            raise DatasetError(f"column {col.name!r} is nominal, binner expects numeric")
-        edges = np.asarray(planned.pop(col.name), dtype=np.float64)
-        codes = bin_codes(col.values, edges)
-        labels = tuple(f"bin{j}" for j in range(len(edges) + 1))
-        columns.append(Column(col.name, "nominal", codes, labels))
-    if planned:
-        raise DatasetError(f"binner columns missing from dataset: {sorted(planned)}")
     return Dataset(tuple(columns), ds.labels, ds.label_name)
 
 

@@ -61,6 +61,39 @@ class TreeNode:
         return 1 if attack >= normal else 0
 
 
+def node_to_dict(node: TreeNode) -> dict:
+    """JSON-ready nested document of a tree, children in branch order."""
+    doc: dict = {"counts": list(node.counts)}
+    if node.is_leaf:
+        return doc
+    doc["feature"] = node.feature
+    doc["children"] = [node_to_dict(c) for c in node.children]
+    if node.is_numeric_split:
+        doc["threshold"] = node.threshold
+    else:
+        doc["codes"] = list(node.codes)
+        doc["default_child"] = node.default_child
+    return doc
+
+
+def node_from_dict(doc: dict) -> TreeNode:
+    """Inverse of ``node_to_dict``."""
+    counts = (int(doc["counts"][0]), int(doc["counts"][1]))
+    if "children" not in doc:
+        return TreeNode(counts)
+    children = tuple(node_from_dict(c) for c in doc["children"])
+    if "threshold" in doc:
+        return TreeNode(counts, int(doc["feature"]), float(doc["threshold"]), (), children)
+    return TreeNode(
+        counts,
+        int(doc["feature"]),
+        math.nan,
+        tuple(int(c) for c in doc["codes"]),
+        children,
+        int(doc["default_child"]),
+    )
+
+
 def node_count(root: TreeNode) -> int:
     return 1 + sum(node_count(c) for c in root.children)
 

@@ -67,6 +67,23 @@ def test_stop_after_zero_means_exhaustive(toy_split, tmp_path):
     assert last["stop_reason"] == "exhausted"
 
 
+def test_train_wrapper_writes_the_select_trace(toy_split, tmp_path):
+    sel, run = tmp_path / "sel", tmp_path / "run"
+    assert main(["select", "--fs", "wrapper", *common_flags(toy_split, sel)]) == 0
+    assert main(["train", "--fs", "wrapper", "--algo", "tree",
+                 *common_flags(toy_split, run)]) == 0
+
+    def untimed_trace(out):
+        docs = [json.loads(line) for line in (out / "trace.jsonl").read_text().splitlines()]
+        for doc in docs:
+            doc.pop("timestamp", None)
+        return docs
+
+    assert untimed_trace(run) == untimed_trace(sel)
+    assert (json.loads((run / "selected.json").read_text())
+            == json.loads((sel / "selected.json").read_text()))
+
+
 def test_train_writes_model_plan_and_selection(toy_split, tmp_path):
     out = tmp_path / "run"
     code = main([

@@ -135,8 +135,8 @@ def test_evaluate_stage_annotates_signature_drift(toy_split):
 
 def test_load_splits_shares_training_vocabulary(toy_split):
     train, test, _ = load_splits(toy_config(toy_split))
-    t_proto = train.column_by_name("proto")
-    e_proto = test.column_by_name("proto")
+    t_proto = train.columns[train.index_of("proto")]
+    e_proto = test.columns[test.index_of("proto")]
     assert e_proto.categories[: len(t_proto.categories)] == t_proto.categories
 
 

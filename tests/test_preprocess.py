@@ -5,13 +5,11 @@ from hypothesis import strategies as st
 
 from fsel_ids.dataset import DatasetError
 from fsel_ids.preprocess import (
-    apply_discretizer,
     apply_minmax,
     apply_onehot,
     apply_preprocess,
     bin_codes,
     equal_frequency_edges,
-    fit_discretizer,
     fit_minmax,
     fit_onehot,
     fit_preprocess,
@@ -141,21 +139,17 @@ def test_equal_frequency_even_occupancy():
 
 
 def test_discretizer_constant_column_single_bin():
-    ds = numeric_ds([7.0] * 12)
-    plan = fit_discretizer(ds, bins=10)
-    assert plan.boundaries == (("x", ()),)
-    out = apply_discretizer(ds, plan)
-    assert out.columns[0].kind == "nominal"
-    assert set(out.columns[0].values.tolist()) == {0}
+    values = np.full(12, 7.0)
+    edges = equal_frequency_edges(values, 10)
+    assert edges.size == 0
+    assert set(bin_codes(values, edges).tolist()) == {0}
 
 
 def test_discretizer_occupancy_within_one_on_distinct_values():
     rng = np.random.default_rng(3)
     values = rng.permutation(np.linspace(-5, 5, 97))
-    ds = numeric_ds(values)
-    plan = fit_discretizer(ds, bins=10)
-    out = apply_discretizer(ds, plan)
-    counts = np.bincount(out.columns[0].values, minlength=10)
+    codes = bin_codes(values, equal_frequency_edges(values, 10))
+    counts = np.bincount(codes, minlength=10)
     target = 97 / 10
     assert all(abs(c - target) <= 1.0 for c in counts)
 
@@ -185,9 +179,9 @@ def test_discretizer_edges_strictly_increasing():
     assert all(b > a for a, b in zip(edges, edges[1:]))
 
 
-def test_fit_discretizer_rejects_small_bins():
+def test_equal_frequency_edges_rejects_small_bins():
     with pytest.raises(DatasetError, match="bins"):
-        fit_discretizer(numeric_ds([1.0, 2.0]), bins=1)
+        equal_frequency_edges(np.asarray([1.0, 2.0]), 1)
 
 
 def test_fit_minmax_rejects_nominal_feature():
