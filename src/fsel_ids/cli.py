@@ -21,6 +21,7 @@ from .pipeline import (
     PipelineError,
     RunConfig,
     evaluate_model,
+    fit_for_config,
     load_and_select,
     load_splits,
     run_pipeline,
@@ -167,13 +168,14 @@ def cmd_train(args) -> int:
     config, _ = _load_config(args)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    result = run_pipeline(config)
-    (out / "model.json").write_text(model_to_json(result.model), encoding="utf-8")
-    (out / "plan.json").write_text(plan_to_json(result.plan), encoding="utf-8")
-    _write_selection(out, config, result.feature_names, result.selected_names,
-                     result.scores, result.trace)
-    print(f"trained {config.algorithm} on {result.report.selected_count} features "
-          f"(train {result.report.train_seconds:.2f}s) -> {out / 'model.json'}")
+    train, _, (subset, _, scores, trace) = load_and_select(config)
+    plan, model, train_seconds = fit_for_config(train, subset, config)
+    (out / "model.json").write_text(model_to_json(model), encoding="utf-8")
+    (out / "plan.json").write_text(plan_to_json(plan), encoding="utf-8")
+    _write_selection(out, config, train.feature_names, subset_names(train, subset),
+                     scores, trace)
+    print(f"trained {config.algorithm} on {len(plan.selected)} features "
+          f"(train {train_seconds:.2f}s) -> {out / 'model.json'}")
     return 0
 
 

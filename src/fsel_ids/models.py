@@ -28,7 +28,7 @@ from .dataset import Dataset
 from .tree import TreeNode
 
 MODEL_FORMAT = "fsel-ids/model"
-MODEL_VERSION = 1
+MODEL_VERSION = 2  # 2: trees are flat pre-order node lists
 
 NB_VAR_FLOOR = 1e-9
 
@@ -184,14 +184,6 @@ def _fit_tree(train: Dataset, params: TrainParams) -> TreeNode:
 
 def _predict_tree(root: TreeNode, ds: Dataset, params: TrainParams) -> np.ndarray:
     return tree_mod.predict(root, ds)
-
-
-def _tree_to_doc(root: TreeNode) -> dict:
-    return {"root": tree_mod.node_to_dict(root)}
-
-
-def _tree_from_doc(doc: dict) -> TreeNode:
-    return tree_mod.node_from_dict(doc["root"])
 
 
 def _fit_forest(train: Dataset, params: TrainParams) -> ForestPayload:
@@ -513,7 +505,7 @@ class Algorithm:
 
 
 ALGORITHM_TABLE = {
-    "tree": Algorithm(_fit_tree, _predict_tree, _tree_to_doc, _tree_from_doc),
+    "tree": Algorithm(_fit_tree, _predict_tree, tree_mod.node_to_dict, tree_mod.node_from_dict),
     "forest": Algorithm(_fit_forest, _predict_forest, _forest_to_doc, _forest_from_doc),
     "naive_bayes": Algorithm(_fit_naive_bayes, _predict_naive_bayes, _nb_to_doc, _nb_from_doc),
     "knn": Algorithm(_fit_knn, _predict_knn, _knn_to_doc, _knn_from_doc),

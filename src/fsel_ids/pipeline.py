@@ -79,7 +79,6 @@ class PipelineResult:
     model: TrainedModel
     plan: PreprocessPlan
     predictions: np.ndarray
-    feature_names: tuple[str, ...]  # the training split's, which trace subsets index
     scores: FilterScores | None = None
     trace: SearchTrace | None = None
 
@@ -175,6 +174,15 @@ def fit_plan_and_model(
     return plan, model, time.perf_counter() - started
 
 
+def fit_for_config(
+    train: Dataset, subset, config: RunConfig
+) -> tuple[PreprocessPlan, TrainedModel, float]:
+    """The "train" stage: ``fit_plan_and_model`` with ``config``'s algorithm."""
+    with _stage("train"):
+        params = params_from_dict(config.algorithm, config.params, seed=config.seed)
+        return fit_plan_and_model(train, subset, params)
+
+
 def evaluate_model(
     plan: PreprocessPlan, model: TrainedModel, test: Dataset, *,
     dataset: str, fs_method: str, fs_seconds: float, train_seconds: float,
@@ -204,9 +212,7 @@ def run_pipeline(config: RunConfig) -> PipelineResult:
     """Execute one full experiment cell and assemble its report."""
     train, test, (subset, fs_seconds, scores, trace) = load_and_select(config)
 
-    with _stage("train"):
-        params = params_from_dict(config.algorithm, config.params, seed=config.seed)
-        plan, model, train_seconds = fit_plan_and_model(train, subset, params)
+    plan, model, train_seconds = fit_for_config(train, subset, config)
 
     with _stage("evaluate"):
         predictions, report = evaluate_model(
@@ -219,7 +225,6 @@ def run_pipeline(config: RunConfig) -> PipelineResult:
         model=model,
         plan=plan,
         predictions=predictions,
-        feature_names=train.feature_names,
         scores=scores,
         trace=trace,
     )

@@ -9,6 +9,18 @@ better than a leaf's.
 
 Labels are binary: 0 = normal, 1 = attack. Leaf prediction is the majority
 class with ties going to attack.
+
+Every count that enters an entropy or split-info term is an integer from 0
+to the row count n, so ``grow`` computes ``k * log2(k)`` for k = 0..n once
+and each node gathers its terms from that table; the formulas keep their
+operation order, so the gain ratios are the same floats bit for bit as
+evaluating ``k * log2(k)`` per node. Nodes are grown from an explicit
+work stack in pre-order, first branch first, which is also the order in
+which a forest's per-node feature draws consume its rng; the ``TreeNode``
+graph is then assembled bottom-up from that pre-order list.
+Nothing in this module recurses, so tree depth is bounded by memory, not
+by the interpreter's recursion limit. The JSON document of a tree is a
+flat pre-order node list with child indices, for the same reason.
 """
 
 from __future__ import annotations
@@ -61,53 +73,92 @@ class TreeNode:
         return 1 if attack >= normal else 0
 
 
-def node_to_dict(node: TreeNode) -> dict:
-    """JSON-ready nested document of a tree, children in branch order."""
-    doc: dict = {"counts": list(node.counts)}
-    if node.is_leaf:
-        return doc
-    doc["feature"] = node.feature
-    doc["children"] = [node_to_dict(c) for c in node.children]
-    if node.is_numeric_split:
-        doc["threshold"] = node.threshold
-    else:
-        doc["codes"] = list(node.codes)
-        doc["default_child"] = node.default_child
-    return doc
+def _preorder(root: TreeNode) -> list[TreeNode]:
+    """Every node of the tree, parents before children, branches in order."""
+    out: list[TreeNode] = []
+    stack = [root]
+    while stack:
+        node = stack.pop()
+        out.append(node)
+        stack.extend(reversed(node.children))
+    return out
+
+
+def node_to_dict(root: TreeNode) -> dict:
+    """JSON-ready flat document of a tree.
+
+    ``nodes`` lists every node in pre-order (the root first); a split
+    node's ``children`` holds the list indices of its children in branch
+    order.
+    """
+    nodes: list[dict] = []
+    stack: list[tuple[TreeNode, dict | None]] = [(root, None)]
+    while stack:
+        node, parent = stack.pop()
+        if parent is not None:
+            parent["children"].append(len(nodes))
+        doc: dict = {"counts": list(node.counts)}
+        nodes.append(doc)
+        if node.is_leaf:
+            continue
+        doc["feature"] = node.feature
+        doc["children"] = []
+        if node.is_numeric_split:
+            doc["threshold"] = node.threshold
+        else:
+            doc["codes"] = list(node.codes)
+            doc["default_child"] = node.default_child
+        stack.extend((child, doc) for child in reversed(node.children))
+    return {"nodes": nodes}
 
 
 def node_from_dict(doc: dict) -> TreeNode:
     """Inverse of ``node_to_dict``."""
-    counts = (int(doc["counts"][0]), int(doc["counts"][1]))
-    if "children" not in doc:
-        return TreeNode(counts)
-    children = tuple(node_from_dict(c) for c in doc["children"])
-    if "threshold" in doc:
-        return TreeNode(counts, int(doc["feature"]), float(doc["threshold"]), (), children)
-    return TreeNode(
-        counts,
-        int(doc["feature"]),
-        math.nan,
-        tuple(int(c) for c in doc["codes"]),
-        children,
-        int(doc["default_child"]),
-    )
+    nodes = doc["nodes"]
+    if not nodes:
+        raise DatasetError("tree document has no nodes")
+    built: list[TreeNode | None] = [None] * len(nodes)
+    for i in range(len(nodes) - 1, -1, -1):
+        entry = nodes[i]
+        counts = (int(entry["counts"][0]), int(entry["counts"][1]))
+        if "children" not in entry:
+            built[i] = TreeNode(counts)
+            continue
+        for c in entry["children"]:
+            if not i < c < len(nodes):
+                raise DatasetError(f"tree document: node {i} has child index {c}")
+        children = tuple(built[c] for c in entry["children"])
+        if "threshold" in entry:
+            built[i] = TreeNode(counts, int(entry["feature"]), float(entry["threshold"]),
+                                (), children)
+        else:
+            built[i] = TreeNode(
+                counts,
+                int(entry["feature"]),
+                math.nan,
+                tuple(int(c) for c in entry["codes"]),
+                children,
+                int(entry["default_child"]),
+            )
+    return built[0]
 
 
 def node_count(root: TreeNode) -> int:
-    return 1 + sum(node_count(c) for c in root.children)
+    return len(_preorder(root))
 
 
 def leaf_count(root: TreeNode) -> int:
-    if root.is_leaf:
-        return 1
-    return sum(leaf_count(c) for c in root.children)
+    return sum(1 for node in _preorder(root) if node.is_leaf)
 
 
 def depth(root: TreeNode) -> int:
-    if root.is_leaf:
-        return 0
-    return 1 + max(depth(c) for c in root.children)
+    deepest = 0
+    stack = [(root, 0)]
+    while stack:
+        node, level = stack.pop()
+        deepest = max(deepest, level)
+        stack.extend((child, level + 1) for child in node.children)
+    return deepest
 
 
 def _xlog2x(v: np.ndarray) -> np.ndarray:
@@ -117,122 +168,51 @@ def _xlog2x(v: np.ndarray) -> np.ndarray:
     return out
 
 
-def _entropy_counts(attack: np.ndarray, total: np.ndarray) -> np.ndarray:
-    """Binary entropy in bits from attack counts and totals (total > 0)."""
-    normal = total - attack
-    return (_xlog2x(total) - _xlog2x(attack) - _xlog2x(normal)) / total
+def _numeric_split(values, y, attack, parent_entropy, xl):
+    """Best (gain ratio, threshold) of a cut on ``values``; (-inf, nan) if none.
 
-
-@dataclass(frozen=True)
-class _Candidate:
-    feature: int
-    gain: float
-    ratio: float
-    threshold: float = math.nan
-
-
-def _best_numeric_split(values, labels, parent_entropy) -> _Candidate | None:
-    n = values.size
+    ``xl[k]`` is k*log2(k). Cuts fall between neighbouring distinct sorted
+    values and are admissible where the gain is positive.
+    """
+    m = values.size
     order = np.argsort(values, kind="stable")
     vs = values[order]
-    ys = labels[order].astype(np.int64)
     cuts = np.flatnonzero(vs[:-1] < vs[1:])
     if cuts.size == 0:
-        return None
-    attack_prefix = np.cumsum(ys)
-    total_attack = int(attack_prefix[-1])
-    n_left = (cuts + 1).astype(np.float64)
-    a_left = attack_prefix[cuts].astype(np.float64)
-    n_right = n - n_left
-    a_right = total_attack - a_left
-    cond = (n_left * _entropy_counts(a_left, n_left)
-            + n_right * _entropy_counts(a_right, n_right)) / n
+        return -math.inf, math.nan
+    n_left = cuts + 1
+    n_right = m - n_left
+    a_left = np.cumsum(y[order])[cuts]
+    a_right = attack - a_left
+    f_left = n_left.astype(np.float64)
+    f_right = m - f_left
+    xl_left, xl_right = xl[n_left], xl[n_right]
+    cond = (f_left * ((xl_left - xl[a_left] - xl[n_left - a_left]) / f_left)
+            + f_right * ((xl_right - xl[a_right] - xl[n_right - a_right]) / f_right)) / m
     gains = parent_entropy - cond
-    split_info = _entropy_counts(n_left, np.full_like(n_left, float(n)))
-    usable = gains > MIN_GAIN
-    if not usable.any():
-        return None
-    ratios = np.where(usable, gains / split_info, -np.inf)
-    best = int(np.argmax(ratios))  # argmax keeps the lowest threshold on ties
-    threshold = (vs[cuts[best]] + vs[cuts[best] + 1]) / 2.0
-    return _Candidate(-1, float(gains[best]), float(ratios[best]), float(threshold))
+    split_info = (xl[m] - xl_left - xl_right) / m
+    ratios = np.where(gains > MIN_GAIN, gains / split_info, -np.inf)
+    best = int(ratios.argmax())  # the lowest threshold wins ties
+    if ratios[best] == -np.inf:
+        return -math.inf, math.nan
+    cut = cuts[best]
+    return float(ratios[best]), float((vs[cut] + vs[cut + 1]) / 2.0)
 
 
-def _nominal_split(codes, labels, parent_entropy) -> _Candidate | None:
-    n = codes.size
+def _nominal_ratio(codes, y, parent_entropy, xl, m) -> float:
+    """Gain ratio of a multiway split on ``codes``; -inf when inadmissible."""
     totals = np.bincount(codes)
-    attacks = np.bincount(codes, weights=labels).astype(np.float64)
     present = totals > 0
     if int(present.sum()) < 2:
-        return None
-    t = totals[present].astype(np.float64)
-    a = attacks[present]
-    cond = float(np.sum(t * _entropy_counts(a, t))) / n
+        return -math.inf
+    t = totals[present]
+    a = np.bincount(codes, weights=y)[present].astype(np.int64)
+    cond = float(np.sum(t * ((xl[t] - xl[a] - xl[t - a]) / t))) / m
     gain = parent_entropy - cond
     if gain <= MIN_GAIN:
-        return None
-    split_info = (float(n) * math.log2(n) - float(_xlog2x(t).sum())) / n
-    return _Candidate(-1, gain, gain / split_info)
-
-
-class _Grower:
-    def __init__(self, ds: Dataset, min_leaf: int, rng, feature_sample: int | None):
-        self.ds = ds
-        self.labels = ds.labels
-        self.min_leaf = min_leaf
-        self.rng = rng
-        self.feature_sample = feature_sample
-
-    def _candidate_features(self) -> np.ndarray:
-        d = len(self.ds.columns)
-        if self.feature_sample is None or self.feature_sample >= d:
-            return np.arange(d)
-        drawn = self.rng.choice(d, size=self.feature_sample, replace=False)
-        return np.sort(drawn)
-
-    def grow(self, rows: np.ndarray) -> TreeNode:
-        y = self.labels[rows]
-        attack = int(np.count_nonzero(y))
-        counts = (len(rows) - attack, attack)
-        if attack == 0 or attack == len(rows) or len(rows) < self.min_leaf:
-            return TreeNode(counts)
-        parent_entropy = float(
-            _entropy_counts(np.asarray([float(attack)]), np.asarray([float(len(rows))]))[0]
-        )
-        best: _Candidate | None = None
-        for f in self._candidate_features():
-            col = self.ds.columns[int(f)]
-            values = col.values[rows]
-            if col.kind == "numeric":
-                cand = _best_numeric_split(values, y, parent_entropy)
-            else:
-                cand = _nominal_split(values, y, parent_entropy)
-            if cand is None:
-                continue
-            cand = _Candidate(int(f), cand.gain, cand.ratio, cand.threshold)
-            if best is None or cand.ratio > best.ratio:
-                best = cand
-        if best is None:
-            return TreeNode(counts)
-        col = self.ds.columns[best.feature]
-        if col.kind == "numeric":
-            mask = col.values[rows] <= best.threshold
-            left = self.grow(rows[mask])
-            right = self.grow(rows[~mask])
-            return TreeNode(counts, best.feature, best.threshold, (), (left, right))
-        values = col.values[rows]
-        present = np.unique(values)
-        children = tuple(self.grow(rows[values == code]) for code in present)
-        masses = [sum(c.counts) for c in children]
-        default = int(np.argmax(masses))
-        return TreeNode(
-            counts,
-            best.feature,
-            math.nan,
-            tuple(int(c) for c in present),
-            children,
-            default,
-        )
+        return -math.inf
+    split_info = (float(m) * math.log2(m) - float(xl[t].sum())) / m
+    return gain / split_info
 
 
 def grow(
@@ -255,8 +235,64 @@ def grow(
         raise DatasetError(f"min_leaf must be >= 1, got {min_leaf}")
     if feature_sample is not None and rng is None:
         raise DatasetError("feature sampling needs an rng")
-    grower = _Grower(ds, min_leaf, rng, feature_sample)
-    return grower.grow(np.arange(ds.row_count))
+    n, d = ds.row_count, len(ds.columns)
+    labels = ds.labels.astype(np.int64)
+    xl = _xlog2x(np.arange(n + 1, dtype=np.float64))
+    sampling = feature_sample is not None and feature_sample < d
+
+    # Pre-order node records: (counts, feature, threshold, codes, default, arity).
+    records: list[tuple] = []
+    stack = [np.arange(n)]
+    while stack:
+        rows = stack.pop()
+        m = rows.size
+        y = labels[rows]
+        attack = int(np.count_nonzero(y))
+        node_counts = (m - attack, attack)
+        if attack == 0 or attack == m or m < min_leaf:
+            records.append((node_counts, -1, math.nan, (), 0, 0))
+            continue
+        parent_entropy = float((xl[m] - xl[attack] - xl[m - attack]) / m)
+        features = (np.sort(rng.choice(d, size=feature_sample, replace=False)).tolist()
+                    if sampling else range(d))
+        # The highest ratio wins; features go in increasing order, so the
+        # lowest index wins ties.
+        best_ratio, feature, threshold = -math.inf, -1, math.nan
+        for f in features:
+            col = ds.columns[f]
+            if col.kind == "numeric":
+                ratio, split_at = _numeric_split(col.values[rows], y, attack, parent_entropy, xl)
+            else:
+                ratio, split_at = _nominal_ratio(col.values[rows], y, parent_entropy, xl, m), math.nan
+            if ratio > best_ratio:
+                best_ratio, feature, threshold = ratio, f, split_at
+        if best_ratio == -math.inf:
+            records.append((node_counts, -1, math.nan, (), 0, 0))
+            continue
+        values = ds.columns[feature].values[rows]
+        if ds.columns[feature].kind == "numeric":
+            mask = values <= threshold
+            records.append((node_counts, feature, threshold, (), 0, 2))
+            stack.append(rows[~mask])
+            stack.append(rows[mask])
+            continue
+        present = np.flatnonzero(np.bincount(values))
+        branches = [rows[values == code] for code in present]
+        default = int(np.argmax([b.size for b in branches]))
+        records.append((node_counts, feature, math.nan,
+                        tuple(int(c) for c in present), default, len(branches)))
+        stack.extend(reversed(branches))
+
+    # Reverse pre-order puts each node's subtrees on ``built`` just before
+    # the node itself, first child on top.
+    built: list[TreeNode] = []
+    for node_counts, feature, threshold, codes, default, arity in reversed(records):
+        if arity == 0:
+            built.append(TreeNode(node_counts))
+            continue
+        children = tuple(built.pop() for _ in range(arity))
+        built.append(TreeNode(node_counts, feature, threshold, codes, children, default))
+    return built[0]
 
 
 def pessimistic_errors(errors: int, n: int, confidence: float) -> float:
@@ -292,20 +328,23 @@ def prune(root: TreeNode, confidence: float = 0.25) -> TreeNode:
     """
     if not (0.0 < confidence <= 0.5):
         raise DatasetError(f"confidence must be in (0, 0.5], got {confidence}")
-
-    def walk(node: TreeNode) -> tuple[TreeNode, float]:
-        n = sum(node.counts)
-        as_leaf = pessimistic_errors(_leaf_errors(node), n, confidence)
+    # Reverse pre-order visits children before parents; each node leaves
+    # one (pruned node, estimate) pair on ``done``, first child on top.
+    done: list[tuple[TreeNode, float]] = []
+    for node in reversed(_preorder(root)):
+        as_leaf = pessimistic_errors(_leaf_errors(node), sum(node.counts), confidence)
         if node.is_leaf:
-            return node, as_leaf
+            done.append((node, as_leaf))
+            continue
         pruned_children: list[TreeNode] = []
         subtree_estimate = 0.0
-        for child in node.children:
-            pc, err = walk(child)
-            pruned_children.append(pc)
+        for _ in node.children:
+            child, err = done.pop()
+            pruned_children.append(child)
             subtree_estimate += err
         if as_leaf <= subtree_estimate + 1e-9:
-            return TreeNode(node.counts), as_leaf
+            done.append((TreeNode(node.counts), as_leaf))
+            continue
         kept = TreeNode(
             node.counts,
             node.feature,
@@ -314,34 +353,29 @@ def prune(root: TreeNode, confidence: float = 0.25) -> TreeNode:
             tuple(pruned_children),
             node.default_child,
         )
-        return kept, subtree_estimate
-
-    new_root, _ = walk(root)
-    return new_root
+        done.append((kept, subtree_estimate))
+    return done[0][0]
 
 
 def predict(root: TreeNode, ds: Dataset) -> np.ndarray:
     """Route every row to a leaf and return its majority class."""
     out = np.empty(ds.row_count, dtype=np.uint8)
-
-    def route(node: TreeNode, rows: np.ndarray):
+    stack = [(root, np.arange(ds.row_count))]
+    while stack:
+        node, rows = stack.pop()
         if rows.size == 0:
-            return
+            continue
         if node.is_leaf:
             out[rows] = node.prediction
-            return
-        col = ds.columns[node.feature]
-        values = col.values[rows]
+            continue
+        values = ds.columns[node.feature].values[rows]
         if node.is_numeric_split:
             mask = values <= node.threshold
-            route(node.children[0], rows[mask])
-            route(node.children[1], rows[~mask])
-            return
+            stack.append((node.children[0], rows[mask]))
+            stack.append((node.children[1], rows[~mask]))
+            continue
         assigned = np.full(rows.size, node.default_child, dtype=np.int64)
         for pos, code in enumerate(node.codes):
             assigned[values == code] = pos
-        for pos, child in enumerate(node.children):
-            route(child, rows[assigned == pos])
-
-    route(root, np.arange(ds.row_count))
+        stack.extend((child, rows[assigned == pos]) for pos, child in enumerate(node.children))
     return out

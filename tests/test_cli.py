@@ -1,5 +1,6 @@
 import json
 
+from fsel_ids import models, pipeline
 from fsel_ids.cli import main
 from fsel_ids.metrics import report_from_json
 from fsel_ids.models import model_from_json
@@ -98,6 +99,19 @@ def test_train_writes_model_plan_and_selection(toy_split, tmp_path):
     assert plan["format"] == "fsel-ids/preprocess-plan"
     selected = json.loads((out / "selected.json").read_text())
     assert len(selected["selected"]) == 2
+
+
+def test_train_never_scores_the_test_split(toy_split, tmp_path, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("train must not predict")
+
+    monkeypatch.setattr(pipeline, "predict_model", refuse)
+    monkeypatch.setattr(models, "predict_model", refuse)
+    out = tmp_path / "run"
+    assert main(["train", "--fs", "infogain", "--k", "2", "--algo", "tree",
+                 *common_flags(toy_split, out)]) == 0
+    assert model_from_json((out / "model.json").read_text()).algorithm == "tree"
+    assert (out / "plan.json").exists() and (out / "selected.json").exists()
 
 
 def test_evaluate_fresh_writes_report(toy_split, tmp_path, capsys):

@@ -1,9 +1,18 @@
 import math
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
 
-from fsel_ids.dataset import DatasetError
+from fsel_ids import tree as tree_mod
+from fsel_ids.dataset import Dataset, DatasetError
+from fsel_ids.models import (
+    fit_model,
+    model_from_json,
+    model_to_json,
+    params_from_dict,
+    predict_model,
+)
 from fsel_ids.tree import (
     MIN_GAIN,
     TreeNode,
@@ -229,3 +238,221 @@ def test_prune_leaf_is_identity():
 def test_prune_rejects_bad_confidence():
     with pytest.raises(DatasetError, match="confidence"):
         prune(TreeNode((1, 1)), confidence=0.0)
+
+
+# Reference implementation: the recursive grower that ``grow`` replaced,
+# kept unchanged so that the iterative one can be checked against it for
+# equal trees, floats and rng draws included.
+
+def _xlog2x(v: np.ndarray) -> np.ndarray:
+    out = np.zeros(v.shape, dtype=np.float64)
+    nz = v > 0
+    out[nz] = v[nz] * np.log2(v[nz])
+    return out
+
+
+def _entropy_counts(attack: np.ndarray, total: np.ndarray) -> np.ndarray:
+    """Binary entropy in bits from attack counts and totals (total > 0)."""
+    normal = total - attack
+    return (_xlog2x(total) - _xlog2x(attack) - _xlog2x(normal)) / total
+
+
+@dataclass(frozen=True)
+class _Candidate:
+    feature: int
+    gain: float
+    ratio: float
+    threshold: float = math.nan
+
+
+def _best_numeric_split(values, labels, parent_entropy) -> _Candidate | None:
+    n = values.size
+    order = np.argsort(values, kind="stable")
+    vs = values[order]
+    ys = labels[order].astype(np.int64)
+    cuts = np.flatnonzero(vs[:-1] < vs[1:])
+    if cuts.size == 0:
+        return None
+    attack_prefix = np.cumsum(ys)
+    total_attack = int(attack_prefix[-1])
+    n_left = (cuts + 1).astype(np.float64)
+    a_left = attack_prefix[cuts].astype(np.float64)
+    n_right = n - n_left
+    a_right = total_attack - a_left
+    cond = (n_left * _entropy_counts(a_left, n_left)
+            + n_right * _entropy_counts(a_right, n_right)) / n
+    gains = parent_entropy - cond
+    split_info = _entropy_counts(n_left, np.full_like(n_left, float(n)))
+    usable = gains > MIN_GAIN
+    if not usable.any():
+        return None
+    ratios = np.where(usable, gains / split_info, -np.inf)
+    best = int(np.argmax(ratios))  # argmax keeps the lowest threshold on ties
+    threshold = (vs[cuts[best]] + vs[cuts[best] + 1]) / 2.0
+    return _Candidate(-1, float(gains[best]), float(ratios[best]), float(threshold))
+
+
+def _nominal_split(codes, labels, parent_entropy) -> _Candidate | None:
+    n = codes.size
+    totals = np.bincount(codes)
+    attacks = np.bincount(codes, weights=labels).astype(np.float64)
+    present = totals > 0
+    if int(present.sum()) < 2:
+        return None
+    t = totals[present].astype(np.float64)
+    a = attacks[present]
+    cond = float(np.sum(t * _entropy_counts(a, t))) / n
+    gain = parent_entropy - cond
+    if gain <= MIN_GAIN:
+        return None
+    split_info = (float(n) * math.log2(n) - float(_xlog2x(t).sum())) / n
+    return _Candidate(-1, gain, gain / split_info)
+
+
+class _Grower:
+    def __init__(self, ds: Dataset, min_leaf: int, rng, feature_sample: int | None):
+        self.ds = ds
+        self.labels = ds.labels
+        self.min_leaf = min_leaf
+        self.rng = rng
+        self.feature_sample = feature_sample
+
+    def _candidate_features(self) -> np.ndarray:
+        d = len(self.ds.columns)
+        if self.feature_sample is None or self.feature_sample >= d:
+            return np.arange(d)
+        drawn = self.rng.choice(d, size=self.feature_sample, replace=False)
+        return np.sort(drawn)
+
+    def grow(self, rows: np.ndarray) -> TreeNode:
+        y = self.labels[rows]
+        attack = int(np.count_nonzero(y))
+        counts = (len(rows) - attack, attack)
+        if attack == 0 or attack == len(rows) or len(rows) < self.min_leaf:
+            return TreeNode(counts)
+        parent_entropy = float(
+            _entropy_counts(np.asarray([float(attack)]), np.asarray([float(len(rows))]))[0]
+        )
+        best: _Candidate | None = None
+        for f in self._candidate_features():
+            col = self.ds.columns[int(f)]
+            values = col.values[rows]
+            if col.kind == "numeric":
+                cand = _best_numeric_split(values, y, parent_entropy)
+            else:
+                cand = _nominal_split(values, y, parent_entropy)
+            if cand is None:
+                continue
+            cand = _Candidate(int(f), cand.gain, cand.ratio, cand.threshold)
+            if best is None or cand.ratio > best.ratio:
+                best = cand
+        if best is None:
+            return TreeNode(counts)
+        col = self.ds.columns[best.feature]
+        if col.kind == "numeric":
+            mask = col.values[rows] <= best.threshold
+            left = self.grow(rows[mask])
+            right = self.grow(rows[~mask])
+            return TreeNode(counts, best.feature, best.threshold, (), (left, right))
+        values = col.values[rows]
+        present = np.unique(values)
+        children = tuple(self.grow(rows[values == code]) for code in present)
+        masses = [sum(c.counts) for c in children]
+        default = int(np.argmax(masses))
+        return TreeNode(
+            counts,
+            best.feature,
+            math.nan,
+            tuple(int(c) for c in present),
+            children,
+            default,
+        )
+
+
+def _reference_grow(ds, *, min_leaf=2, rng=None, feature_sample=None) -> TreeNode:
+    return _Grower(ds, min_leaf, rng, feature_sample).grow(np.arange(ds.row_count))
+
+
+def _with_ties(ds):
+    """Round every numeric column to one decimal so that values repeat."""
+    columns = []
+    for col in ds.columns:
+        if col.kind == "numeric":
+            columns.append((col.name, "numeric", np.round(col.values, 1)))
+        else:
+            columns.append((col.name, "nominal", col.values, col.categories))
+    return make_dataset(columns, ds.labels)
+
+
+def _all_nominal(ds):
+    """Bin every numeric column into four categories at its quartiles."""
+    columns = []
+    for col in ds.columns:
+        if col.kind == "numeric":
+            edges = np.quantile(col.values, [0.25, 0.5, 0.75])
+            codes = np.searchsorted(edges, col.values)
+            columns.append((col.name, "nominal", codes, ("q1", "q2", "q3", "q4")))
+        else:
+            columns.append((col.name, "nominal", col.values, col.categories))
+    return make_dataset(columns, ds.labels)
+
+
+@pytest.mark.parametrize("seed", range(8))
+@pytest.mark.parametrize("min_leaf", [1, 2, 5])
+def test_grow_matches_recursive_reference(seed, min_leaf):
+    rng = np.random.default_rng(100 + seed)
+    raw = random_mixed_dataset(rng, 150, 6)
+    for ds in (raw, _with_ties(raw), _all_nominal(raw)):
+        assert grow(ds, min_leaf=min_leaf) == _reference_grow(ds, min_leaf=min_leaf)
+        for sample in (2, 3):
+            mine_rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+            mine = grow(ds, min_leaf=min_leaf, rng=mine_rng, feature_sample=sample)
+            ref = _reference_grow(ds, min_leaf=min_leaf, rng=ref_rng, feature_sample=sample)
+            assert mine == ref
+            assert mine_rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_forest_roots_match_recursive_reference(seed, monkeypatch):
+    raw = random_mixed_dataset(np.random.default_rng(200 + seed), 120, 7)
+    params = params_from_dict("forest", {"n_trees": 4, "min_leaf": 1}, seed=seed)
+    datasets = (raw, _all_nominal(raw))
+    mine = [fit_model(ds, params).payload.roots for ds in datasets]
+    monkeypatch.setattr(tree_mod, "grow", _reference_grow)
+    assert mine == [fit_model(ds, params).payload.roots for ds in datasets]
+
+
+def test_deep_chain_tree_needs_no_recursion():
+    # Alternating labels on sorted distinct values: every split peels one
+    # row off, so the tree is a chain twice as deep as the default
+    # recursion limit.
+    n = 2000
+    labels = [i % 2 for i in range(n)]
+    ds = make_dataset([("x", "numeric", np.arange(n, dtype=np.float64))], labels)
+    root = grow(ds, min_leaf=1)
+    assert depth(root) == n - 1
+    assert node_count(root) == 2 * n - 1
+    assert leaf_count(root) == n
+    np.testing.assert_array_equal(predict(root, ds), labels)
+    assert node_count(prune(root)) <= node_count(root)
+
+    model = fit_model(ds, params_from_dict("tree", {"min_leaf": 1, "prune": False}))
+    again = model_from_json(model_to_json(model))
+    assert node_count(again.payload) == 2 * n - 1
+    np.testing.assert_array_equal(predict_model(again, ds), predict_model(model, ds))
+    np.testing.assert_array_equal(predict_model(again, ds), labels)
+
+
+def test_tree_document_is_flat_preorder():
+    ds = make_dataset([("x", "numeric", [1.0, 2.0, 3.0, 4.0, 5.0])], [0, 0, 1, 1, 1])
+    root = grow(ds, min_leaf=1)
+    doc = tree_mod.node_to_dict(root)
+    assert doc == {"nodes": [
+        {"counts": [2, 3], "feature": 0, "children": [1, 2], "threshold": 2.5},
+        {"counts": [2, 0]},
+        {"counts": [0, 3]},
+    ]}
+    assert tree_mod.node_from_dict(doc) == root
+    doc["nodes"][0]["children"] = [1, 0]
+    with pytest.raises(DatasetError, match="child index"):
+        tree_mod.node_from_dict(doc)
