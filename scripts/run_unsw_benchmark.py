@@ -33,8 +33,9 @@ from fsel_ids.pipeline import (
     RunConfig,
     evaluate_model,
     fit_plan_and_model,
-    load_and_select,
+    load_splits,
     select_features,
+    subsample_and_select,
 )
 from fsel_ids.unsw import REFERENCE_SUBSETS, split_paths
 
@@ -86,7 +87,8 @@ def main(argv=None) -> int:
     print(f"loading {train_path.name} / {test_path.name} ...", flush=True)
     config = RunConfig(train_path=str(train_path), test_path=str(test_path), k=args.k,
                        seed=args.seed, subsample=args.subsample, dataset_name="unsw-nb15")
-    train, test, _ = load_and_select(config)
+    train, test, _ = load_splits(config)
+    train, _ = subsample_and_select(train, config)
     if args.subsample < 1.0:
         print(f"subsampled training split to {train.row_count} rows")
 

@@ -22,9 +22,10 @@ from .pipeline import (
     RunConfig,
     evaluate_model,
     fit_for_config,
-    load_and_select,
     load_splits,
+    load_train,
     run_pipeline,
+    subsample_and_select,
 )
 from .preprocess import plan_from_json, plan_to_json
 from .wrapper import subset_names, trace_to_jsonl
@@ -154,7 +155,8 @@ def cmd_select(args) -> int:
         raise ValueError("select needs an fs method other than 'none'")
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    train, _, (subset, fs_seconds, scores, trace) = load_and_select(config)
+    train = load_train(config)
+    train, (subset, fs_seconds, scores, trace) = subsample_and_select(train, config)
     names = subset_names(train, subset)
     _write_selection(out, config, train.feature_names, names, scores, trace)
     print(f"{config.fs}: selected {len(names)} features in {fs_seconds:.2f}s "
@@ -168,7 +170,8 @@ def cmd_train(args) -> int:
     config, _ = _load_config(args)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    train, _, (subset, _, scores, trace) = load_and_select(config)
+    train = load_train(config)
+    train, (subset, _, scores, trace) = subsample_and_select(train, config)
     plan, model, train_seconds = fit_for_config(train, subset, config)
     (out / "model.json").write_text(model_to_json(model), encoding="utf-8")
     (out / "plan.json").write_text(plan_to_json(plan), encoding="utf-8")

@@ -5,17 +5,24 @@ vector (1 = attack, 0 = normal). Nominal features are dictionary-encoded:
 the column keeps integer category ids and an ordered tuple of category
 strings built in first-occurrence order. Datasets are immutable after
 construction (all arrays are marked read-only) and safe to share.
+
+``load_csv`` parses a file's rows in one ``np.loadtxt`` pass into a
+structured array built from the schema (float64 numeric fields, object
+nominal and label fields). Checks then run on the arrays; when one fails,
+numpy raises, or a blank line went missing, a ``csv.reader`` walk over the
+file names the first bad row. Numeric cells follow numpy's parser, which
+unlike ``float()`` rejects digit-group underscores and non-ASCII digits.
 """
 
 from __future__ import annotations
 
 import csv
-import math
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .schema import FeatureSchema, SchemaError
+from .schema import FeatureSchema
 
 ATTACK = 1
 NORMAL = 0
@@ -145,6 +152,17 @@ class ClassDistribution:
         return self.attack + self.normal
 
 
+# Field types of the one structured parse: drop columns keep one character.
+_FIELD_DTYPES = {"numeric": "f8", "nominal": "O", "class": "O", "drop": "U1"}
+_BLANK_LINES = ("\n", "\r\n", "\r")
+
+
+def _loadtxt(lines, dtype) -> np.ndarray:
+    """numpy's C reader over CSV lines; every row must have dtype's width."""
+    return np.loadtxt(lines, dtype=dtype, delimiter=",", quotechar='"',
+                      comments=None, ndmin=1)
+
+
 def load_csv(
     path,
     schema: FeatureSchema,
@@ -160,85 +178,123 @@ def load_csv(
     appended after the fitted ones. The label column maps to attack when the
     cell equals ``positive_label`` and to normal otherwise; more than one
     distinct non-positive label value is an error, as are missing cells.
+
+    The rows are parsed in one ``np.loadtxt`` pass. When that pass raises,
+    skips a blank line, or yields a value that a check rejects,
+    ``_first_fault`` walks the file with ``csv.reader`` to name the first
+    bad row.
     """
     names = schema.names
     kinds = [k for _, k in schema.entries]
-    keep = [i for i, k in enumerate(kinds) if k in ("numeric", "nominal")]
     class_idx = kinds.index("class")
+    dtype = np.dtype([(f"c{i}", _FIELD_DTYPES[k]) for i, k in enumerate(kinds)])
 
-    numeric_data: dict[int, list[float]] = {i: [] for i in keep if kinds[i] == "numeric"}
-    nominal_data: dict[int, list[int]] = {i: [] for i in keep if kinds[i] == "nominal"}
-    dicts: dict[int, dict[str, int]] = {}
-    for i in nominal_data:
-        seed = vocab.get(names[i], ()) if vocab else ()
-        dicts[i] = {cat: j for j, cat in enumerate(seed)}
-
-    labels: list[int] = []
-    negatives: set[str] = set()
-
+    lines_read = 0
     with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise DatasetError(f"{path}: empty file") from None
+        header = next(csv.reader(fh), None)
+        if header is None:
+            raise DatasetError(f"{path}: empty file")
         if tuple(h.strip() for h in header) != names:
             raise DatasetError(
                 f"{path}: header does not match schema "
                 f"(expected {len(names)} columns starting {names[:3]}, got {tuple(header[:3])})"
             )
+
+        def data_lines():
+            nonlocal lines_read
+            for line in fh:
+                lines_read += 1
+                yield line
+
+        lines = data_lines()
+        first = next(lines, None)
+        try:
+            if first is None:
+                table = np.empty(0, dtype)
+            elif first in _BLANK_LINES:
+                # loadtxt would skip it, and warn if no row followed
+                raise ValueError("blank line after the header")
+            else:
+                table = _loadtxt(itertools.chain([first], lines), dtype)
+        except ValueError as exc:
+            raise _first_fault(path, schema, positive_label) or DatasetError(
+                f"{path}: {exc}"
+            ) from exc
+
+    # loadtxt skips blank lines; a quoted cell may also span lines, so
+    # fewer rows than lines is only a suspicion.
+    suspect = len(table) != lines_read
+    columns = []  # (name, kind, values, categories), checked before Column sees them
+    for i, kind in enumerate(kinds):
+        cells = table[f"c{i}"]
+        if kind == "numeric":
+            values = np.ascontiguousarray(cells)
+            suspect = suspect or not np.isfinite(values).all()
+            columns.append((names[i], kind, values, ()))
+        elif kind == "nominal":
+            codes = {c: j for j, c in enumerate(vocab.get(names[i], ()) if vocab else ())}
+            for cat in dict.fromkeys(cells):
+                suspect = suspect or cat == ""
+                codes.setdefault(cat, len(codes))
+            values = np.fromiter(map(codes.__getitem__, cells), np.int32, count=len(cells))
+            columns.append((names[i], kind, values, tuple(codes)))
+    label_cells = table[f"c{class_idx}"]
+    attack = label_cells == positive_label
+    negatives = set(label_cells[~attack])
+    suspect = suspect or "" in negatives or len(negatives) > 1
+
+    if suspect and (fault := _first_fault(path, schema, positive_label)) is not None:
+        raise fault
+    columns = tuple(Column(*c) for c in columns)
+    return Dataset(columns, attack.astype(np.uint8), names[class_idx])
+
+
+def _finite_numbers(cells: list[str]) -> bool:
+    """Whether numpy's parser, as ``load_csv`` runs it, reads finite floats."""
+    line = ",".join('"' + c.replace('"', '""') + '"' for c in cells)
+    try:
+        values = _loadtxt([line], np.float64)
+    except ValueError:
+        return False
+    return bool(np.isfinite(values).all())
+
+
+def _first_fault(path, schema: FeatureSchema, positive_label: str) -> DatasetError | None:
+    """The error for the first bad data row as ``csv.reader`` reads it, if any."""
+    names = schema.names
+    kinds = [k for _, k in schema.entries]
+    numeric = [i for i, k in enumerate(kinds) if k == "numeric"]
+    nominal = [i for i, k in enumerate(kinds) if k == "nominal"]
+    class_idx = kinds.index("class")
+    negatives: set[str] = set()
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        next(reader)
         for rowno, row in enumerate(reader, start=2):
             if len(row) != len(names):
-                raise DatasetError(
+                return DatasetError(
                     f"{path}:{rowno}: expected {len(names)} columns, got {len(row)}"
                 )
-            for i in numeric_data:
-                cell = row[i]
-                try:
-                    value = float(cell)
-                except ValueError:
-                    value = math.nan
-                if not math.isfinite(value):
-                    raise DatasetError(
-                        f"{path}:{rowno}: column {names[i]!r}: "
-                        f"cannot parse numeric cell {cell!r}"
-                    )
-                numeric_data[i].append(value)
-            for i in nominal_data:
-                cell = row[i]
-                if cell == "":
-                    raise DatasetError(f"{path}:{rowno}: column {names[i]!r}: missing cell")
-                d = dicts[i]
-                code = d.get(cell)
-                if code is None:
-                    code = len(d)
-                    d[cell] = code
-                nominal_data[i].append(code)
+            if numeric and not _finite_numbers([row[i] for i in numeric]):
+                i = next(i for i in numeric if not _finite_numbers([row[i]]))
+                return DatasetError(
+                    f"{path}:{rowno}: column {names[i]!r}: "
+                    f"cannot parse numeric cell {row[i]!r}"
+                )
+            for i in nominal:
+                if row[i] == "":
+                    return DatasetError(f"{path}:{rowno}: column {names[i]!r}: missing cell")
             cell = row[class_idx]
             if cell == "":
-                raise DatasetError(f"{path}:{rowno}: missing label")
-            if cell == positive_label:
-                labels.append(ATTACK)
-            else:
+                return DatasetError(f"{path}:{rowno}: missing label")
+            if cell != positive_label:
                 negatives.add(cell)
                 if len(negatives) > 1:
-                    raise DatasetError(
+                    return DatasetError(
                         f"{path}:{rowno}: unknown label value {cell!r} "
                         f"(positive is {positive_label!r}, negative already {sorted(negatives)})"
                     )
-                labels.append(NORMAL)
-
-    columns = []
-    for i in keep:
-        name = names[i]
-        if kinds[i] == "numeric":
-            columns.append(Column(name, "numeric", np.asarray(numeric_data[i], dtype=np.float64)))
-        else:
-            cats = tuple(sorted(dicts[i], key=dicts[i].get))
-            columns.append(
-                Column(name, "nominal", np.asarray(nominal_data[i], dtype=np.int32), cats)
-            )
-    return Dataset(tuple(columns), np.asarray(labels, dtype=np.uint8), names[class_idx])
+    return None
 
 
 def class_distribution(ds: Dataset) -> ClassDistribution:

@@ -333,16 +333,28 @@ def _fit_knn(train: Dataset, params: TrainParams) -> KNNPayload:
 
 
 def _knn_votes(payload: KNNPayload, queries: np.ndarray, k: int) -> np.ndarray:
-    """Attack votes among the k nearest training rows, per query."""
+    """Attack votes among the k nearest training rows, per query.
+
+    Rows tied at the k-th distance fill the places left in index order, so
+    the votes equal those of a stable sort of each distance row.
+    """
     t = payload.matrix
+    attack = payload.labels == 1
     t_sq = np.sum(t * t, axis=1)
     votes = np.empty(len(queries), dtype=np.int64)
     chunk = max(1, int(2_000_000 // max(1, len(t))))
     for start in range(0, len(queries), chunk):
         q = queries[start:start + chunk]
-        d2 = t_sq[None, :] - 2.0 * (q @ t.T) + np.sum(q * q, axis=1)[:, None]
-        order = np.argsort(d2, axis=1, kind="stable")[:, :k]
-        votes[start:start + chunk] = payload.labels[order].sum(axis=1)
+        d2 = q @ t.T
+        d2 *= -2.0
+        d2 += t_sq
+        d2 += np.sum(q * q, axis=1)[:, None]
+        kth = np.partition(d2, k - 1, axis=1)[:, [k - 1]]
+        below = d2 < kth
+        tied = d2 == kth
+        places = k - np.count_nonzero(below, axis=1)
+        below |= tied & (np.cumsum(tied, axis=1, dtype=np.int32) <= places[:, None])
+        votes[start:start + chunk] = np.count_nonzero(below & attack, axis=1)
     return votes
 
 

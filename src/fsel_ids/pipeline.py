@@ -96,13 +96,23 @@ def _stage(name: str):
     return _StageGuard()
 
 
+def _schema(config: RunConfig) -> FeatureSchema:
+    if config.schema_path is None:
+        return UNSW_SCHEMA
+    return parse_schema(Path(config.schema_path).read_text(encoding="utf-8"))
+
+
+def load_train(config: RunConfig) -> Dataset:
+    """Load the training file alone, for commands that never score."""
+    with _stage("load"):
+        return load_csv(config.train_path, _schema(config),
+                        positive_label=config.positive_label)
+
+
 def load_splits(config: RunConfig) -> tuple[Dataset, Dataset, FeatureSchema]:
     """Load train and test files; test reuses the training dictionaries."""
     with _stage("load"):
-        if config.schema_path is None:
-            schema = UNSW_SCHEMA
-        else:
-            schema = parse_schema(Path(config.schema_path).read_text(encoding="utf-8"))
+        schema = _schema(config)
         train = load_csv(config.train_path, schema, positive_label=config.positive_label)
         test = load_csv(
             config.test_path,
@@ -146,17 +156,16 @@ def select_features(
         return subset, time.perf_counter() - started, scores, None
 
 
-def load_and_select(config: RunConfig):
-    """Load both splits, subsample the training one, and select on it.
+def subsample_and_select(train: Dataset, config: RunConfig):
+    """Subsample the training split, then select on it.
 
-    Returns ``(train, test, select_features(train, config))``; ``train`` is
-    the subsampled split that the selection indices refer to.
+    Returns ``(train, select_features(train, config))``; the returned
+    ``train`` is the subsampled split that the selection indices refer to.
     """
-    train, test, _ = load_splits(config)
     with _stage("subsample"):
         if config.subsample < 1.0:
             train = stratified_subsample(train, config.subsample, config.seed)
-    return train, test, select_features(train, config)
+    return train, select_features(train, config)
 
 
 def fit_plan_and_model(
@@ -210,7 +219,8 @@ def evaluate_model(
 
 def run_pipeline(config: RunConfig) -> PipelineResult:
     """Execute one full experiment cell and assemble its report."""
-    train, test, (subset, fs_seconds, scores, trace) = load_and_select(config)
+    train, test, _ = load_splits(config)
+    train, (subset, fs_seconds, scores, trace) = subsample_and_select(train, config)
 
     plan, model, train_seconds = fit_for_config(train, subset, config)
 

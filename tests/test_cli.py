@@ -114,6 +114,20 @@ def test_train_never_scores_the_test_split(toy_split, tmp_path, monkeypatch):
     assert (out / "plan.json").exists() and (out / "selected.json").exists()
 
 
+def test_select_and_train_never_read_the_test_split(toy_split, tmp_path, capsys):
+    train, _, schema = toy_split
+    bad = tmp_path / "bad_test.csv"
+    bad.write_text("not,the,schema\n1,2,3\n", encoding="utf-8")
+    flags = ["--train", str(train), "--test", str(bad), "--schema", str(schema),
+             "--fs", "infogain", "--k", "2"]
+    assert main(["select", *flags, "--out", str(tmp_path / "sel")]) == 0
+    assert main(["train", *flags, "--algo", "tree", "--out", str(tmp_path / "run")]) == 0
+    assert (tmp_path / "run" / "model.json").exists()
+    # the file is bad: a command that scores it fails on its header
+    assert main(["evaluate", *flags, "--out", str(tmp_path / "eval")]) == 1
+    assert "header does not match" in capsys.readouterr().err
+
+
 def test_evaluate_fresh_writes_report(toy_split, tmp_path, capsys):
     out = tmp_path / "eval"
     code = main(["evaluate", "--algo", "tree", *common_flags(toy_split, out)])

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from fsel_ids.models import (
     ALGORITHMS,
     ForestPayload,
+    KNNPayload,
     ModelError,
     TrainedModel,
     TrainParams,
@@ -23,6 +24,7 @@ from fsel_ids.models import (
     predict_model,
     svm_objective,
 )
+from fsel_ids import models
 from fsel_ids.tree import TreeNode
 
 from conftest import make_dataset, random_mixed_dataset, separable_dataset
@@ -252,6 +254,53 @@ def test_knn_permutation_of_training_rows_is_irrelevant():
     )
     probe = numeric_ds(queries, [0] * 10)
     np.testing.assert_array_equal(predict_model(a, probe), predict_model(b, probe))
+
+
+# Reference kernel: the full stable argsort that ``_knn_votes`` replaced,
+# kept unchanged so that the partial sort can be checked against it.
+def _reference_knn_votes(payload, queries, k):
+    t = payload.matrix
+    t_sq = np.sum(t * t, axis=1)
+    votes = np.empty(len(queries), dtype=np.int64)
+    chunk = max(1, int(2_000_000 // max(1, len(t))))
+    for start in range(0, len(queries), chunk):
+        q = queries[start:start + chunk]
+        d2 = t_sq[None, :] - 2.0 * (q @ t.T) + np.sum(q * q, axis=1)[:, None]
+        order = np.argsort(d2, axis=1, kind="stable")[:, :k]
+        votes[start:start + chunk] = payload.labels[order].sum(axis=1)
+    return votes
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_knn_votes_match_stable_argsort_on_ties(seed):
+    # small integer grids tie most distances, and 20,000 training rows make
+    # one chunk hold 100 queries, so 250 queries span three chunks
+    rng = np.random.default_rng(seed)
+    d = int(rng.integers(1, 4))
+    train = rng.integers(0, 3, (20_000, d)).astype(np.float64)
+    labels = rng.integers(0, 2, 20_000).astype(np.uint8)
+    queries = rng.integers(-1, 4, (250, d)).astype(np.float64)
+    payload = KNNPayload(train, labels)
+    for k in (1, 4, 101):
+        np.testing.assert_array_equal(
+            models._knn_votes(payload, queries, k),
+            _reference_knn_votes(payload, queries, k),
+        )
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 40), st.integers(1, 3))
+def test_knn_votes_match_stable_argsort_small(seed, n, top):
+    rng = np.random.default_rng(seed)
+    train = rng.integers(0, top + 1, (n, 2)).astype(np.float64)
+    labels = rng.integers(0, 2, n).astype(np.uint8)
+    queries = rng.integers(0, top + 1, (30, 2)).astype(np.float64)
+    payload = KNNPayload(train, labels)
+    for k in range(1, n + 1):
+        np.testing.assert_array_equal(
+            models._knn_votes(payload, queries, k),
+            _reference_knn_votes(payload, queries, k),
+        )
 
 
 def test_knn_rejects_k_beyond_rows():
