@@ -6,15 +6,7 @@ families, and a hold-out evaluation harness reporting accuracy, detection
 rate and false alarm rate with per-stage timings.
 """
 
-from .dataset import (
-    ClassDistribution,
-    Column,
-    Dataset,
-    DatasetError,
-    class_distribution,
-    load_csv,
-    stratified_subsample,
-)
+from .dataset import Column, Dataset, DatasetError, load_csv, stratified_subsample
 from .filters import (
     FilterScores,
     entropy,
@@ -39,7 +31,6 @@ from .models import (
     fit_model,
     model_from_json,
     model_to_json,
-    nb_posterior,
     predict_model,
 )
 from .pipeline import PipelineError, PipelineResult, RunConfig, run_pipeline
@@ -56,13 +47,12 @@ from .preprocess import (
     plan_from_json,
     plan_to_json,
 )
-from .schema import FeatureSchema, SchemaError, parse_schema, schema_to_text
+from .schema import FeatureSchema, SchemaError, parse_schema
 from .wrapper import SearchTrace, best_first_search, stratified_folds, wrapper_merit
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "ClassDistribution",
     "Column",
     "ConfusionMatrix",
     "Dataset",
@@ -87,7 +77,6 @@ __all__ = [
     "apply_onehot",
     "apply_preprocess",
     "best_first_search",
-    "class_distribution",
     "confusion",
     "detection_rate",
     "entropy",
@@ -101,14 +90,12 @@ __all__ = [
     "load_csv",
     "model_from_json",
     "model_to_json",
-    "nb_posterior",
     "parse_schema",
     "plan_from_json",
     "plan_to_json",
     "predict_model",
     "relief_weights",
     "run_pipeline",
-    "schema_to_text",
     "score_features",
     "stratified_folds",
     "stratified_subsample",

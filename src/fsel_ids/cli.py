@@ -18,6 +18,7 @@ from .metrics import markdown_table, report_to_json
 from .models import model_from_json, model_to_json
 from .pipeline import (
     FS_METHODS,
+    REFERENCE_FS,
     PipelineError,
     RunConfig,
     evaluate_model,
@@ -57,7 +58,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--train", help="training CSV path")
         p.add_argument("--test", help="test CSV path")
         p.add_argument("--schema", help="schema file (name,kind lines); default UNSW-NB15")
-        p.add_argument("--fs", choices=FS_METHODS, help="feature selection method")
+        p.add_argument("--fs", choices=FS_METHODS + REFERENCE_FS,
+                       help="feature selection method, or a bundled reference subset")
         p.add_argument("--k", type=int, help="features to keep for ranker methods")
         p.add_argument("--algo", help="classifier tag")
         p.add_argument("--seed", type=int, help="master seed for the whole run")
@@ -119,8 +121,9 @@ def _load_config(args, allow_grid: bool = False) -> tuple[RunConfig, dict]:
     unknown = sorted(set(doc) - known)
     if unknown:
         raise ValueError(f"unknown config fields: {unknown}")
-    if "train_path" not in doc or "test_path" not in doc:
-        raise ValueError("a run needs --train and --test (or config fields)")
+    if "train_path" not in doc:
+        needs = "--train" if args.command in ("select", "train") else "--train and --test"
+        raise ValueError(f"a run needs {needs} (or config fields)")
     if "stop_after" in doc and doc["stop_after"] == 0:
         doc["stop_after"] = None
     return RunConfig(**doc), grid
@@ -208,30 +211,31 @@ def cmd_evaluate(args) -> int:
     return 0
 
 
-def _bench_cell(config: RunConfig):
-    try:
-        return run_pipeline(config).report, None
-    except Exception as exc:  # noqa: BLE001 -- cell failures must not kill the batch
-        return None, f"{type(exc).__name__}: {exc}"
-
-
 def cmd_bench(args) -> int:
     base, grid = _load_config(args, allow_grid=True)
     fs_methods = grid.get("fs_methods") or [base.fs]
     algorithms = grid.get("algorithms") or [base.algorithm]
+    cells = [dataclasses.replace(base, fs=fs, algorithm=algo)
+             for fs in fs_methods for algo in algorithms]
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
+    # Every cell shares one (train, test) pair; the columns are read-only.
+    train, test, _ = load_splits(base)
 
-    cells = []
-    for fs in fs_methods:
-        for algo in algorithms:
-            cells.append(dataclasses.replace(base, fs=fs, algorithm=algo))
+    def run_cell(config: RunConfig):
+        try:
+            return run_pipeline(config, (train, test)).report, None
+        except Exception as exc:  # noqa: BLE001 -- cell failures must not kill the batch
+            return None, f"{type(exc).__name__}: {exc}"
 
     if args.jobs > 1:
-        with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-            outcomes = list(pool.map(_bench_cell, cells))
+        pool = ThreadPoolExecutor(max_workers=args.jobs)
+        try:
+            outcomes = list(pool.map(run_cell, cells))
+        finally:  # an interrupt drops the cells that have not started
+            pool.shutdown(cancel_futures=True)
     else:
-        outcomes = [_bench_cell(c) for c in cells]
+        outcomes = [run_cell(c) for c in cells]
 
     reports, failures = [], []
     for config, (report, error) in zip(cells, outcomes):

@@ -1,4 +1,4 @@
-"""Columnar dataset: typed CSV loading, class counts, stratified subsampling.
+"""Columnar dataset: typed CSV loading and stratified subsampling.
 
 A Dataset stores one numpy array per input feature plus a binary label
 vector (1 = attack, 0 = normal). Nominal features are dictionary-encoded:
@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import csv
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -56,10 +56,6 @@ class Column:
             if self.values.size and int(self.values.max(initial=-1)) >= len(self.categories):
                 raise DatasetError(f"column {self.name!r}: category id out of range")
         _frozen(self.values)
-
-    def decode(self) -> list[str]:
-        """Map every id back to its category string."""
-        return [self.categories[i] for i in self.values]
 
 
 @dataclass(frozen=True)
@@ -129,27 +125,6 @@ class Dataset:
         if not self.columns:
             return np.zeros((self.row_count, 0))
         return np.column_stack([c.values for c in self.columns])
-
-
-@dataclass(frozen=True)
-class ClassDistribution:
-    """Per-class row counts with percentages (sums to 100 within 0.01)."""
-
-    attack: int
-    normal: int
-    attack_pct: float = field(init=False)
-    normal_pct: float = field(init=False)
-
-    def __post_init__(self):
-        total = self.attack + self.normal
-        if total == 0:
-            raise DatasetError("empty dataset has no class distribution")
-        object.__setattr__(self, "attack_pct", 100.0 * self.attack / total)
-        object.__setattr__(self, "normal_pct", 100.0 * self.normal / total)
-
-    @property
-    def total(self) -> int:
-        return self.attack + self.normal
 
 
 # Field types of the one structured parse: drop columns keep one character.
@@ -295,14 +270,6 @@ def _first_fault(path, schema: FeatureSchema, positive_label: str) -> DatasetErr
                         f"(positive is {positive_label!r}, negative already {sorted(negatives)})"
                     )
     return None
-
-
-def class_distribution(ds: Dataset) -> ClassDistribution:
-    """Exact per-class row counts."""
-    if ds.row_count == 0:
-        raise DatasetError("empty dataset")
-    attack = int(np.count_nonzero(ds.labels == ATTACK))
-    return ClassDistribution(attack=attack, normal=ds.row_count - attack)
 
 
 def stratified_subsample(ds: Dataset, fraction: float, seed: int) -> Dataset:

@@ -283,17 +283,6 @@ def nb_log_joint(payload: NBPayload, ds: Dataset) -> np.ndarray:
     return out
 
 
-def nb_posterior(model: TrainedModel, ds: Dataset) -> np.ndarray:
-    """Normalized class probabilities, rows summing to 1."""
-    if model.algorithm != "naive_bayes":
-        raise ModelError(f"posteriors need a naive_bayes model, got {model.algorithm}")
-    _check_signature(model, ds)
-    joint = nb_log_joint(model.payload, ds)
-    shifted = joint - joint.max(axis=1, keepdims=True)
-    p = np.exp(shifted)
-    return p / p.sum(axis=1, keepdims=True)
-
-
 def _predict_naive_bayes(p: NBPayload, ds: Dataset, params: TrainParams) -> np.ndarray:
     joint = nb_log_joint(p, ds)
     return (joint[:, 1] >= joint[:, 0]).astype(np.uint8)

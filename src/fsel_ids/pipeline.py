@@ -10,6 +10,7 @@ attributable.
 from __future__ import annotations
 
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -21,10 +22,12 @@ from .metrics import EvaluationReport, build_report, confusion
 from .models import TrainedModel, TrainParams, fit_model, params_from_dict, predict_model
 from .preprocess import PreprocessPlan, apply_preprocess, fit_preprocess
 from .schema import FeatureSchema, parse_schema
-from .unsw import UNSW_SCHEMA
+from .unsw import REFERENCE_SUBSETS, UNSW_SCHEMA
 from .wrapper import SearchTrace, best_first_search, subset_names
 
 FS_METHODS = ("none", "wrapper") + FILTER_METHODS
+# The bundled published subsets, as fs values: "ref-wrapper", "ref-infogain", ...
+REFERENCE_FS = tuple(f"ref-{name}" for name in REFERENCE_SUBSETS)
 
 
 class PipelineError(RuntimeError):
@@ -40,7 +43,7 @@ class RunConfig:
     """Everything that determines one experiment cell."""
 
     train_path: str
-    test_path: str
+    test_path: str | None = None  # only commands that score need it
     schema_path: str | None = None  # None uses the built-in UNSW-NB15 schema
     fs: str = "none"
     k: int = 19
@@ -58,8 +61,9 @@ class RunConfig:
     dataset_name: str = ""
 
     def __post_init__(self):
-        if self.fs not in FS_METHODS:
-            raise ValueError(f"unknown fs method {self.fs!r}; pick from {FS_METHODS}")
+        if self.fs not in FS_METHODS + REFERENCE_FS:
+            raise ValueError(
+                f"unknown fs method {self.fs!r}; pick from {FS_METHODS + REFERENCE_FS}")
         if self.k < 1:
             raise ValueError(f"k must be >= 1, got {self.k}")
         if not (0.0 < self.subsample <= 1.0):
@@ -83,17 +87,15 @@ class PipelineResult:
     trace: SearchTrace | None = None
 
 
+@contextmanager
 def _stage(name: str):
-    class _StageGuard:
-        def __enter__(self):
-            return self
-
-        def __exit__(self, exc_type, exc, tb):
-            if exc is not None and not isinstance(exc, PipelineError):
-                raise PipelineError(name, str(exc)) from exc
-            return False
-
-    return _StageGuard()
+    """Annotate an ``Exception`` with the stage; interrupts pass through."""
+    try:
+        yield
+    except PipelineError:
+        raise
+    except Exception as exc:
+        raise PipelineError(name, str(exc)) from exc
 
 
 def _schema(config: RunConfig) -> FeatureSchema:
@@ -112,6 +114,8 @@ def load_train(config: RunConfig) -> Dataset:
 def load_splits(config: RunConfig) -> tuple[Dataset, Dataset, FeatureSchema]:
     """Load train and test files; test reuses the training dictionaries."""
     with _stage("load"):
+        if config.test_path is None:
+            raise ValueError("a run that scores needs --test (or a test_path config field)")
         schema = _schema(config)
         train = load_csv(config.train_path, schema, positive_label=config.positive_label)
         test = load_csv(
@@ -129,11 +133,15 @@ def select_features(
     """Run the configured selection method on training data, timed.
 
     Returns the subset in the method's own order (rank order for filters,
-    discovery order for the wrapper, column order for "none").
+    discovery order for the wrapper, column order for "none", published
+    order for a reference subset).
     """
     with _stage("select"):
         if config.fs == "none":
             return tuple(range(len(train.columns))), 0.0, None, None
+        if config.fs in REFERENCE_FS:
+            names = REFERENCE_SUBSETS[config.fs.removeprefix("ref-")]
+            return tuple(train.index_of(name) for name in names), 0.0, None, None
         started = time.perf_counter()
         if config.fs == "wrapper":
             subset, trace = best_first_search(
@@ -217,9 +225,14 @@ def evaluate_model(
     return predictions, report
 
 
-def run_pipeline(config: RunConfig) -> PipelineResult:
-    """Execute one full experiment cell and assemble its report."""
-    train, test, _ = load_splits(config)
+def run_pipeline(config: RunConfig, splits: tuple[Dataset, Dataset] | None = None
+                 ) -> PipelineResult:
+    """Execute one full experiment cell and assemble its report.
+
+    ``splits`` is a ``(train, test)`` pair already loaded for ``config``'s
+    files, which a grid shares between its cells; by default both are loaded.
+    """
+    train, test = splits if splits is not None else load_splits(config)[:2]
     train, (subset, fs_seconds, scores, trace) = subsample_and_select(train, config)
 
     plan, model, train_seconds = fit_for_config(train, subset, config)

@@ -46,20 +46,6 @@ class FeatureSchema:
     def names(self) -> tuple[str, ...]:
         return tuple(name for name, _ in self.entries)
 
-    @property
-    def class_name(self) -> str:
-        return next(name for name, kind in self.entries if kind == "class")
-
-    @property
-    def input_entries(self) -> tuple[tuple[str, str], ...]:
-        """The (name, kind) pairs that survive loading, in column order."""
-        return tuple((n, k) for n, k in self.entries if k in ("numeric", "nominal"))
-
-    def kind_of(self, name: str) -> str:
-        for n, k in self.entries:
-            if n == name:
-                return k
-        raise SchemaError(f"no column named {name!r}")
 
 
 def parse_schema(text: str) -> FeatureSchema:
@@ -82,8 +68,3 @@ def parse_schema(text: str) -> FeatureSchema:
     if not entries:
         raise SchemaError("schema file contains no entries")
     return FeatureSchema(tuple(entries))
-
-
-def schema_to_text(schema: FeatureSchema) -> str:
-    """Render a schema back to its file format (round-trips parse_schema)."""
-    return "\n".join(f"{name},{kind}" for name, kind in schema.entries) + "\n"

@@ -147,10 +147,6 @@ def node_count(root: TreeNode) -> int:
     return len(_preorder(root))
 
 
-def leaf_count(root: TreeNode) -> int:
-    return sum(1 for node in _preorder(root) if node.is_leaf)
-
-
 def depth(root: TreeNode) -> int:
     deepest = 0
     stack = [(root, 0)]

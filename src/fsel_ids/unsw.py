@@ -25,8 +25,6 @@ TRAIN_NORMAL = 56_000
 TEST_ATTACK = 45_332
 TEST_NORMAL = 37_000
 
-_NOMINAL = ("proto", "service", "state")
-
 _COLUMNS = (
     ("id", "drop"),
     ("dur", "numeric"),
@@ -76,9 +74,6 @@ _COLUMNS = (
 )
 
 UNSW_SCHEMA = FeatureSchema(_COLUMNS)
-
-INPUT_FEATURES = tuple(n for n, k in _COLUMNS if k in ("numeric", "nominal"))
-NOMINAL_FEATURES = _NOMINAL
 
 # Published 19-feature selections for this corpus, one per search strategy.
 # Each is in the strategy's own reported order (rank order for the filter

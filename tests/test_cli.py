@@ -1,9 +1,15 @@
 import json
 
-from fsel_ids import models, pipeline
+import numpy as np
+import pytest
+
+from fsel_ids import models, pipeline, unsw
 from fsel_ids.cli import main
 from fsel_ids.metrics import report_from_json
 from fsel_ids.models import model_from_json
+from fsel_ids.pipeline import REFERENCE_FS, RunConfig, run_pipeline
+
+from conftest import write_csv
 
 
 def common_flags(toy_split, out_dir):
@@ -126,6 +132,15 @@ def test_select_and_train_never_read_the_test_split(toy_split, tmp_path, capsys)
     # the file is bad: a command that scores it fails on its header
     assert main(["evaluate", *flags, "--out", str(tmp_path / "eval")]) == 1
     assert "header does not match" in capsys.readouterr().err
+
+    # without --test at all, select and train still run; evaluate names the flag
+    no_test = ["--train", str(train), "--schema", str(schema), "--fs", "infogain", "--k", "2"]
+    assert main(["select", *no_test, "--out", str(tmp_path / "sel2")]) == 0
+    assert main(["train", *no_test, "--algo", "tree", "--out", str(tmp_path / "run2")]) == 0
+    assert (tmp_path / "run2" / "model.json").exists()
+    capsys.readouterr()
+    assert main(["evaluate", *no_test, "--out", str(tmp_path / "eval2")]) == 1
+    assert "needs --test" in capsys.readouterr().err
 
 
 def test_evaluate_fresh_writes_report(toy_split, tmp_path, capsys):
@@ -269,3 +284,123 @@ def test_missing_paths_fail_cleanly(tmp_path, capsys):
     code = main(["evaluate", "--algo", "tree", "--out", str(tmp_path)])
     assert code == 1
     assert "--train and --test" in capsys.readouterr().err
+
+
+def test_bench_interrupt_stops_the_grid(toy_split, tmp_path, monkeypatch):
+    def interrupt(*args, **kwargs):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(pipeline, "fit_model", interrupt)
+    config = bench_config(toy_split, tmp_path, ["none", "infogain"], ["tree", "naive_bayes"])
+    for jobs in ("1", "2"):
+        out = tmp_path / f"interrupted{jobs}"
+        with pytest.raises(KeyboardInterrupt):
+            main(["bench", "--config", str(config), "--jobs", jobs, "--out", str(out)])
+        assert not (out / "summary.json").exists()
+
+
+def test_bench_loads_each_split_once(toy_split, tmp_path, monkeypatch):
+    calls = []
+    load_csv = pipeline.load_csv
+
+    def counted(path, *args, **kwargs):
+        calls.append(str(path))
+        return load_csv(path, *args, **kwargs)
+
+    monkeypatch.setattr(pipeline, "load_csv", counted)
+    config = bench_config(toy_split, tmp_path, ["none", "infogain", "gainratio"],
+                          ["tree", "naive_bayes"])
+    assert main(["bench", "--config", str(config), "--jobs", "2",
+                 "--out", str(tmp_path / "grid")]) == 0
+    train, test, _ = toy_split
+    assert calls == [str(train), str(test)]
+
+
+def test_bench_reference_subset_fails_on_a_schema_without_its_columns(toy_split, tmp_path):
+    config = bench_config(toy_split, tmp_path, ["none", "ref-wrapper"], ["tree"])
+    out = tmp_path / "grid"
+    assert main(["bench", "--config", str(config), "--out", str(out)]) == 1
+    error = (out / "cell_ref-wrapper_tree" / "error.txt").read_text()
+    assert "[select] no column named 'service'" in error
+    assert (out / "cell_none_tree" / "report.json").exists()
+
+
+def unsw_rows(rng, n):
+    """Rows in the 45-column official layout; one numeric column in three carries signal."""
+    rows = []
+    for i in range(n):
+        attack = i % 3 != 0
+        row = []
+        for j, (name, kind) in enumerate(unsw.UNSW_SCHEMA.entries):
+            if kind == "class":
+                row.append("1" if attack else "0")
+            elif name == "attack_cat":
+                row.append("Generic" if attack else "Normal")
+            elif kind == "drop":
+                row.append(str(i + 1))
+            elif kind == "nominal":
+                row.append(str(rng.choice(["tcp", "udp", "-"])))
+            else:
+                shift = 1.5 if attack and j % 3 == 0 else 0.0
+                row.append(f"{rng.normal(shift, 1.0):.5f}")
+        rows.append(row)
+    return rows
+
+
+@pytest.fixture
+def unsw_grid(tmp_path):
+    """A 90/45-row split in the UNSW-NB15 layout and a reference-subset grid config."""
+    rng = np.random.default_rng(7)
+    header = list(unsw.UNSW_SCHEMA.names)
+    train, test = tmp_path / "unsw_train.csv", tmp_path / "unsw_test.csv"
+    write_csv(train, header, unsw_rows(rng, 90))
+    write_csv(test, header, unsw_rows(rng, 45))
+    config = tmp_path / "unsw_grid.json"
+    config.write_text(json.dumps({
+        "train_path": str(train),
+        "test_path": str(test),
+        "fs_methods": ["none", "infogain", *REFERENCE_FS],
+        "algorithms": ["naive_bayes", "tree"],
+    }))
+    return RunConfig(train_path=str(train), test_path=str(test)), config
+
+
+def untimed_reports(out):
+    """Every cell's report.json, keyed by cell, without its timings."""
+    reports = {}
+    for path in sorted(out.glob("cell_*/report.json")):
+        doc = json.loads(path.read_text())
+        doc.pop("timings")
+        reports[path.parent.name] = doc
+    return reports
+
+
+def test_bench_reference_grid_matches_run_pipeline(unsw_grid, tmp_path):
+    base, config = unsw_grid
+    out = tmp_path / "grid"
+    assert main(["bench", "--config", str(config), "--out", str(out)]) == 0
+    assert REFERENCE_FS == ("ref-wrapper", "ref-infogain", "ref-gainratio", "ref-relief")
+    for fs in ("none", "infogain", *REFERENCE_FS):
+        for algo in ("naive_bayes", "tree"):
+            got = report_from_json((out / f"cell_{fs}_{algo}" / "report.json").read_text())
+            want = run_pipeline(RunConfig(train_path=base.train_path,
+                                          test_path=base.test_path,
+                                          fs=fs, algorithm=algo)).report
+            assert (got.fs_method, got.algorithm) == (fs, algo)
+            assert got.cm == want.cm
+            assert got.selected_count == want.selected_count
+            if fs.startswith("ref-"):
+                assert got.selected_count == 19 and got.fs_seconds == 0.0
+    assert report_from_json((out / "cell_none_tree" / "report.json").read_text()
+                            ).selected_count == 42
+
+
+def test_bench_reports_do_not_depend_on_jobs(unsw_grid, tmp_path):
+    _, config = unsw_grid
+    outs = {}
+    for jobs in ("1", "2"):
+        out = tmp_path / f"jobs{jobs}"
+        assert main(["bench", "--config", str(config), "--jobs", jobs, "--out", str(out)]) == 0
+        outs[jobs] = untimed_reports(out)
+    assert len(outs["1"]) == 12
+    assert outs["1"] == outs["2"]

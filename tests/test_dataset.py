@@ -14,7 +14,6 @@ from fsel_ids.dataset import (
     Column,
     Dataset,
     DatasetError,
-    class_distribution,
     load_csv,
     stratified_subsample,
 )
@@ -57,7 +56,8 @@ def test_dictionary_roundtrip_matches_raw_cells(tmp_path):
     p = tmp_path / "d.csv"
     write_sample(p, rows)
     ds = load_csv(p, SCHEMA)
-    assert ds.columns[1].decode() == raw
+    col = ds.columns[1]
+    assert [col.categories[i] for i in col.values] == raw
 
 
 def test_header_mismatch_rejected(tmp_path):
@@ -118,21 +118,7 @@ def test_vocab_reuse_appends_unseen_categories(tmp_path):
     # fitted ids keep their values; the unseen category gets the next id
     assert test.columns[1].categories == ("tcp", "udp", "sctp")
     np.testing.assert_array_equal(test.columns[1].values, [1, 2, 0])
-    assert test.columns[1].decode() == ["udp", "sctp", "tcp"]
-
-
-def test_class_distribution_counts():
-    ds = make_dataset([("a", "numeric", [1, 2, 3, 4])], [1, 0, 1, 1])
-    dist = class_distribution(ds)
-    assert (dist.attack, dist.normal) == (3, 1)
-    assert dist.attack_pct == pytest.approx(75.0)
-    assert dist.attack_pct + dist.normal_pct == pytest.approx(100.0, abs=0.01)
-
-
-def test_class_distribution_all_normal():
-    ds = make_dataset([("a", "numeric", range(10))], [0] * 10)
-    dist = class_distribution(ds)
-    assert (dist.normal, dist.normal_pct) == (10, 100.0)
+    assert [test.columns[1].categories[i] for i in test.columns[1].values] == ["udp", "sctp", "tcp"]
 
 
 def test_subsample_identity_at_full_fraction():

@@ -1,13 +1,12 @@
 import pytest
 
-from fsel_ids.schema import FeatureSchema, SchemaError, parse_schema, schema_to_text
+from fsel_ids.schema import FeatureSchema, SchemaError, parse_schema
 
 
 def test_parse_basic():
     schema = parse_schema("a,numeric\nb,nominal\nlabel,class\n")
     assert schema.names == ("a", "b", "label")
-    assert schema.class_name == "label"
-    assert schema.kind_of("b") == "nominal"
+    assert schema.entries == (("a", "numeric"), ("b", "nominal"), ("label", "class"))
 
 
 def test_parse_skips_comments_and_blanks():
@@ -23,13 +22,8 @@ def test_parse_optional_header_row():
 
 def test_roundtrip():
     schema = parse_schema("a,numeric\nb,drop\nc,nominal\nlabel,class\n")
-    again = parse_schema(schema_to_text(schema))
+    again = parse_schema("".join(f"{name},{kind}\n" for name, kind in schema.entries))
     assert again == schema
-
-
-def test_input_entries_exclude_drop_and_class():
-    schema = parse_schema("a,numeric\nb,drop\nc,nominal\nlabel,class\n")
-    assert [n for n, _ in schema.input_entries] == ["a", "c"]
 
 
 def test_rejects_unknown_kind():

@@ -18,7 +18,6 @@ from fsel_ids.tree import (
     TreeNode,
     depth,
     grow,
-    leaf_count,
     node_count,
     pessimistic_errors,
     predict,
@@ -26,6 +25,16 @@ from fsel_ids.tree import (
 )
 
 from conftest import make_dataset, random_mixed_dataset
+
+
+def leaf_count(root: TreeNode) -> int:
+    """Leaves of a tree, counted from an explicit stack."""
+    stack, leaves = [root], 0
+    while stack:
+        node = stack.pop()
+        leaves += node.is_leaf
+        stack.extend(node.children)
+    return leaves
 
 
 def test_pure_labels_give_single_leaf():
