@@ -157,14 +157,14 @@ def load_csv(
     The rows are parsed in one ``np.loadtxt`` pass. When that pass raises,
     skips a blank line, or yields a value that a check rejects,
     ``_first_fault`` walks the file with ``csv.reader`` to name the first
-    bad row.
+    bad row. Quoted line breaks alone never start that walk.
     """
     names = schema.names
     kinds = [k for _, k in schema.entries]
     class_idx = kinds.index("class")
     dtype = np.dtype([(f"c{i}", _FIELD_DTYPES[k]) for i, k in enumerate(kinds)])
 
-    lines_read = 0
+    blank_seen = False
     with open(path, newline="", encoding="utf-8") as fh:
         header = next(csv.reader(fh), None)
         if header is None:
@@ -176,9 +176,10 @@ def load_csv(
             )
 
         def data_lines():
-            nonlocal lines_read
+            nonlocal blank_seen
             for line in fh:
-                lines_read += 1
+                # the only lines loadtxt skips
+                blank_seen = blank_seen or line in _BLANK_LINES
                 yield line
 
         lines = data_lines()
@@ -196,9 +197,8 @@ def load_csv(
                 f"{path}: {exc}"
             ) from exc
 
-    # loadtxt skips blank lines; a quoted cell may also span lines, so
-    # fewer rows than lines is only a suspicion.
-    suspect = len(table) != lines_read
+    # A skipped blank line is a record with no cells, which the walk names.
+    suspect = blank_seen
     columns = []  # (name, kind, values, categories), checked before Column sees them
     for i, kind in enumerate(kinds):
         cells = table[f"c{i}"]

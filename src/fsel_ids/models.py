@@ -25,7 +25,7 @@ import numpy as np
 
 from . import tree as tree_mod
 from .dataset import Dataset
-from .tree import TreeNode
+from .tree import Tree
 
 MODEL_FORMAT = "fsel-ids/model"
 MODEL_VERSION = 2  # 2: trees are flat pre-order node lists
@@ -119,7 +119,7 @@ class TrainedModel:
 
 @dataclass(frozen=True)
 class ForestPayload:
-    roots: tuple[TreeNode, ...]
+    roots: tuple[Tree, ...]
     feature_sample: int
 
 
@@ -175,15 +175,15 @@ def _check_not_empty(train: Dataset):
         raise ModelError("cannot train with no features")
 
 
-def _fit_tree(train: Dataset, params: TrainParams) -> TreeNode:
-    root = tree_mod.grow(train, min_leaf=params.min_leaf)
+def _fit_tree(train: Dataset, params: TrainParams) -> Tree:
+    tree = tree_mod.grow(train, min_leaf=params.min_leaf)
     if params.prune:
-        root = tree_mod.prune(root, params.confidence)
-    return root
+        tree = tree_mod.prune(tree, params.confidence)
+    return tree
 
 
-def _predict_tree(root: TreeNode, ds: Dataset, params: TrainParams) -> np.ndarray:
-    return tree_mod.predict(root, ds)
+def _predict_tree(tree: Tree, ds: Dataset, params: TrainParams) -> np.ndarray:
+    return tree_mod.predict(tree, ds)
 
 
 def _fit_forest(train: Dataset, params: TrainParams) -> ForestPayload:
@@ -192,7 +192,7 @@ def _fit_forest(train: Dataset, params: TrainParams) -> ForestPayload:
     if sample is None:
         sample = max(1, math.isqrt(d) + (0 if math.isqrt(d) ** 2 == d else 1))
     sample = min(sample, d)
-    roots = []
+    trees = []
     for t in range(params.n_trees):
         rng = np.random.default_rng(params.seed + t)
         if params.bootstrap:
@@ -200,7 +200,7 @@ def _fit_forest(train: Dataset, params: TrainParams) -> ForestPayload:
             sampled = train.take_rows(rows)
         else:
             sampled = train
-        roots.append(
+        trees.append(
             tree_mod.grow(
                 sampled,
                 min_leaf=params.min_leaf,
@@ -208,26 +208,26 @@ def _fit_forest(train: Dataset, params: TrainParams) -> ForestPayload:
                 feature_sample=sample if sample < d else None,
             )
         )
-    return ForestPayload(tuple(roots), sample)
+    return ForestPayload(tuple(trees), sample)
 
 
 def _predict_forest(p: ForestPayload, ds: Dataset, params: TrainParams) -> np.ndarray:
     votes = np.zeros(ds.row_count, dtype=np.int64)
-    for root in p.roots:
-        votes += tree_mod.predict(root, ds)
+    for tree in p.roots:
+        votes += tree_mod.predict(tree, ds)
     return (2 * votes >= len(p.roots)).astype(np.uint8)
 
 
 def _forest_to_doc(p: ForestPayload) -> dict:
     return {
         "feature_sample": p.feature_sample,
-        "roots": [tree_mod.node_to_dict(r) for r in p.roots],
+        "roots": [tree_mod.to_doc(t) for t in p.roots],
     }
 
 
 def _forest_from_doc(doc: dict) -> ForestPayload:
     return ForestPayload(
-        tuple(tree_mod.node_from_dict(r) for r in doc["roots"]),
+        tuple(tree_mod.from_doc(t) for t in doc["roots"]),
         int(doc["feature_sample"]),
     )
 
@@ -506,7 +506,7 @@ class Algorithm:
 
 
 ALGORITHM_TABLE = {
-    "tree": Algorithm(_fit_tree, _predict_tree, tree_mod.node_to_dict, tree_mod.node_from_dict),
+    "tree": Algorithm(_fit_tree, _predict_tree, tree_mod.to_doc, tree_mod.from_doc),
     "forest": Algorithm(_fit_forest, _predict_forest, _forest_to_doc, _forest_from_doc),
     "naive_bayes": Algorithm(_fit_naive_bayes, _predict_naive_bayes, _nb_to_doc, _nb_from_doc),
     "knn": Algorithm(_fit_knn, _predict_knn, _knn_to_doc, _knn_from_doc),

@@ -19,7 +19,7 @@ import numpy as np
 from .dataset import Dataset, load_csv, stratified_subsample
 from .filters import FILTER_METHODS, FilterScores, score_features
 from .metrics import EvaluationReport, build_report, confusion
-from .models import TrainedModel, TrainParams, fit_model, params_from_dict, predict_model
+from .models import TrainedModel, fit_model, params_from_dict, predict_model
 from .preprocess import PreprocessPlan, apply_preprocess, fit_preprocess
 from .schema import FeatureSchema, parse_schema
 from .unsw import REFERENCE_SUBSETS, UNSW_SCHEMA
@@ -176,28 +176,22 @@ def subsample_and_select(train: Dataset, config: RunConfig):
     return train, select_features(train, config)
 
 
-def fit_plan_and_model(
-    train: Dataset, subset, params: TrainParams
+def fit_for_config(
+    train: Dataset, subset, config: RunConfig
 ) -> tuple[PreprocessPlan, TrainedModel, float]:
-    """Fit the preprocessing plan on ``subset`` of ``train``, then the model.
+    """The "train" stage: fit the preprocessing plan on ``subset`` of
+    ``train``, then ``config``'s model on the encoded split.
 
     Models always see features in original column order; a selection's
     ranked order is reporting metadata only. Returns the plan, the model
     and the seconds both fits took together.
     """
-    started = time.perf_counter()
-    plan = fit_preprocess(train, sorted(subset))
-    model = fit_model(apply_preprocess(plan, train), params)
-    return plan, model, time.perf_counter() - started
-
-
-def fit_for_config(
-    train: Dataset, subset, config: RunConfig
-) -> tuple[PreprocessPlan, TrainedModel, float]:
-    """The "train" stage: ``fit_plan_and_model`` with ``config``'s algorithm."""
     with _stage("train"):
         params = params_from_dict(config.algorithm, config.params, seed=config.seed)
-        return fit_plan_and_model(train, subset, params)
+        started = time.perf_counter()
+        plan = fit_preprocess(train, sorted(subset))
+        model = fit_model(apply_preprocess(plan, train), params)
+        return plan, model, time.perf_counter() - started
 
 
 def evaluate_model(

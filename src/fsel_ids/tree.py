@@ -10,24 +10,27 @@ better than a leaf's.
 Labels are binary: 0 = normal, 1 = attack. Leaf prediction is the majority
 class with ties going to attack.
 
+A ``Tree`` is a tuple of ``TreeNode`` in pre-order, the root at index 0,
+first branch first; a split node's ``children`` are indices into that
+tuple, so no node holds another and comparing, hashing or printing a tree
+never recurses. The JSON document of a tree (``to_doc``/``from_doc``) is
+the same list, one entry per node. Nodes are grown from an explicit work
+stack in that order, which is also the order in which a forest's per-node
+feature draws consume its rng. Nothing in this module recurses, so tree
+depth is bounded by memory, not by the interpreter's recursion limit.
+
 Every count that enters an entropy or split-info term is an integer from 0
 to the row count n, so ``grow`` computes ``k * log2(k)`` for k = 0..n once
 and each node gathers its terms from that table; the formulas keep their
 operation order, so the gain ratios are the same floats bit for bit as
-evaluating ``k * log2(k)`` per node. Nodes are grown from an explicit
-work stack in pre-order, first branch first, which is also the order in
-which a forest's per-node feature draws consume its rng; the ``TreeNode``
-graph is then assembled bottom-up from that pre-order list.
-Nothing in this module recurses, so tree depth is bounded by memory, not
-by the interpreter's recursion limit. The JSON document of a tree is a
-flat pre-order node list with child indices, for the same reason.
+evaluating ``k * log2(k)`` per node.
 """
 
 from __future__ import annotations
 
 import math
 import statistics
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -42,17 +45,18 @@ MIN_GAIN = 1e-12
 class TreeNode:
     """Leaf (no children) or split node over one feature.
 
-    counts is the training (normal, attack) mass that reached the node. A
-    numeric split sends value <= threshold to children[0]; a nominal split
-    has one child per observed category id in ``codes`` and routes unseen
-    ids to ``children[default_child]`` (the largest training branch).
+    counts is the training (normal, attack) mass that reached the node.
+    ``children`` holds the tree indices of the branches in order. A numeric
+    split sends value <= threshold to children[0]; a nominal split has one
+    child per observed category id in ``codes`` and routes unseen ids to
+    ``children[default_child]`` (the largest training branch).
     """
 
     counts: tuple[int, int]
     feature: int = -1
     threshold: float = math.nan
     codes: tuple[int, ...] = ()
-    children: tuple["TreeNode", ...] = field(default=())
+    children: tuple[int, ...] = ()
     default_child: int = 0
 
     def __post_init__(self):
@@ -73,88 +77,86 @@ class TreeNode:
         return 1 if attack >= normal else 0
 
 
-def _preorder(root: TreeNode) -> list[TreeNode]:
-    """Every node of the tree, parents before children, branches in order."""
-    out: list[TreeNode] = []
-    stack = [root]
-    while stack:
-        node = stack.pop()
-        out.append(node)
-        stack.extend(reversed(node.children))
-    return out
+Tree = tuple[TreeNode, ...]
 
 
-def node_to_dict(root: TreeNode) -> dict:
-    """JSON-ready flat document of a tree.
+def _link(records: list[tuple]) -> Tree:
+    """Tree of pre-order (parent, counts, feature, threshold, codes, default) records."""
+    children: list[list[int]] = [[] for _ in records]
+    for i in range(1, len(records)):
+        children[records[i][0]].append(i)
+    return tuple(TreeNode(counts, feature, threshold, codes, tuple(kids), default)
+                 for (_, counts, feature, threshold, codes, default), kids
+                 in zip(records, children))
 
-    ``nodes`` lists every node in pre-order (the root first); a split
-    node's ``children`` holds the list indices of its children in branch
-    order.
-    """
+
+def to_doc(tree: Tree) -> dict:
+    """JSON-ready document of a tree: ``{"nodes": [...]}``, one entry per node."""
     nodes: list[dict] = []
-    stack: list[tuple[TreeNode, dict | None]] = [(root, None)]
-    while stack:
-        node, parent = stack.pop()
-        if parent is not None:
-            parent["children"].append(len(nodes))
+    for node in tree:
         doc: dict = {"counts": list(node.counts)}
         nodes.append(doc)
         if node.is_leaf:
             continue
         doc["feature"] = node.feature
-        doc["children"] = []
+        doc["children"] = list(node.children)
         if node.is_numeric_split:
             doc["threshold"] = node.threshold
         else:
             doc["codes"] = list(node.codes)
             doc["default_child"] = node.default_child
-        stack.extend((child, doc) for child in reversed(node.children))
     return {"nodes": nodes}
 
 
-def node_from_dict(doc: dict) -> TreeNode:
-    """Inverse of ``node_to_dict``."""
+def from_doc(doc: dict) -> Tree:
+    """Inverse of ``to_doc``; rejects a document that is not a well-formed tree."""
     nodes = doc["nodes"]
     if not nodes:
         raise DatasetError("tree document has no nodes")
-    built: list[TreeNode | None] = [None] * len(nodes)
-    for i in range(len(nodes) - 1, -1, -1):
-        entry = nodes[i]
+    has_parent = [False] * len(nodes)
+    tree: list[TreeNode] = []
+    for i, entry in enumerate(nodes):
         counts = (int(entry["counts"][0]), int(entry["counts"][1]))
         if "children" not in entry:
-            built[i] = TreeNode(counts)
+            tree.append(TreeNode(counts))
             continue
-        for c in entry["children"]:
-            if not i < c < len(nodes):
+        children = tuple(int(c) for c in entry["children"])
+        for c in children:
+            if not i < c < len(nodes) or has_parent[c]:
                 raise DatasetError(f"tree document: node {i} has child index {c}")
-        children = tuple(built[c] for c in entry["children"])
+            has_parent[c] = True
+        feature = int(entry["feature"])
+        if feature < 0:
+            raise DatasetError(f"tree document: node {i} splits on feature {feature}")
         if "threshold" in entry:
-            built[i] = TreeNode(counts, int(entry["feature"]), float(entry["threshold"]),
-                                (), children)
-        else:
-            built[i] = TreeNode(
-                counts,
-                int(entry["feature"]),
-                math.nan,
-                tuple(int(c) for c in entry["codes"]),
-                children,
-                int(entry["default_child"]),
-            )
-    return built[0]
+            if len(children) != 2:
+                raise DatasetError(
+                    f"tree document: numeric node {i} has {len(children)} children, not 2")
+            tree.append(TreeNode(counts, feature, float(entry["threshold"]), (), children))
+            continue
+        codes = tuple(int(c) for c in entry["codes"])
+        default = int(entry["default_child"])
+        if len(children) < 2 or len(codes) != len(children) or not 0 <= default < len(children):
+            raise DatasetError(
+                f"tree document: nominal node {i} has {len(codes)} codes, "
+                f"{len(children)} children and default child {default}")
+        tree.append(TreeNode(counts, feature, math.nan, codes, children, default))
+    if not all(has_parent[1:]):
+        raise DatasetError(f"tree document: node {has_parent.index(False, 1)} has no parent")
+    return tuple(tree)
 
 
-def node_count(root: TreeNode) -> int:
-    return len(_preorder(root))
+def node_count(tree: Tree) -> int:
+    return len(tree)
 
 
-def depth(root: TreeNode) -> int:
-    deepest = 0
-    stack = [(root, 0)]
-    while stack:
-        node, level = stack.pop()
-        deepest = max(deepest, level)
-        stack.extend((child, level + 1) for child in node.children)
-    return deepest
+def depth(tree: Tree) -> int:
+    # Children follow their parent, so one forward pass sees every parent first.
+    levels = [0] * len(tree)
+    for i, node in enumerate(tree):
+        for c in node.children:
+            levels[c] = levels[i] + 1
+    return max(levels)
 
 
 def _xlog2x(v: np.ndarray) -> np.ndarray:
@@ -217,7 +219,7 @@ def grow(
     min_leaf: int = 2,
     rng: np.random.Generator | None = None,
     feature_sample: int | None = None,
-) -> TreeNode:
+) -> Tree:
     """Induce an unpruned tree on every row of ``ds``.
 
     ``feature_sample`` restricts each node to a random feature subset drawn
@@ -236,17 +238,18 @@ def grow(
     xl = _xlog2x(np.arange(n + 1, dtype=np.float64))
     sampling = feature_sample is not None and feature_sample < d
 
-    # Pre-order node records: (counts, feature, threshold, codes, default, arity).
+    # Pre-order node records for ``_link``; the stack holds (rows, parent).
     records: list[tuple] = []
-    stack = [np.arange(n)]
+    stack = [(np.arange(n), -1)]
     while stack:
-        rows = stack.pop()
+        rows, parent = stack.pop()
+        here = len(records)
         m = rows.size
         y = labels[rows]
         attack = int(np.count_nonzero(y))
         node_counts = (m - attack, attack)
         if attack == 0 or attack == m or m < min_leaf:
-            records.append((node_counts, -1, math.nan, (), 0, 0))
+            records.append((parent, node_counts, -1, math.nan, (), 0))
             continue
         parent_entropy = float((xl[m] - xl[attack] - xl[m - attack]) / m)
         features = (np.sort(rng.choice(d, size=feature_sample, replace=False)).tolist()
@@ -263,32 +266,22 @@ def grow(
             if ratio > best_ratio:
                 best_ratio, feature, threshold = ratio, f, split_at
         if best_ratio == -math.inf:
-            records.append((node_counts, -1, math.nan, (), 0, 0))
+            records.append((parent, node_counts, -1, math.nan, (), 0))
             continue
         values = ds.columns[feature].values[rows]
         if ds.columns[feature].kind == "numeric":
             mask = values <= threshold
-            records.append((node_counts, feature, threshold, (), 0, 2))
-            stack.append(rows[~mask])
-            stack.append(rows[mask])
+            records.append((parent, node_counts, feature, threshold, (), 0))
+            stack.append((rows[~mask], here))
+            stack.append((rows[mask], here))
             continue
         present = np.flatnonzero(np.bincount(values))
         branches = [rows[values == code] for code in present]
         default = int(np.argmax([b.size for b in branches]))
-        records.append((node_counts, feature, math.nan,
-                        tuple(int(c) for c in present), default, len(branches)))
-        stack.extend(reversed(branches))
-
-    # Reverse pre-order puts each node's subtrees on ``built`` just before
-    # the node itself, first child on top.
-    built: list[TreeNode] = []
-    for node_counts, feature, threshold, codes, default, arity in reversed(records):
-        if arity == 0:
-            built.append(TreeNode(node_counts))
-            continue
-        children = tuple(built.pop() for _ in range(arity))
-        built.append(TreeNode(node_counts, feature, threshold, codes, children, default))
-    return built[0]
+        records.append((parent, node_counts, feature, math.nan,
+                        tuple(int(c) for c in present), default))
+        stack.extend((b, here) for b in reversed(branches))
+    return _link(records)
 
 
 def pessimistic_errors(errors: int, n: int, confidence: float) -> float:
@@ -310,12 +303,7 @@ def pessimistic_errors(errors: int, n: int, confidence: float) -> float:
     return n * bound / (1.0 + z * z / n)
 
 
-def _leaf_errors(node: TreeNode) -> int:
-    normal, attack = node.counts
-    return min(normal, attack)
-
-
-def prune(root: TreeNode, confidence: float = 0.25) -> TreeNode:
+def prune(tree: Tree, confidence: float = 0.25) -> Tree:
     """Bottom-up subtree replacement under the pessimistic error estimate.
 
     A subtree collapses to a leaf when the leaf's estimated errors do not
@@ -324,43 +312,50 @@ def prune(root: TreeNode, confidence: float = 0.25) -> TreeNode:
     """
     if not (0.0 < confidence <= 0.5):
         raise DatasetError(f"confidence must be in (0, 0.5], got {confidence}")
-    # Reverse pre-order visits children before parents; each node leaves
-    # one (pruned node, estimate) pair on ``done``, first child on top.
-    done: list[tuple[TreeNode, float]] = []
-    for node in reversed(_preorder(root)):
-        as_leaf = pessimistic_errors(_leaf_errors(node), sum(node.counts), confidence)
-        if node.is_leaf:
-            done.append((node, as_leaf))
-            continue
-        pruned_children: list[TreeNode] = []
-        subtree_estimate = 0.0
-        for _ in node.children:
-            child, err = done.pop()
-            pruned_children.append(child)
-            subtree_estimate += err
-        if as_leaf <= subtree_estimate + 1e-9:
-            done.append((TreeNode(node.counts), as_leaf))
-            continue
-        kept = TreeNode(
-            node.counts,
-            node.feature,
-            node.threshold,
-            node.codes,
-            tuple(pruned_children),
-            node.default_child,
-        )
-        done.append((kept, subtree_estimate))
-    return done[0][0]
-
-
-def predict(root: TreeNode, ds: Dataset) -> np.ndarray:
-    """Route every row to a leaf and return its majority class."""
-    out = np.empty(ds.row_count, dtype=np.uint8)
-    stack = [(root, np.arange(ds.row_count))]
+    # Children follow their parent, so a reverse scan sees every child's
+    # estimate before its parent's.
+    estimate = [0.0] * len(tree)
+    collapse = [False] * len(tree)
+    for i in range(len(tree) - 1, -1, -1):
+        node = tree[i]
+        as_leaf = pessimistic_errors(min(node.counts), sum(node.counts), confidence)
+        # A plain loop, not sum(): sum() of floats is compensated from
+        # Python 3.12 and would change the estimates.
+        subtree = 0.0
+        for c in node.children:
+            subtree += estimate[c]
+        collapse[i] = node.is_leaf or as_leaf <= subtree + 1e-9
+        estimate[i] = as_leaf if collapse[i] else subtree
+    records: list[tuple] = []
+    stack = [(0, -1)]
     while stack:
-        node, rows = stack.pop()
+        i, parent = stack.pop()
+        node = tree[i]
+        if collapse[i]:
+            records.append((parent, node.counts, -1, math.nan, (), 0))
+            continue
+        here = len(records)
+        records.append((parent, node.counts, node.feature, node.threshold, node.codes,
+                        node.default_child))
+        stack.extend((c, here) for c in reversed(node.children))
+    return _link(records)
+
+
+def predict(tree: Tree, ds: Dataset) -> np.ndarray:
+    """Route every row to a leaf and return its majority class."""
+    width = len(ds.columns)
+    for i, node in enumerate(tree):
+        if node.feature >= width:
+            raise DatasetError(
+                f"tree node {i} splits on feature {node.feature}, "
+                f"but the dataset has {width} features")
+    out = np.empty(ds.row_count, dtype=np.uint8)
+    stack = [(0, np.arange(ds.row_count))]
+    while stack:
+        i, rows = stack.pop()
         if rows.size == 0:
             continue
+        node = tree[i]
         if node.is_leaf:
             out[rows] = node.prediction
             continue

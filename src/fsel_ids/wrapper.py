@@ -65,8 +65,8 @@ def _merit_on_folds(
             raise DatasetError(
                 "degenerate fold: training part is single-class; use fewer folds"
             )
-        root = tree_mod.grow(sub.take_rows(fit_rows), min_leaf=min_leaf)
-        predicted = tree_mod.predict(root, sub.take_rows(held_out))
+        tree = tree_mod.grow(sub.take_rows(fit_rows), min_leaf=min_leaf)
+        predicted = tree_mod.predict(tree, sub.take_rows(held_out))
         accuracies.append(float(np.mean(predicted == sub.labels[held_out])))
     return float(np.mean(accuracies))
 

@@ -177,6 +177,24 @@ def test_evaluate_saved_model_matches_fresh_run(toy_split, tmp_path):
     assert saved.acc == fresh.acc
 
 
+def test_evaluate_rejects_a_tree_split_beyond_the_features(toy_split, tmp_path, capsys):
+    run_dir = tmp_path / "run"
+    assert main(["train", "--algo", "tree", *common_flags(toy_split, run_dir)]) == 0
+    doc = json.loads((run_dir / "model.json").read_text())
+    nodes = doc["payload"]["nodes"]
+    split = next(i for i, node in enumerate(nodes) if "feature" in node)
+    nodes[split]["feature"] = len(doc["feature_names"])
+    (run_dir / "model.json").write_text(json.dumps(doc))
+    code = main([
+        "evaluate",
+        "--model", str(run_dir / "model.json"),
+        "--plan", str(run_dir / "plan.json"),
+        *common_flags(toy_split, tmp_path / "saved"),
+    ])
+    assert code == 1
+    assert f"tree node {split} splits on feature" in capsys.readouterr().err
+
+
 def test_evaluate_model_without_plan_fails(toy_split, tmp_path, capsys):
     code = main([
         "evaluate", "--model", "whatever.json",

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fsel_ids import dataset as dataset_mod
 from fsel_ids.dataset import (
     ATTACK,
     NORMAL,
@@ -408,3 +409,16 @@ def test_numeric_cells_numpy_cannot_parse_are_rejected(tmp_path, cell):
     message = f"{p}:3: column 'amount': cannot parse numeric cell {cell!r}"
     with pytest.raises(DatasetError, match=re.escape(message)):
         load_csv(p, SCHEMA)
+
+
+def test_quoted_line_breaks_are_read_in_one_pass(tmp_path, monkeypatch):
+    p = tmp_path / "d.csv"
+    p.write_text(EDGE_CASES["embedded newline"], encoding="utf-8", newline="")
+
+    def walk(*args):
+        raise AssertionError("the file was read a second time")
+
+    monkeypatch.setattr(dataset_mod, "_first_fault", walk)
+    ds = load_csv(p, SCHEMA)
+    assert ds.columns[1].categories == ("tc\np", "udp")
+    np.testing.assert_array_equal(ds.labels, [1, 0])

@@ -116,8 +116,8 @@ def test_forest_with_one_full_tree_degenerates_to_tree():
 
 
 def test_forest_vote_tie_goes_to_attack():
-    always_normal = TreeNode((5, 0))
-    always_attack = TreeNode((0, 5))
+    always_normal = (TreeNode((5, 0)),)
+    always_attack = (TreeNode((0, 5)),)
     model = TrainedModel(
         TrainParams("forest", n_trees=2),
         ("x0",),

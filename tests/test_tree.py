@@ -15,6 +15,7 @@ from fsel_ids.models import (
 )
 from fsel_ids.tree import (
     MIN_GAIN,
+    Tree,
     TreeNode,
     depth,
     grow,
@@ -27,21 +28,16 @@ from fsel_ids.tree import (
 from conftest import make_dataset, random_mixed_dataset
 
 
-def leaf_count(root: TreeNode) -> int:
-    """Leaves of a tree, counted from an explicit stack."""
-    stack, leaves = [root], 0
-    while stack:
-        node = stack.pop()
-        leaves += node.is_leaf
-        stack.extend(node.children)
-    return leaves
+def leaf_count(tree: Tree) -> int:
+    return sum(node.is_leaf for node in tree)
 
 
 def test_pure_labels_give_single_leaf():
     ds = make_dataset([("x", "numeric", [1.0, 2.0, 3.0])], [1, 1, 1])
-    root = grow(ds)
+    tree = grow(ds)
+    assert tree == (TreeNode((0, 3)),)
+    root = tree[0]
     assert root.is_leaf
-    assert root.counts == (0, 3)
     assert root.prediction == 1
 
 
@@ -50,28 +46,29 @@ def test_perfect_nominal_feature_splits_once():
     ds = make_dataset(
         [("flag", "nominal", labels, ("off", "on"))], labels
     )
-    root = grow(ds)
-    assert root.feature == 0
-    assert root.codes == (0, 1)
-    assert depth(root) == 1
-    np.testing.assert_array_equal(predict(root, ds), labels)
+    tree = grow(ds)
+    assert tree[0].feature == 0
+    assert tree[0].codes == (0, 1)
+    assert depth(tree) == 1
+    np.testing.assert_array_equal(predict(tree, ds), labels)
 
 
 def test_hand_traced_numeric_tree():
     ds = make_dataset(
         [("x", "numeric", [1.0, 2.0, 3.0, 4.0, 5.0])], [0, 0, 1, 1, 1]
     )
-    root = grow(ds, min_leaf=1)
+    tree = grow(ds, min_leaf=1)
+    root = tree[0]
     assert root.feature == 0
     assert root.threshold == 2.5
-    assert node_count(root) == 3
-    assert leaf_count(root) == 2
-    left, right = root.children
+    assert node_count(tree) == 3
+    assert leaf_count(tree) == 2
+    left, right = (tree[c] for c in root.children)
     assert left.counts == (2, 0) and left.prediction == 0
     assert right.counts == (0, 3) and right.prediction == 1
     # boundary value routes into the <= branch
     probe = make_dataset([("x", "numeric", [2.5, 2.500001])], [0, 0])
-    np.testing.assert_array_equal(predict(root, probe), [0, 1])
+    np.testing.assert_array_equal(predict(tree, probe), [0, 1])
 
 
 def test_leaf_tie_predicts_attack():
@@ -81,7 +78,7 @@ def test_leaf_tie_predicts_attack():
 
 def test_split_node_requires_two_children():
     with pytest.raises(DatasetError, match="children"):
-        TreeNode((1, 1), feature=0, children=(TreeNode((1, 0)),))
+        TreeNode((1, 1), feature=0, children=(1,))
 
 
 def oracle_entropy(attack, total):
@@ -137,7 +134,7 @@ def oracle_candidates(ds):
 def test_root_split_attains_best_gain_ratio(seed):
     rng = np.random.default_rng(seed)
     ds = random_mixed_dataset(rng, 50, 3)
-    root = grow(ds, min_leaf=2)
+    root = grow(ds, min_leaf=2)[0]
     candidates = oracle_candidates(ds)
     assert candidates, "oracle found no admissible split"
     best_ratio = max(r for _, _, r in candidates)
@@ -161,13 +158,13 @@ def test_distinct_numeric_values_reproduce_training_labels():
     if len(set(labels)) == 1:
         labels[0] = 1 - labels[0]
     ds = make_dataset([("x", "numeric", values)], labels)
-    root = grow(ds, min_leaf=1)
-    np.testing.assert_array_equal(predict(root, ds), labels)
+    tree = grow(ds, min_leaf=1)
+    np.testing.assert_array_equal(predict(tree, ds), labels)
 
 
 def test_min_leaf_larger_than_dataset_gives_leaf():
     ds = make_dataset([("x", "numeric", [1.0, 2.0, 3.0, 4.0])], [0, 1, 0, 1])
-    assert grow(ds, min_leaf=5).is_leaf
+    assert grow(ds, min_leaf=5) == (TreeNode((2, 2)),)
 
 
 def test_unseen_category_routes_to_largest_child():
@@ -175,11 +172,11 @@ def test_unseen_category_routes_to_largest_child():
     codes = [0] * 6 + [1] * 3 + [2] * 2
     labels = [0] * 6 + [1] * 3 + [1] * 2
     train = make_dataset([("proto", "nominal", codes, cats)], labels)
-    root = grow(train)
-    assert root.codes == (0, 1, 2)
-    assert root.default_child == 0  # six rows went down the first branch
+    tree = grow(train)
+    assert tree[0].codes == (0, 1, 2)
+    assert tree[0].default_child == 0  # six rows went down the first branch
     probe = make_dataset([("proto", "nominal", [3, 1], cats)], [0, 0])
-    np.testing.assert_array_equal(predict(root, probe), [0, 1])
+    np.testing.assert_array_equal(predict(tree, probe), [0, 1])
 
 
 def test_grow_argument_errors():
@@ -221,10 +218,10 @@ def test_pessimistic_errors_exceed_observed():
 def test_pruning_never_grows_the_tree(seed):
     rng = np.random.default_rng(seed)
     ds = random_mixed_dataset(rng, 80, 4)
-    root = grow(ds, min_leaf=1)
-    pruned = prune(root)
-    assert node_count(pruned) <= node_count(root)
-    assert pruned.counts == root.counts
+    tree = grow(ds, min_leaf=1)
+    pruned = prune(tree)
+    assert node_count(pruned) <= node_count(tree)
+    assert pruned[0].counts == tree[0].counts
     # pruned tree still routes every row somewhere
     assert predict(pruned, ds).shape == (80,)
 
@@ -240,18 +237,42 @@ def test_pruning_collapses_label_noise():
 
 
 def test_prune_leaf_is_identity():
-    leaf = TreeNode((4, 1))
+    leaf = (TreeNode((4, 1)),)
     assert prune(leaf) == leaf
 
 
 def test_prune_rejects_bad_confidence():
     with pytest.raises(DatasetError, match="confidence"):
-        prune(TreeNode((1, 1)), confidence=0.0)
+        prune((TreeNode((1, 1)),), confidence=0.0)
 
 
 # Reference implementation: the recursive grower that ``grow`` replaced,
 # kept unchanged so that the iterative one can be checked against it for
-# equal trees, floats and rng draws included.
+# equal trees, floats and rng draws included. It builds nested nodes, which
+# ``_flatten`` turns into a ``Tree``.
+
+@dataclass(frozen=True, eq=False)
+class _RefNode:
+    counts: tuple[int, int]
+    feature: int = -1
+    threshold: float = math.nan
+    codes: tuple[int, ...] = ()
+    children: tuple["_RefNode", ...] = ()
+    default_child: int = 0
+
+
+def _flatten(root: _RefNode) -> Tree:
+    """The pre-order ``Tree`` of a nested reference tree."""
+    nodes: list[tuple[_RefNode, list[int]]] = []
+    stack = [(root, -1)]
+    while stack:
+        node, parent = stack.pop()
+        if parent >= 0:
+            nodes[parent][1].append(len(nodes))
+        stack.extend((child, len(nodes)) for child in reversed(node.children))
+        nodes.append((node, []))
+    return tuple(TreeNode(n.counts, n.feature, n.threshold, n.codes, tuple(kids), n.default_child)
+                 for n, kids in nodes)
 
 def _xlog2x(v: np.ndarray) -> np.ndarray:
     out = np.zeros(v.shape, dtype=np.float64)
@@ -333,12 +354,12 @@ class _Grower:
         drawn = self.rng.choice(d, size=self.feature_sample, replace=False)
         return np.sort(drawn)
 
-    def grow(self, rows: np.ndarray) -> TreeNode:
+    def grow(self, rows: np.ndarray) -> _RefNode:
         y = self.labels[rows]
         attack = int(np.count_nonzero(y))
         counts = (len(rows) - attack, attack)
         if attack == 0 or attack == len(rows) or len(rows) < self.min_leaf:
-            return TreeNode(counts)
+            return _RefNode(counts)
         parent_entropy = float(
             _entropy_counts(np.asarray([float(attack)]), np.asarray([float(len(rows))]))[0]
         )
@@ -356,19 +377,19 @@ class _Grower:
             if best is None or cand.ratio > best.ratio:
                 best = cand
         if best is None:
-            return TreeNode(counts)
+            return _RefNode(counts)
         col = self.ds.columns[best.feature]
         if col.kind == "numeric":
             mask = col.values[rows] <= best.threshold
             left = self.grow(rows[mask])
             right = self.grow(rows[~mask])
-            return TreeNode(counts, best.feature, best.threshold, (), (left, right))
+            return _RefNode(counts, best.feature, best.threshold, (), (left, right))
         values = col.values[rows]
         present = np.unique(values)
         children = tuple(self.grow(rows[values == code]) for code in present)
         masses = [sum(c.counts) for c in children]
         default = int(np.argmax(masses))
-        return TreeNode(
+        return _RefNode(
             counts,
             best.feature,
             math.nan,
@@ -378,7 +399,7 @@ class _Grower:
         )
 
 
-def _reference_grow(ds, *, min_leaf=2, rng=None, feature_sample=None) -> TreeNode:
+def _reference_grow(ds, *, min_leaf=2, rng=None, feature_sample=None) -> _RefNode:
     return _Grower(ds, min_leaf, rng, feature_sample).grow(np.arange(ds.row_count))
 
 
@@ -412,12 +433,12 @@ def test_grow_matches_recursive_reference(seed, min_leaf):
     rng = np.random.default_rng(100 + seed)
     raw = random_mixed_dataset(rng, 150, 6)
     for ds in (raw, _with_ties(raw), _all_nominal(raw)):
-        assert grow(ds, min_leaf=min_leaf) == _reference_grow(ds, min_leaf=min_leaf)
+        assert grow(ds, min_leaf=min_leaf) == _flatten(_reference_grow(ds, min_leaf=min_leaf))
         for sample in (2, 3):
             mine_rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
             mine = grow(ds, min_leaf=min_leaf, rng=mine_rng, feature_sample=sample)
             ref = _reference_grow(ds, min_leaf=min_leaf, rng=ref_rng, feature_sample=sample)
-            assert mine == ref
+            assert mine == _flatten(ref)
             assert mine_rng.bit_generator.state == ref_rng.bit_generator.state
 
 
@@ -427,7 +448,7 @@ def test_forest_roots_match_recursive_reference(seed, monkeypatch):
     params = params_from_dict("forest", {"n_trees": 4, "min_leaf": 1}, seed=seed)
     datasets = (raw, _all_nominal(raw))
     mine = [fit_model(ds, params).payload.roots for ds in datasets]
-    monkeypatch.setattr(tree_mod, "grow", _reference_grow)
+    monkeypatch.setattr(tree_mod, "grow", lambda *a, **kw: _flatten(_reference_grow(*a, **kw)))
     assert mine == [fit_model(ds, params).payload.roots for ds in datasets]
 
 
@@ -438,30 +459,70 @@ def test_deep_chain_tree_needs_no_recursion():
     n = 2000
     labels = [i % 2 for i in range(n)]
     ds = make_dataset([("x", "numeric", np.arange(n, dtype=np.float64))], labels)
-    root = grow(ds, min_leaf=1)
-    assert depth(root) == n - 1
-    assert node_count(root) == 2 * n - 1
-    assert leaf_count(root) == n
-    np.testing.assert_array_equal(predict(root, ds), labels)
-    assert node_count(prune(root)) <= node_count(root)
+    tree = grow(ds, min_leaf=1)
+    assert depth(tree) == n - 1
+    assert node_count(tree) == 2 * n - 1
+    assert leaf_count(tree) == n
+    np.testing.assert_array_equal(predict(tree, ds), labels)
+    assert node_count(prune(tree)) <= node_count(tree)
+    twin = grow(ds, min_leaf=1)
+    assert tree == twin and hash(tree) == hash(twin)
+    assert repr(tree).startswith("(TreeNode(counts=(1000, 1000), feature=0")
 
     model = fit_model(ds, params_from_dict("tree", {"min_leaf": 1, "prune": False}))
+    assert repr(model).startswith("TrainedModel(")
     again = model_from_json(model_to_json(model))
-    assert node_count(again.payload) == 2 * n - 1
+    assert again.payload == model.payload
     np.testing.assert_array_equal(predict_model(again, ds), predict_model(model, ds))
     np.testing.assert_array_equal(predict_model(again, ds), labels)
 
 
 def test_tree_document_is_flat_preorder():
     ds = make_dataset([("x", "numeric", [1.0, 2.0, 3.0, 4.0, 5.0])], [0, 0, 1, 1, 1])
-    root = grow(ds, min_leaf=1)
-    doc = tree_mod.node_to_dict(root)
+    tree = grow(ds, min_leaf=1)
+    doc = tree_mod.to_doc(tree)
     assert doc == {"nodes": [
         {"counts": [2, 3], "feature": 0, "children": [1, 2], "threshold": 2.5},
         {"counts": [2, 0]},
         {"counts": [0, 3]},
     ]}
-    assert tree_mod.node_from_dict(doc) == root
+    assert tree_mod.from_doc(doc) == tree
     doc["nodes"][0]["children"] = [1, 0]
     with pytest.raises(DatasetError, match="child index"):
-        tree_mod.node_from_dict(doc)
+        tree_mod.from_doc(doc)
+
+
+def _nominal_doc(**root):
+    """A one-split nominal tree document with ``root``'s keys replaced."""
+    doc = {"nodes": [
+        {"counts": [2, 3], "feature": 0, "children": [1, 2], "codes": [0, 1],
+         "default_child": 0},
+        {"counts": [2, 0]},
+        {"counts": [0, 3]},
+    ]}
+    doc["nodes"][0].update(root)
+    return doc
+
+
+@pytest.mark.parametrize("doc, match", [
+    # more codes than children: predict left the third code's rows unset
+    (_nominal_doc(codes=[0, 1, 2]), "node 0 has 3 codes"),
+    (_nominal_doc(default_child=2), "node 0 .* default child 2"),
+    (_nominal_doc(feature=-1), "node 0 splits on feature -1"),
+    ({"nodes": [{"counts": [2, 3], "feature": 0, "children": [1, 2, 3], "threshold": 2.5},
+                {"counts": [2, 0]}, {"counts": [0, 3]}, {"counts": [0, 0]}]},
+     "numeric node 0 has 3 children"),
+    # node 2 listed by two parents
+    ({"nodes": [{"counts": [2, 3], "feature": 0, "children": [1, 2], "threshold": 2.5},
+                {"counts": [2, 1], "feature": 0, "children": [2, 3], "threshold": 1.5},
+                {"counts": [2, 0]}, {"counts": [0, 3]}]},
+     "node 1 has child index 2"),
+    # node 3 is nobody's child
+    ({"nodes": [{"counts": [2, 3], "feature": 0, "children": [1, 2], "threshold": 2.5},
+                {"counts": [2, 0]}, {"counts": [0, 3]}, {"counts": [0, 0]}]},
+     "node 3 has no parent"),
+])
+def test_tree_document_rejects_malformed_trees(doc, match):
+    with pytest.raises(DatasetError, match=match):
+        tree_mod.from_doc(doc)
+
