@@ -35,14 +35,8 @@ from .models import (
 )
 from .pipeline import PipelineError, PipelineResult, RunConfig, run_pipeline
 from .preprocess import (
-    MinMaxParams,
-    OneHotPlan,
     PreprocessPlan,
-    apply_minmax,
-    apply_onehot,
     apply_preprocess,
-    fit_minmax,
-    fit_onehot,
     fit_preprocess,
     plan_from_json,
     plan_to_json,
@@ -61,9 +55,7 @@ __all__ = [
     "FeatureSchema",
     "FilterScores",
     "MetricsError",
-    "MinMaxParams",
     "ModelError",
-    "OneHotPlan",
     "PipelineError",
     "PipelineResult",
     "PreprocessPlan",
@@ -73,17 +65,13 @@ __all__ = [
     "TrainParams",
     "TrainedModel",
     "accuracy",
-    "apply_minmax",
-    "apply_onehot",
     "apply_preprocess",
     "best_first_search",
     "confusion",
     "detection_rate",
     "entropy",
     "false_alarm_rate",
-    "fit_minmax",
     "fit_model",
-    "fit_onehot",
     "fit_preprocess",
     "gain_ratio",
     "info_gain",

@@ -98,6 +98,9 @@ def _load_config(args, allow_grid: bool = False) -> tuple[RunConfig, dict]:
     grid = {key: doc.pop(key) for key in BENCH_ONLY_KEYS if key in doc}
     if grid and not allow_grid:
         raise ValueError(f"grid fields {sorted(grid)} are only valid for bench")
+    for key, value in grid.items():
+        if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
+            raise ValueError(f"config field {key!r} must be a list of strings, got {value!r}")
     flag_map = {
         "train": "train_path",
         "test": "test_path",
@@ -113,10 +116,10 @@ def _load_config(args, allow_grid: bool = False) -> tuple[RunConfig, dict]:
         value = getattr(args, flag, None)
         if value is not None:
             doc[field] = value
-    overrides = dict(doc.get("params") or {})
-    for key, value in args.overrides:
-        overrides[key] = value
-    doc["params"] = overrides
+    params = doc.get("params") or {}
+    if not isinstance(params, dict):
+        raise ValueError(f"config field 'params' must be an object, got {params!r}")
+    doc["params"] = {**params, **dict(args.overrides)}
     known = {f.name for f in dataclasses.fields(RunConfig)}
     unknown = sorted(set(doc) - known)
     if unknown:

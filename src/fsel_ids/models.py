@@ -555,14 +555,18 @@ def model_to_json(model: TrainedModel) -> str:
 
 def model_from_json(text: str) -> TrainedModel:
     doc = json.loads(text)
-    if doc.get("format") != MODEL_FORMAT:
-        raise ModelError(f"not a model document: {doc.get('format')!r}")
+    fmt = doc.get("format") if isinstance(doc, dict) else None
+    if fmt != MODEL_FORMAT:
+        raise ModelError(f"not a model document: {fmt!r}")
     if doc.get("version") != MODEL_VERSION:
         raise ModelError(f"unsupported model version {doc.get('version')!r}")
-    params = TrainParams(**doc["params"])
-    return TrainedModel(
-        params,
-        tuple(doc["feature_names"]),
-        ALGORITHM_TABLE[params.algorithm].from_doc(doc["payload"]),
-        float(doc["train_seconds"]),
-    )
+    try:
+        params = TrainParams(**doc["params"])
+        return TrainedModel(
+            params,
+            tuple(doc["feature_names"]),
+            ALGORITHM_TABLE[params.algorithm].from_doc(doc["payload"]),
+            float(doc["train_seconds"]),
+        )
+    except (LookupError, TypeError, ValueError, AttributeError) as exc:
+        raise ModelError(f"malformed model document ({type(exc).__name__}: {exc})") from exc

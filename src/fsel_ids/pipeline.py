@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -38,6 +38,10 @@ class PipelineError(RuntimeError):
         self.stage = stage
 
 
+# The Python types each RunConfig annotation admits.
+_FIELD_TYPES = {"str": str, "int": int, "float": (int, float), "dict": dict, "None": type(None)}
+
+
 @dataclass(frozen=True)
 class RunConfig:
     """Everything that determines one experiment cell."""
@@ -61,6 +65,11 @@ class RunConfig:
     dataset_name: str = ""
 
     def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, bool) or not isinstance(
+                    value, tuple(_FIELD_TYPES[t] for t in f.type.split(" | "))):
+                raise ValueError(f"config field {f.name!r} must be {f.type}, got {value!r}")
         if self.fs not in FS_METHODS + REFERENCE_FS:
             raise ValueError(
                 f"unknown fs method {self.fs!r}; pick from {FS_METHODS + REFERENCE_FS}")

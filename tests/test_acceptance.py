@@ -40,7 +40,7 @@ from fsel_ids.models import (
     predict_model,
 )
 from fsel_ids.pipeline import RunConfig, load_splits, run_pipeline, select_features
-from fsel_ids.preprocess import apply_minmax, apply_onehot, fit_minmax, fit_onehot, fit_preprocess, apply_preprocess
+from fsel_ids.preprocess import apply_preprocess, fit_preprocess
 from fsel_ids.unsw import (
     DATA_DIR_ENV,
     REFERENCE_SUBSETS,
@@ -358,11 +358,12 @@ def test_module_invariants(toy_split):
     # min-max: outputs in [0,1]; rescaling scaled data changes nothing
     ds = random_mixed_dataset(rng, 60, 5)
     numeric = [i for i, c in enumerate(ds.columns) if c.kind == "numeric"]
-    scaled = apply_minmax(ds, fit_minmax(ds, numeric))
-    for i in numeric:
+    scaled = apply_preprocess(fit_preprocess(ds, numeric), ds)
+    assert len(scaled.columns) == len(numeric)
+    for i in range(len(numeric)):
         v = scaled.columns[i].values
         assert v.min() >= 0.0 and v.max() <= 1.0
-        again = apply_minmax(scaled, fit_minmax(scaled, numeric))
+        again = apply_preprocess(fit_preprocess(scaled), scaled)
         np.testing.assert_array_equal(again.columns[i].values, v)
 
     # one-hot: every training row activates exactly one indicator per column
@@ -375,7 +376,7 @@ def test_module_invariants(toy_split):
         ],
         labels,
     )
-    encoded = apply_onehot(nominal_ds, fit_onehot(nominal_ds))
+    encoded = apply_preprocess(fit_preprocess(nominal_ds), nominal_ds)
     block = np.column_stack([col.values for col in encoded.columns])
     np.testing.assert_array_equal(block.sum(axis=1), np.full(40, 2.0))
 

@@ -195,6 +195,37 @@ def test_evaluate_rejects_a_tree_split_beyond_the_features(toy_split, tmp_path, 
     assert f"tree node {split} splits on feature" in capsys.readouterr().err
 
 
+def _drop_counts(model, plan):
+    node = next(n for n in model["payload"]["nodes"] if "children" in n)
+    del node["counts"]
+
+
+@pytest.mark.parametrize("edit, names", [
+    (_drop_counts, "malformed model document (KeyError"),
+    (lambda model, plan: model["params"].update(depth=3), "malformed model document (TypeError"),
+    (lambda model, plan: plan.pop("selected"), "malformed preprocess plan document (KeyError"),
+    (lambda model, plan: plan.update(minmax=5), "malformed preprocess plan document (TypeError"),
+], ids=["tree-node-without-counts", "unknown-param", "plan-without-selected", "minmax-not-a-list"])
+def test_evaluate_rejects_malformed_saved_documents(toy_split, tmp_path, capsys, edit, names):
+    run_dir = tmp_path / "run"
+    assert main(["train", "--algo", "tree", *common_flags(toy_split, run_dir)]) == 0
+    model = json.loads((run_dir / "model.json").read_text())
+    plan = json.loads((run_dir / "plan.json").read_text())
+    edit(model, plan)
+    (run_dir / "model.json").write_text(json.dumps(model))
+    (run_dir / "plan.json").write_text(json.dumps(plan))
+    capsys.readouterr()
+    code = main([
+        "evaluate",
+        "--model", str(run_dir / "model.json"),
+        "--plan", str(run_dir / "plan.json"),
+        *common_flags(toy_split, tmp_path / "saved"),
+    ])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and names in err
+
+
 def test_evaluate_model_without_plan_fails(toy_split, tmp_path, capsys):
     code = main([
         "evaluate", "--model", "whatever.json",
@@ -217,6 +248,25 @@ def bench_config(toy_split, tmp_path, fs_methods, algorithms):
         "algorithms": algorithms,
     }))
     return path
+
+
+@pytest.mark.parametrize("field, value", [
+    ("params", 5),
+    ("k", "abc"),
+    ("subsample", "x"),
+    ("algorithms", 3),
+    ("fs_methods", "infogain"),
+])
+def test_bench_rejects_a_wrongly_typed_config_field(toy_split, tmp_path, capsys, field, value):
+    config = bench_config(toy_split, tmp_path, ["infogain"], ["naive_bayes"])
+    doc = json.loads(config.read_text())
+    doc[field] = value
+    config.write_text(json.dumps(doc))
+    out = tmp_path / "grid"
+    assert main(["bench", "--config", str(config), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and f"config field {field!r}" in err
+    assert not out.exists()
 
 
 def test_bench_grid_writes_cells_and_summary(toy_split, tmp_path):

@@ -33,6 +33,11 @@ def test_config_validation_and_name(toy_split):
         toy_config(toy_split, k=0)
     with pytest.raises(ValueError, match="subsample"):
         toy_config(toy_split, subsample=0.0)
+    with pytest.raises(ValueError, match="config field 'folds' must be int"):
+        toy_config(toy_split, folds="3")
+    with pytest.raises(ValueError, match="config field 'relief_sample'"):
+        toy_config(toy_split, relief_sample=True)
+    assert toy_config(toy_split, subsample=1, relief_sample=None).subsample == 1
     assert toy_config(toy_split).name == "train"
     assert toy_config(toy_split, dataset_name="toy").name == "toy"
 

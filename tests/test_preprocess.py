@@ -1,17 +1,19 @@
+import json
+from dataclasses import dataclass
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fsel_ids.dataset import DatasetError
+from fsel_ids.dataset import Column, Dataset, DatasetError
 from fsel_ids.preprocess import (
-    apply_minmax,
-    apply_onehot,
+    PLAN_FORMAT,
+    PLAN_VERSION,
+    PreprocessPlan,
     apply_preprocess,
     bin_codes,
     equal_frequency_edges,
-    fit_minmax,
-    fit_onehot,
     fit_preprocess,
     plan_from_json,
     plan_to_json,
@@ -27,48 +29,47 @@ def numeric_ds(values):
     return make_dataset([("x", "numeric", values)], [i % 2 for i in range(len(values))])
 
 
+def encode(ds):
+    """Fit a plan on ``ds`` over all its columns and replay it on ``ds``."""
+    return apply_preprocess(fit_preprocess(ds), ds)
+
+
 def test_minmax_fit_and_bounds():
     ds = numeric_ds([2.0, 4.0, 6.0])
-    params = fit_minmax(ds)
-    assert params.ranges == (("x", 2.0, 6.0),)
-    out = apply_minmax(ds, params)
+    plan = fit_preprocess(ds)
+    assert plan.minmax == (("x", 2.0, 6.0),)
+    out = apply_preprocess(plan, ds)
     np.testing.assert_allclose(out.columns[0].values, [0.0, 0.5, 1.0])
 
 
 def test_minmax_constant_maps_to_zero():
-    ds = numeric_ds([5.0, 5.0, 5.0])
-    out = apply_minmax(ds, fit_minmax(ds))
+    out = encode(numeric_ds([5.0, 5.0, 5.0]))
     np.testing.assert_array_equal(out.columns[0].values, [0.0, 0.0, 0.0])
 
 
 def test_minmax_clamps_out_of_range():
-    train = numeric_ds([2.0, 6.0])
-    params = fit_minmax(train)
-    test = numeric_ds([8.0, 1.0, 4.0])
-    out = apply_minmax(test, params)
+    plan = fit_preprocess(numeric_ds([2.0, 6.0]))
+    out = apply_preprocess(plan, numeric_ds([8.0, 1.0, 4.0]))
     np.testing.assert_allclose(out.columns[0].values, [1.0, 0.0, 0.5])
 
 
 def test_minmax_does_not_mutate_input():
     ds = numeric_ds([1.0, 3.0])
-    apply_minmax(ds, fit_minmax(ds))
+    encode(ds)
     np.testing.assert_array_equal(ds.columns[0].values, [1.0, 3.0])
 
 
 @given(st.lists(finite_floats, min_size=1, max_size=40))
 def test_minmax_range_property(values):
-    ds = numeric_ds(values)
-    out = apply_minmax(ds, fit_minmax(ds))
-    v = out.columns[0].values
+    v = encode(numeric_ds(values)).columns[0].values
     assert v.min() >= 0.0 and v.max() <= 1.0
 
 
 @given(st.lists(finite_floats, min_size=2, max_size=40))
 def test_minmax_idempotence_property(values):
     # refitting on already-scaled data and reapplying changes nothing
-    ds = numeric_ds(values)
-    once = apply_minmax(ds, fit_minmax(ds))
-    twice = apply_minmax(once, fit_minmax(once))
+    once = encode(numeric_ds(values))
+    twice = encode(once)
     np.testing.assert_array_equal(once.columns[0].values, twice.columns[0].values)
 
 
@@ -79,9 +80,7 @@ def nominal_ds(codes, cats):
 
 
 def test_onehot_basic_indicators():
-    ds = nominal_ds([0, 1, 2, 0], ("udp", "tcp", "icmp"))
-    plan = fit_onehot(ds)
-    out = apply_onehot(ds, plan)
+    out = encode(nominal_ds([0, 1, 2, 0], ("udp", "tcp", "icmp")))
     assert out.feature_names == ("proto=udp", "proto=tcp", "proto=icmp")
     got = np.column_stack([c.values for c in out.columns])
     np.testing.assert_array_equal(
@@ -90,17 +89,14 @@ def test_onehot_basic_indicators():
 
 
 def test_onehot_unseen_category_encodes_all_zero():
-    train = nominal_ds([0, 1], ("udp", "tcp"))
-    plan = fit_onehot(train)
-    test = nominal_ds([0, 2, 1], ("udp", "tcp", "sctp"))
-    out = apply_onehot(test, plan)
+    plan = fit_preprocess(nominal_ds([0, 1], ("udp", "tcp")))
+    out = apply_preprocess(plan, nominal_ds([0, 2, 1], ("udp", "tcp", "sctp")))
     got = np.column_stack([c.values for c in out.columns])
     np.testing.assert_array_equal(got, [[1, 0], [0, 0], [0, 1]])
 
 
 def test_onehot_single_category_column():
-    ds = nominal_ds([0, 0, 0], ("only",))
-    out = apply_onehot(ds, fit_onehot(ds))
+    out = encode(nominal_ds([0, 0, 0], ("only",)))
     np.testing.assert_array_equal(out.columns[0].values, [1.0, 1.0, 1.0])
 
 
@@ -108,8 +104,7 @@ def test_onehot_single_category_column():
 def test_onehot_row_sum_property(codes):
     width = max(codes) + 1
     cats = tuple(f"c{i}" for i in range(width))
-    ds = nominal_ds(codes, cats)
-    out = apply_onehot(ds, fit_onehot(ds))
+    out = encode(nominal_ds(codes, cats))
     got = np.column_stack([c.values for c in out.columns])
     np.testing.assert_array_equal(got.sum(axis=1), np.ones(len(codes)))
 
@@ -127,6 +122,12 @@ def test_onehot_width_arithmetic():
     assert plan.output_width == 1 + 2 + 1
     out = apply_preprocess(plan, ds)
     assert len(out.columns) == 4
+
+
+def test_onehot_rejects_a_dictionary_that_does_not_extend_the_fitted_one():
+    plan = fit_preprocess(nominal_ds([0, 1], ("udp", "tcp")))
+    with pytest.raises(DatasetError, match="does not extend"):
+        apply_preprocess(plan, nominal_ds([0, 1], ("tcp", "udp")))
 
 
 def test_equal_frequency_even_occupancy():
@@ -184,10 +185,13 @@ def test_equal_frequency_edges_rejects_small_bins():
         equal_frequency_edges(np.asarray([1.0, 2.0]), 1)
 
 
-def test_fit_minmax_rejects_nominal_feature():
-    ds = nominal_ds([0, 1], ("a", "b"))
+def test_apply_preprocess_rejects_kind_mismatch():
+    scale_a = PreprocessPlan(("a",), (("a", 0.0, 1.0),), ())
     with pytest.raises(DatasetError, match="nominal"):
-        fit_minmax(ds, [0])
+        apply_preprocess(scale_a, make_dataset([("a", "nominal", [0, 1], ("p", "q"))], [0, 1]))
+    encode_a = PreprocessPlan(("a",), (), (("a", ("p", "q")),))
+    with pytest.raises(DatasetError, match="numeric"):
+        apply_preprocess(encode_a, make_dataset([("a", "numeric", [0.0, 1.0])], [0, 1]))
 
 
 def test_preprocess_chain_and_roundtrip(tmp_path):
@@ -218,11 +222,245 @@ def test_apply_preprocess_rejects_missing_column():
         apply_preprocess(plan, other)
 
 
+def test_apply_preprocess_rejects_columns_out_of_dataset_order():
+    ds = make_dataset([("a", "numeric", [1.0, 2.0]), ("b", "numeric", [3.0, 4.0])], [0, 1])
+    plan = PreprocessPlan(("b", "a"), (("a", 1.0, 2.0), ("b", 3.0, 4.0)), ())
+    with pytest.raises(DatasetError, match="column order"):
+        apply_preprocess(plan, ds)
+
+
+@pytest.mark.parametrize("minmax, onehot, match", [
+    ((("a", 0.0, 1.0),), (), r"exactly once: \['b'\]"),
+    ((("a", 0.0, 1.0), ("b", 0.0, 1.0), ("b", 2.0, 3.0)), (), r"exactly once: \['b'\]"),
+    ((("a", 0.0, 1.0),), (("b", ("x",)), ("a", ("y",))), r"exactly once: \['a'\]"),
+    ((("a", 0.0, 1.0), ("b", 0.0, 1.0), ("c", 0.0, 1.0)), (), r"exactly once: \['c'\]"),
+    ((("a", 2.0, 1.0), ("b", 0.0, 1.0)), (), "fitted min"),
+    ((("a", float("nan"), 1.0), ("b", 0.0, 1.0)), (), "fitted min"),
+    ((("a", 0.0, 1.0),), (("b", ()),), "empty category list"),
+])
+def test_plan_fits_each_selected_column_exactly_once(minmax, onehot, match):
+    with pytest.raises(DatasetError, match=match):
+        PreprocessPlan(("a", "b"), minmax, onehot)
+
+
+MALFORMED = "malformed preprocess plan document"
+
+
+@pytest.mark.parametrize("edit, match", [
+    (lambda doc: doc.pop("selected"), MALFORMED),
+    (lambda doc: doc.update(minmax=5), MALFORMED),
+    (lambda doc: doc.update(onehot=[["proto"]]), MALFORMED),
+    (lambda doc: doc.update(selected=[["keep"]]), MALFORMED),
+    # a hand-written plan that leaves a selected column unfitted; such a
+    # plan used to pass the column through unscaled
+    (lambda doc: doc.update(onehot=[]), r"exactly once: \['proto'\]"),
+])
+def test_plan_from_json_rejects_malformed_documents(edit, match):
+    ds = make_dataset([("keep", "numeric", [1.0, 5.0]),
+                       ("proto", "nominal", [0, 1], ("tcp", "udp"))], [1, 0])
+    doc = json.loads(plan_to_json(fit_preprocess(ds)))
+    edit(doc)
+    with pytest.raises(DatasetError, match=match):
+        plan_from_json(json.dumps(doc))
+
+
+def test_plan_from_json_rejects_other_documents():
+    for text in ('{"format": "fsel-ids/model"}', "[1, 2]", '"plan"'):
+        with pytest.raises(DatasetError, match="not a preprocess plan"):
+            plan_from_json(text)
+
+
 @settings(max_examples=25)
 @given(st.integers(min_value=2, max_value=12), st.integers(min_value=5, max_value=60))
 def test_scaled_training_data_never_leaves_unit_interval(bins, n):
     rng = np.random.default_rng(bins * 100 + n)
-    ds = numeric_ds(rng.normal(0, 3, n))
-    out = apply_minmax(ds, fit_minmax(ds))
-    v = out.columns[0].values
+    v = encode(numeric_ds(rng.normal(0, 3, n))).columns[0].values
     assert v.min() >= 0.0 and v.max() <= 1.0
+
+
+# Reference implementation: the four sub-transforms (scale, then encode) that
+# ``fit_preprocess``/``apply_preprocess`` replaced, kept unchanged so that the
+# one-pass apply can be checked against them for equal datasets and plans.
+
+def minmax_scale(values: np.ndarray, lo: float, hi: float) -> np.ndarray:
+    """Scale into [0, 1] with clamping. A constant fitted range maps to 0."""
+    if hi <= lo:
+        return np.zeros(len(values), dtype=np.float64)
+    return np.clip((values - lo) / (hi - lo), 0.0, 1.0)
+
+
+@dataclass(frozen=True)
+class MinMaxParams:
+    """Per-feature (min, max) fitted on training data, keyed by column name."""
+
+    ranges: tuple[tuple[str, float, float], ...]
+
+    def __post_init__(self):
+        for name, lo, hi in self.ranges:
+            if lo > hi:
+                raise DatasetError(f"column {name!r}: fitted min {lo} > max {hi}")
+
+
+@dataclass(frozen=True)
+class OneHotPlan:
+    """Per-feature category lists in training dictionary order."""
+
+    dictionaries: tuple[tuple[str, tuple[str, ...]], ...]
+
+    def __post_init__(self):
+        for name, cats in self.dictionaries:
+            if not cats:
+                raise DatasetError(f"column {name!r}: empty category list")
+
+    @property
+    def output_width(self) -> int:
+        return sum(len(cats) for _, cats in self.dictionaries)
+
+
+def _check_features(ds: Dataset, features, want_kind: str) -> list[int]:
+    idx = sorted(set(int(i) for i in features))
+    for i in idx:
+        if i < 0 or i >= len(ds.columns):
+            raise DatasetError(f"feature index {i} out of range")
+        col = ds.columns[i]
+        if col.kind != want_kind:
+            raise DatasetError(f"column {col.name!r} is {col.kind}, expected {want_kind}")
+    return idx
+
+
+def fit_minmax(train: Dataset, features=None) -> MinMaxParams:
+    """Observed min/max of each requested numeric column (default: all)."""
+    if features is None:
+        features = [i for i, c in enumerate(train.columns) if c.kind == "numeric"]
+    idx = _check_features(train, features, "numeric")
+    ranges = []
+    for i in idx:
+        col = train.columns[i]
+        if col.values.size == 0:
+            raise DatasetError(f"column {col.name!r}: cannot fit scaler on empty column")
+        ranges.append((col.name, float(col.values.min()), float(col.values.max())))
+    return MinMaxParams(tuple(ranges))
+
+
+def apply_minmax(ds: Dataset, params: MinMaxParams) -> Dataset:
+    """Rescale the planned columns into [0, 1]; other columns pass through."""
+    fitted = dict((name, (lo, hi)) for name, lo, hi in params.ranges)
+    columns = []
+    for col in ds.columns:
+        if col.name in fitted:
+            if col.kind != "numeric":
+                raise DatasetError(f"column {col.name!r} is nominal, scaler expects numeric")
+            lo, hi = fitted.pop(col.name)
+            columns.append(Column(col.name, "numeric", minmax_scale(col.values, lo, hi)))
+        else:
+            columns.append(col)
+    if fitted:
+        raise DatasetError(f"scaler columns missing from dataset: {sorted(fitted)}")
+    return Dataset(tuple(columns), ds.labels, ds.label_name)
+
+
+def fit_onehot(train: Dataset, features=None) -> OneHotPlan:
+    """Freeze the training dictionaries of the requested nominal columns."""
+    if features is None:
+        features = [i for i, c in enumerate(train.columns) if c.kind == "nominal"]
+    idx = _check_features(train, features, "nominal")
+    dicts = []
+    for i in idx:
+        col = train.columns[i]
+        if not col.categories:
+            raise DatasetError(f"column {col.name!r}: no categories observed")
+        dicts.append((col.name, col.categories))
+    return OneHotPlan(tuple(dicts))
+
+
+def apply_onehot(ds: Dataset, plan: OneHotPlan) -> Dataset:
+    """Replace each planned nominal column with indicator columns.
+
+    Indicator columns are named ``feature=category`` and sit where the
+    source column did. A category id beyond the fitted dictionary (a value
+    first seen outside training) leaves the whole block zero. The fitted
+    dictionary must be a prefix of the column's, which load-time
+    vocabulary reuse guarantees.
+    """
+    planned = dict(plan.dictionaries)
+    columns: list[Column] = []
+    for col in ds.columns:
+        if col.name not in planned:
+            columns.append(col)
+            continue
+        if col.kind != "nominal":
+            raise DatasetError(f"column {col.name!r} is numeric, encoder expects nominal")
+        cats = planned.pop(col.name)
+        if col.categories[: len(cats)] != cats:
+            raise DatasetError(
+                f"column {col.name!r}: dictionary does not extend the fitted one"
+            )
+        block = np.zeros((len(col.values), len(cats)), dtype=np.float64)
+        seen = col.values < len(cats)
+        block[np.flatnonzero(seen), col.values[seen]] = 1.0
+        for j, cat in enumerate(cats):
+            columns.append(Column(f"{col.name}={cat}", "numeric", block[:, j].copy()))
+    if planned:
+        raise DatasetError(f"encoder columns missing from dataset: {sorted(planned)}")
+    return Dataset(tuple(columns), ds.labels, ds.label_name)
+
+
+def _reference_preprocess(train: Dataset, selected, datasets):
+    """The replaced chain: its plan document and each dataset encoded."""
+    sub = train.select(selected)
+    minmax, onehot = fit_minmax(sub), fit_onehot(sub)
+    doc = {
+        "format": PLAN_FORMAT,
+        "version": PLAN_VERSION,
+        "selected": list(sub.feature_names),
+        "minmax": [[name, lo, hi] for name, lo, hi in minmax.ranges],
+        "onehot": [[name, list(cats)] for name, cats in onehot.dictionaries],
+    }
+    encoded = [apply_onehot(apply_minmax(ds.select([ds.index_of(n) for n in sub.feature_names]),
+                                         minmax), onehot)
+               for ds in datasets]
+    return json.dumps(doc, indent=2), encoded
+
+
+def random_split_pair(rng):
+    """Mixed train/test pair: constant columns, test values beyond the training
+    range, and test vocabularies that extend the training ones with ids the
+    training file never saw."""
+    n_train, n_test = int(rng.integers(1, 30)), int(rng.integers(0, 30))
+    train_cols, test_cols = [], []
+    for f in range(int(rng.integers(1, 7))):
+        name = f"f{f}"
+        if rng.random() < 0.5:
+            spread = 0.0 if rng.random() < 0.3 else float(rng.uniform(0.1, 100.0))
+            centre = float(rng.normal(0.0, 10.0))
+            train_cols.append((name, "numeric", centre + spread * rng.normal(size=n_train)))
+            test_cols.append((name, "numeric", centre + 3 * (spread + 1) * rng.normal(size=n_test)))
+        else:
+            width = int(rng.integers(1, 5))
+            cats = tuple(f"c{j}" for j in range(width))
+            unseen = tuple(f"u{j}" for j in range(int(rng.integers(0, 3))))
+            train_cols.append((name, "nominal", rng.integers(0, width, n_train), cats))
+            test_cols.append((name, "nominal", rng.integers(0, width + len(unseen), n_test),
+                              cats + unseen))
+    return (make_dataset(train_cols, rng.integers(0, 2, n_train)),
+            make_dataset(test_cols, rng.integers(0, 2, n_test)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(min_value=0, max_value=2**32 - 1))
+def test_apply_preprocess_matches_reference(seed):
+    rng = np.random.default_rng(seed)
+    train, test = random_split_pair(rng)
+    d = len(train.columns)
+    selected = sorted(rng.choice(d, int(rng.integers(0, d + 1)), replace=False).tolist())
+    want_doc, want = _reference_preprocess(train, selected, [train, test])
+    plan = fit_preprocess(train, selected)
+    assert plan_to_json(plan) == want_doc
+    for ds, ref in zip((train, test), want):
+        got = apply_preprocess(plan, ds)
+        assert got.feature_names == ref.feature_names
+        assert [c.kind for c in got.columns] == [c.kind for c in ref.columns]
+        for a, b in zip(got.columns, ref.columns):
+            assert a.values.dtype == b.values.dtype
+            assert a.values.tobytes() == b.values.tobytes()
+        assert got.labels.tobytes() == ds.labels.tobytes()
