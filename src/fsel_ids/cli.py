@@ -101,6 +101,9 @@ def _load_config(args, allow_grid: bool = False) -> tuple[RunConfig, dict]:
     for key, value in grid.items():
         if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
             raise ValueError(f"config field {key!r} must be a list of strings, got {value!r}")
+        twice = [v for i, v in enumerate(value) if v in value[:i]]
+        if twice:
+            raise ValueError(f"config field {key!r} lists {twice[0]!r} more than once")
     flag_map = {
         "train": "train_path",
         "test": "test_path",
@@ -216,29 +219,41 @@ def cmd_evaluate(args) -> int:
 
 def cmd_bench(args) -> int:
     base, grid = _load_config(args, allow_grid=True)
+    if args.jobs < 1:
+        raise ValueError(f"--jobs must be >= 1, got {args.jobs}")
     fs_methods = grid.get("fs_methods") or [base.fs]
     algorithms = grid.get("algorithms") or [base.algorithm]
-    cells = [dataclasses.replace(base, fs=fs, algorithm=algo)
-             for fs in fs_methods for algo in algorithms]
+    rows = [dataclasses.replace(base, fs=fs) for fs in fs_methods]
+    cells = [dataclasses.replace(row, algorithm=algo) for row in rows for algo in algorithms]
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     # Every cell shares one (train, test) pair; the columns are read-only.
     train, test, _ = load_splits(base)
 
-    def run_cell(config: RunConfig):
+    def guarded(fn, *fn_args):
         try:
-            return run_pipeline(config, (train, test)).report, None
-        except Exception as exc:  # noqa: BLE001 -- cell failures must not kill the batch
+            return fn(*fn_args), None
+        except Exception as exc:  # noqa: BLE001 -- a failure must not kill the batch
             return None, f"{type(exc).__name__}: {exc}"
 
-    if args.jobs > 1:
-        pool = ThreadPoolExecutor(max_workers=args.jobs)
-        try:
-            outcomes = list(pool.map(run_cell, cells))
-        finally:  # an interrupt drops the cells that have not started
+    def run_cell(config: RunConfig, row_selection):
+        selection, error = row_selection
+        if error is not None:  # the row's selection failed
+            return None, error
+        result, error = guarded(run_pipeline, config, (train, test), selection)
+        return (result.report if result else None), error
+
+    # A row selects once and its cells share that selection. Both phases run
+    # on one mapper: the pool's for --jobs > 1, the builtin one otherwise.
+    pool = ThreadPoolExecutor(max_workers=args.jobs) if args.jobs > 1 else None
+    mapper = pool.map if pool is not None else map
+    try:
+        selections = list(mapper(lambda row: guarded(subsample_and_select, train, row), rows))
+        outcomes = list(mapper(run_cell, cells,
+                               [s for s in selections for _ in algorithms]))
+    finally:  # an interrupt drops the work that has not started
+        if pool is not None:
             pool.shutdown(cancel_futures=True)
-    else:
-        outcomes = [run_cell(c) for c in cells]
 
     reports, failures = [], []
     for config, (report, error) in zip(cells, outcomes):

@@ -37,6 +37,22 @@ class ModelError(ValueError):
     """Raised for invalid training parameters or prediction mismatches."""
 
 
+# The Python types each dataclass field annotation admits.
+_FIELD_TYPES = {"str": str, "int": int, "float": (int, float), "bool": bool, "dict": dict,
+                "None": type(None)}
+
+
+def check_field_types(obj, noun: str, error: type[Exception]) -> None:
+    """Raise ``error`` naming the first field of dataclass ``obj`` whose value
+    its annotation does not admit. A ``bool`` is admitted only by a ``bool``
+    field, although it is an ``int``."""
+    for f in fields(obj):
+        value, kinds = getattr(obj, f.name), f.type.split(" | ")
+        if (isinstance(value, bool) and "bool" not in kinds) or not isinstance(
+                value, tuple(_FIELD_TYPES[k] for k in kinds)):
+            raise error(f"{noun} {f.name!r} must be {f.type}, got {value!r}")
+
+
 @dataclass(frozen=True)
 class TrainParams:
     """Algorithm tag plus every tunable, with common defaults baked in."""
@@ -64,6 +80,7 @@ class TrainParams:
     svm_learning_rate: float = 0.1
 
     def __post_init__(self):
+        check_field_types(self, "hyperparameter", ModelError)
         if self.algorithm not in ALGORITHMS:
             raise ModelError(f"unknown algorithm {self.algorithm!r}; pick from {ALGORITHMS}")
         positive = {
@@ -83,8 +100,9 @@ class TrainParams:
             raise ModelError(f"confidence must be in (0, 0.5], got {self.confidence}")
         if self.feature_sample is not None and self.feature_sample < 1:
             raise ModelError(f"feature_sample must be >= 1, got {self.feature_sample}")
-        if self.mlp_epochs < 0 or self.svm_epochs < 0:
-            raise ModelError("epoch counts must be >= 0")
+        for name in ("seed", "mlp_epochs", "svm_epochs"):
+            if getattr(self, name) < 0:
+                raise ModelError(f"{name} must be >= 0, got {getattr(self, name)}")
 
 
 def params_from_dict(algorithm: str, overrides: dict | None = None, seed: int = 0) -> TrainParams:

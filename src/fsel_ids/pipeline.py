@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -19,7 +19,7 @@ import numpy as np
 from .dataset import Dataset, load_csv, stratified_subsample
 from .filters import FILTER_METHODS, FilterScores, score_features
 from .metrics import EvaluationReport, build_report, confusion
-from .models import TrainedModel, fit_model, params_from_dict, predict_model
+from .models import TrainedModel, check_field_types, fit_model, params_from_dict, predict_model
 from .preprocess import PreprocessPlan, apply_preprocess, fit_preprocess
 from .schema import FeatureSchema, parse_schema
 from .unsw import REFERENCE_SUBSETS, UNSW_SCHEMA
@@ -36,10 +36,6 @@ class PipelineError(RuntimeError):
     def __init__(self, stage: str, message: str):
         super().__init__(f"[{stage}] {message}")
         self.stage = stage
-
-
-# The Python types each RunConfig annotation admits.
-_FIELD_TYPES = {"str": str, "int": int, "float": (int, float), "dict": dict, "None": type(None)}
 
 
 @dataclass(frozen=True)
@@ -65,16 +61,14 @@ class RunConfig:
     dataset_name: str = ""
 
     def __post_init__(self):
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if isinstance(value, bool) or not isinstance(
-                    value, tuple(_FIELD_TYPES[t] for t in f.type.split(" | "))):
-                raise ValueError(f"config field {f.name!r} must be {f.type}, got {value!r}")
+        check_field_types(self, "config field", ValueError)
         if self.fs not in FS_METHODS + REFERENCE_FS:
             raise ValueError(
                 f"unknown fs method {self.fs!r}; pick from {FS_METHODS + REFERENCE_FS}")
         if self.k < 1:
             raise ValueError(f"k must be >= 1, got {self.k}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if not (0.0 < self.subsample <= 1.0):
             raise ValueError(f"subsample must be in (0, 1], got {self.subsample}")
 
@@ -228,15 +222,19 @@ def evaluate_model(
     return predictions, report
 
 
-def run_pipeline(config: RunConfig, splits: tuple[Dataset, Dataset] | None = None
-                 ) -> PipelineResult:
+def run_pipeline(config: RunConfig, splits: tuple[Dataset, Dataset] | None = None,
+                 selection=None) -> PipelineResult:
     """Execute one full experiment cell and assemble its report.
 
     ``splits`` is a ``(train, test)`` pair already loaded for ``config``'s
     files, which a grid shares between its cells; by default both are loaded.
+    ``selection`` is ``subsample_and_select``'s result on that train split
+    for ``config``, which a grid shares between the cells of one fs row; by
+    default it is computed here.
     """
     train, test = splits if splits is not None else load_splits(config)[:2]
-    train, (subset, fs_seconds, scores, trace) = subsample_and_select(train, config)
+    train, (subset, fs_seconds, scores, trace) = (
+        selection if selection is not None else subsample_and_select(train, config))
 
     plan, model, train_seconds = fit_for_config(train, subset, config)
 

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from fsel_ids import models, pipeline, unsw
+from fsel_ids import cli, models, pipeline, unsw
 from fsel_ids.cli import main
 from fsel_ids.metrics import report_from_json
 from fsel_ids.models import model_from_json
@@ -358,13 +358,25 @@ def test_bench_interrupt_stops_the_grid(toy_split, tmp_path, monkeypatch):
     def interrupt(*args, **kwargs):
         raise KeyboardInterrupt
 
-    monkeypatch.setattr(pipeline, "fit_model", interrupt)
+    cells = []
+    run_cell = cli.run_pipeline
+
+    def counted(*args, **kwargs):
+        cells.append(1)
+        return run_cell(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "run_pipeline", counted)
     config = bench_config(toy_split, tmp_path, ["none", "infogain"], ["tree", "naive_bayes"])
-    for jobs in ("1", "2"):
-        out = tmp_path / f"interrupted{jobs}"
-        with pytest.raises(KeyboardInterrupt):
-            main(["bench", "--config", str(config), "--jobs", jobs, "--out", str(out)])
-        assert not (out / "summary.json").exists()
+    for stage in ("select_features", "fit_model"):
+        with monkeypatch.context() as patch:
+            patch.setattr(pipeline, stage, interrupt)
+            for jobs in ("1", "2"):
+                out = tmp_path / f"interrupted_{stage}_{jobs}"
+                with pytest.raises(KeyboardInterrupt):
+                    main(["bench", "--config", str(config), "--jobs", jobs, "--out", str(out)])
+                assert not (out / "summary.json").exists()
+        # An interrupt while the rows select starts no cell.
+        assert bool(cells) == (stage == "fit_model")
 
 
 def test_bench_loads_each_split_once(toy_split, tmp_path, monkeypatch):
@@ -384,13 +396,84 @@ def test_bench_loads_each_split_once(toy_split, tmp_path, monkeypatch):
     assert calls == [str(train), str(test)]
 
 
-def test_bench_reference_subset_fails_on_a_schema_without_its_columns(toy_split, tmp_path):
-    config = bench_config(toy_split, tmp_path, ["none", "ref-wrapper"], ["tree"])
+def test_bench_reference_subset_fails_on_a_schema_without_its_columns(toy_split, tmp_path,
+                                                                      monkeypatch):
+    selections = []
+    select = pipeline.select_features
+
+    def counted(train, config):
+        selections.append(config.fs)
+        return select(train, config)
+
+    monkeypatch.setattr(pipeline, "select_features", counted)
+    config = bench_config(toy_split, tmp_path, ["none", "ref-wrapper"], ["tree", "naive_bayes"])
     out = tmp_path / "grid"
     assert main(["bench", "--config", str(config), "--out", str(out)]) == 1
+    assert selections == ["none", "ref-wrapper"]
     error = (out / "cell_ref-wrapper_tree" / "error.txt").read_text()
     assert "[select] no column named 'service'" in error
-    assert (out / "cell_none_tree" / "report.json").exists()
+    assert (out / "cell_ref-wrapper_naive_bayes" / "error.txt").read_text() == error
+    for algo in ("tree", "naive_bayes"):
+        assert (out / f"cell_none_{algo}" / "report.json").exists()
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["reports"] == 2 and len(summary["failures"]) == 2
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_bench_selects_once_per_fs_row(toy_split, tmp_path, monkeypatch, jobs):
+    searches = []
+    search = pipeline.best_first_search
+
+    def counted(*args, **kwargs):
+        searches.append(1)
+        return search(*args, **kwargs)
+
+    monkeypatch.setattr(pipeline, "best_first_search", counted)
+    config = bench_config(toy_split, tmp_path, ["wrapper", "none"], ["tree", "naive_bayes"])
+    out = tmp_path / "grid"
+    assert main(["bench", "--config", str(config), "--jobs", jobs, "--out", str(out)]) == 0
+    assert len(searches) == 1
+    timings = [json.loads((out / f"cell_wrapper_{algo}" / "report.json").read_text())["timings"]
+               for algo in ("tree", "naive_bayes")]
+    assert timings[0]["fs_seconds"] == timings[1]["fs_seconds"] > 0
+
+
+@pytest.mark.parametrize("field", ["fs_methods", "algorithms"])
+def test_bench_rejects_a_duplicate_grid_entry(toy_split, tmp_path, capsys, field):
+    config = bench_config(toy_split, tmp_path, ["none", "infogain"], ["tree", "naive_bayes"])
+    doc = json.loads(config.read_text())
+    doc[field] = [*doc[field], doc[field][0]]
+    config.write_text(json.dumps(doc))
+    out = tmp_path / "grid"
+    assert main(["bench", "--config", str(config), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and f"{field!r} lists {doc[field][0]!r} more than once" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("jobs", ["0", "-2"])
+def test_bench_rejects_jobs_below_one(toy_split, tmp_path, capsys, jobs):
+    config = bench_config(toy_split, tmp_path, ["none"], ["tree"])
+    out = tmp_path / "grid"
+    assert main(["bench", "--config", str(config), "--jobs", jobs, "--out", str(out)]) == 1
+    assert f"--jobs must be >= 1, got {jobs}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--algo", "knn", "--set", 'k="abc"'], "hyperparameter 'k' must be int, got 'abc'"),
+    (["--algo", "forest", "--set", "n_trees=2.5"], "hyperparameter 'n_trees' must be int, got 2.5"),
+    (["--set", 'prune="no"'], "hyperparameter 'prune' must be bool, got 'no'"),
+    (["--set", "prune=1"], "hyperparameter 'prune' must be bool, got 1"),
+    (["--set", "min_leaf=true"], "hyperparameter 'min_leaf' must be int, got True"),
+    (["--seed", "-1"], "seed must be >= 0, got -1"),
+    (["--set", "seed=-1"], "seed must be >= 0, got -1"),
+])
+def test_evaluate_rejects_a_wrongly_typed_or_negative_field(toy_split, tmp_path, capsys,
+                                                            flags, message):
+    assert main(["evaluate", *common_flags(toy_split, tmp_path / "run"), *flags]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and message in err
 
 
 def unsw_rows(rng, n):

@@ -63,6 +63,13 @@ def test_train_params_validation():
         TrainParams("tree", confidence=0.9)
     with pytest.raises(ModelError, match="epoch"):
         TrainParams("mlp", mlp_epochs=-1)
+    with pytest.raises(ModelError, match="seed must be >= 0"):
+        TrainParams("tree", seed=-1)
+    with pytest.raises(ModelError, match="hyperparameter 'prune' must be bool"):
+        TrainParams("tree", prune="no")
+    with pytest.raises(ModelError, match="hyperparameter 'k' must be int"):
+        TrainParams("knn", k=True)
+    assert TrainParams("mlp", mlp_learning_rate=1, feature_sample=None).mlp_learning_rate == 1
 
 
 def test_params_from_dict_rejects_unknown_keys():

@@ -7,6 +7,7 @@ from fsel_ids.pipeline import (
     RunConfig,
     load_splits,
     run_pipeline,
+    subsample_and_select,
 )
 
 
@@ -37,6 +38,8 @@ def test_config_validation_and_name(toy_split):
         toy_config(toy_split, folds="3")
     with pytest.raises(ValueError, match="config field 'relief_sample'"):
         toy_config(toy_split, relief_sample=True)
+    with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
+        toy_config(toy_split, seed=-1)
     assert toy_config(toy_split, subsample=1, relief_sample=None).subsample == 1
     assert toy_config(toy_split).name == "train"
     assert toy_config(toy_split, dataset_name="toy").name == "toy"
@@ -111,6 +114,18 @@ def test_subsample_shrinks_training_only(toy_split):
     assert frac.report.cm.total == full.report.cm.total == 120
     # the halved training set still solves this easy problem
     assert frac.report.acc >= 90.0
+
+
+def test_a_given_selection_replaces_the_cells_own(toy_split):
+    config = toy_config(toy_split, fs="infogain", k=2, subsample=0.5, seed=1)
+    train, test, _ = load_splits(config)
+    selection = subsample_and_select(train, config)
+    shared = run_pipeline(config, (train, test), selection)
+    own = run_pipeline(config)
+    np.testing.assert_array_equal(shared.predictions, own.predictions)
+    assert shared.selected_names == own.selected_names
+    assert shared.report.cm == own.report.cm
+    assert shared.report.fs_seconds == selection[1][1]
 
 
 def test_load_stage_annotates_missing_file(toy_split):
