@@ -83,12 +83,6 @@ class Dataset:
     def feature_names(self) -> tuple[str, ...]:
         return tuple(c.name for c in self.columns)
 
-    @property
-    def schema(self) -> FeatureSchema:
-        """Schema describing the live columns plus the label."""
-        entries = tuple((c.name, c.kind) for c in self.columns)
-        return FeatureSchema(entries + ((self.label_name, "class"),))
-
     def index_of(self, name: str) -> int:
         for i, c in enumerate(self.columns):
             if c.name == name:

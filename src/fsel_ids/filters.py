@@ -1,9 +1,12 @@
 """Filter-style feature scoring: entropy ranking and relief weighting.
 
 Three scorers share one interface: each maps a dataset to a per-feature
-score vector, higher is better. Entropy-based scorers (information gain,
-gain ratio) see numeric features through an equal-frequency binning; the
-relief weigher works on raw values with range-normalized differences.
+score vector, higher is better. The scorers reuse the learners' kernels.
+Information gain and gain ratio are the gain and split info of
+``tree.partition_gain``, the measure the tree evaluates at a nominal node;
+numeric features are seen through an equal-frequency binning. The relief
+weigher works on raw values with range-normalized differences and picks
+its neighbours with ``models.nearest``, kNN's rule.
 """
 
 from __future__ import annotations
@@ -13,48 +16,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataset import Dataset, DatasetError
+from .models import nearest
 from .preprocess import bin_codes, equal_frequency_edges
+from .tree import partition_gain, xlog2x_table
 
 FILTER_METHODS = ("infogain", "gainratio", "relief")
-
-
-def entropy(codes: np.ndarray) -> float:
-    """Base-2 entropy of an integer code vector."""
-    if codes.size == 0:
-        return 0.0
-    counts = np.bincount(codes)
-    counts = counts[counts > 0]
-    p = counts / codes.size
-    return float(-np.sum(p * np.log2(p)))
-
-
-def info_gain(feature_codes: np.ndarray, class_codes: np.ndarray) -> float:
-    """Reduction in class entropy from observing the feature."""
-    if feature_codes.size != class_codes.size:
-        raise DatasetError("feature and class vectors differ in length")
-    n = feature_codes.size
-    if n == 0:
-        return 0.0
-    h_class = entropy(class_codes)
-    cond = 0.0
-    for v in np.unique(feature_codes):
-        mask = feature_codes == v
-        cond += (mask.sum() / n) * entropy(class_codes[mask])
-    gain = h_class - cond
-    return max(gain, 0.0)
-
-
-def gain_ratio(feature_codes: np.ndarray, class_codes: np.ndarray) -> float:
-    """Information gain normalized by the feature's own entropy.
-
-    Features with zero entropy (a single observed value) score 0. The
-    result is clamped into [0, 1] to absorb rounding at the boundaries.
-    """
-    h_feature = entropy(feature_codes)
-    if h_feature == 0.0:
-        return 0.0
-    ratio = info_gain(feature_codes, class_codes) / h_feature
-    return min(max(ratio, 0.0), 1.0)
 
 
 def feature_codes(ds: Dataset, index: int, bins: int = 10) -> np.ndarray:
@@ -136,11 +102,12 @@ def relief_weights(
                 df = np.zeros(n, dtype=np.float64)
             diffs[f] = df
             dist += df
+        same = labels == labels[i]
         for same_class in (True, False):
-            cand = np.flatnonzero((labels == labels[i]) == same_class)
-            cand = cand[cand != i]
-            order = np.argsort(dist[cand], kind="stable")
-            chosen = cand[order[:neighbors]]
+            # Hits or misses only: the other class and the row itself are never nearest.
+            masked = np.where(same == same_class, dist, np.inf)
+            masked[i] = np.inf
+            chosen = sorted(np.flatnonzero(nearest(masked, neighbors)), key=dist.__getitem__)
             for j in chosen:
                 share = diffs[:, j] / (m * neighbors)
                 if same_class:
@@ -172,8 +139,7 @@ class FilterScores:
 
 def rank_by_score(scores: np.ndarray) -> tuple[int, ...]:
     """All indices ordered by descending score, ties toward the lower index."""
-    order = np.argsort(-scores, kind="stable")
-    return tuple(int(i) for i in order)
+    return tuple(sorted(range(len(scores)), key=lambda i: -scores[i]))
 
 
 def score_features(
@@ -193,13 +159,19 @@ def score_features(
             ds, neighbors=neighbors, sample_count=sample_count, seed=seed
         )
     else:
-        class_codes = ds.labels.astype(np.int64)
+        n, y = ds.row_count, ds.labels.astype(np.int64)
+        attack = int(np.count_nonzero(y))
+        xl = xlog2x_table(n)
+        h_class = float((xl[n] - xl[attack] - xl[n - attack]) / max(n, 1))  # 0 for no rows
         values = []
         for f in range(len(ds.columns)):
-            codes = feature_codes(ds, f, bins)
-            if method == "infogain":
-                values.append(info_gain(codes, class_codes))
+            gain, split_info, branches = partition_gain(feature_codes(ds, f, bins), y, h_class, xl)
+            # One observed value is no split; with no split info it scores 0.
+            if branches < 2:
+                values.append(0.0)
+            elif method == "infogain":
+                values.append(max(gain, 0.0))
             else:
-                values.append(gain_ratio(codes, class_codes))
+                values.append(min(max(gain / split_info, 0.0), 1.0))
         scores = np.asarray(values, dtype=np.float64)
     return FilterScores(method, ds.feature_names, scores, rank_by_score(scores))

@@ -340,11 +340,7 @@ def _fit_knn(train: Dataset, params: TrainParams) -> KNNPayload:
 
 
 def _knn_votes(payload: KNNPayload, queries: np.ndarray, k: int) -> np.ndarray:
-    """Attack votes among the k nearest training rows, per query.
-
-    Rows tied at the k-th distance fill the places left in index order, so
-    the votes equal those of a stable sort of each distance row.
-    """
+    """Attack votes among the k nearest training rows (``nearest``), per query."""
     t = payload.matrix
     attack = payload.labels == 1
     t_sq = np.sum(t * t, axis=1)
@@ -356,13 +352,22 @@ def _knn_votes(payload: KNNPayload, queries: np.ndarray, k: int) -> np.ndarray:
         d2 *= -2.0
         d2 += t_sq
         d2 += np.sum(q * q, axis=1)[:, None]
-        kth = np.partition(d2, k - 1, axis=1)[:, [k - 1]]
-        below = d2 < kth
-        tied = d2 == kth
-        places = k - np.count_nonzero(below, axis=1)
-        below |= tied & (np.cumsum(tied, axis=1, dtype=np.int32) <= places[:, None])
-        votes[start:start + chunk] = np.count_nonzero(below & attack, axis=1)
+        votes[start:start + chunk] = np.count_nonzero(nearest(d2, k) & attack, axis=1)
     return votes
+
+
+def nearest(dist: np.ndarray, k: int) -> np.ndarray:
+    """Mask of the k smallest entries along the last axis of ``dist``.
+
+    Entries tied at the k-th distance fill the places left in index order,
+    so the mask holds the first k of a stable sort of each distance row.
+    """
+    kth = np.partition(dist, k - 1, axis=-1)[..., [k - 1]]
+    below = dist < kth
+    tied = dist == kth
+    places = k - np.count_nonzero(below, axis=-1)
+    below |= tied & (np.cumsum(tied, axis=-1, dtype=np.int32) <= np.expand_dims(places, -1))
+    return below
 
 
 def _predict_knn(p: KNNPayload, ds: Dataset, params: TrainParams) -> np.ndarray:

@@ -21,9 +21,11 @@ depth is bounded by memory, not by the interpreter's recursion limit.
 
 Every count that enters an entropy or split-info term is an integer from 0
 to the row count n, so ``grow`` computes ``k * log2(k)`` for k = 0..n once
-and each node gathers its terms from that table; the formulas keep their
-operation order, so the gain ratios are the same floats bit for bit as
-evaluating ``k * log2(k)`` per node.
+(``xlog2x_table``) and each node gathers its terms from that table; the
+formulas keep their operation order, so the gain ratios are the same floats
+bit for bit as evaluating ``k * log2(k)`` per node. ``partition_gain``, the
+gain and split info of a multiway split, is also what the information-gain
+and gain-ratio filters score a feature with.
 """
 
 from __future__ import annotations
@@ -159,10 +161,11 @@ def depth(tree: Tree) -> int:
     return max(levels)
 
 
-def _xlog2x(v: np.ndarray) -> np.ndarray:
-    out = np.zeros(v.shape, dtype=np.float64)
-    nz = v > 0
-    out[nz] = v[nz] * np.log2(v[nz])
+def xlog2x_table(n: int) -> np.ndarray:
+    """``k * log2(k)`` for k = 0..n, with 0 at k = 0."""
+    k = np.arange(n + 1, dtype=np.float64)
+    out = np.zeros(n + 1, dtype=np.float64)
+    out[1:] = k[1:] * np.log2(k[1:])
     return out
 
 
@@ -197,20 +200,29 @@ def _numeric_split(values, y, attack, parent_entropy, xl):
     return float(ratios[best]), float((vs[cut] + vs[cut + 1]) / 2.0)
 
 
-def _nominal_ratio(codes, y, parent_entropy, xl, m) -> float:
-    """Gain ratio of a multiway split on ``codes``; -inf when inadmissible."""
+def partition_gain(codes, y, parent_entropy, xl) -> tuple[float, float, int]:
+    """(information gain, split info, branch count) of splitting by ``codes``.
+
+    ``y`` holds the 0/1 labels and ``parent_entropy`` their entropy; ``xl``
+    is ``xlog2x_table`` of at least ``codes.size``. With fewer than 2
+    branches there is no split and both measures are exactly 0.
+    """
     totals = np.bincount(codes)
     present = totals > 0
-    if int(present.sum()) < 2:
-        return -math.inf
     t = totals[present]
+    if t.size < 2:
+        return 0.0, 0.0, int(t.size)
+    m = codes.size
     a = np.bincount(codes, weights=y)[present].astype(np.int64)
     cond = float(np.sum(t * ((xl[t] - xl[a] - xl[t - a]) / t))) / m
-    gain = parent_entropy - cond
-    if gain <= MIN_GAIN:
-        return -math.inf
     split_info = (float(m) * math.log2(m) - float(xl[t].sum())) / m
-    return gain / split_info
+    return parent_entropy - cond, split_info, int(t.size)
+
+
+def _nominal_ratio(codes, y, parent_entropy, xl) -> float:
+    """Gain ratio of a multiway split on ``codes``; -inf when inadmissible."""
+    gain, split_info, _ = partition_gain(codes, y, parent_entropy, xl)
+    return gain / split_info if gain > MIN_GAIN else -math.inf
 
 
 def grow(
@@ -235,7 +247,7 @@ def grow(
         raise DatasetError("feature sampling needs an rng")
     n, d = ds.row_count, len(ds.columns)
     labels = ds.labels.astype(np.int64)
-    xl = _xlog2x(np.arange(n + 1, dtype=np.float64))
+    xl = xlog2x_table(n)
     sampling = feature_sample is not None and feature_sample < d
 
     # Pre-order node records for ``_link``; the stack holds (rows, parent).
@@ -262,7 +274,7 @@ def grow(
             if col.kind == "numeric":
                 ratio, split_at = _numeric_split(col.values[rows], y, attack, parent_entropy, xl)
             else:
-                ratio, split_at = _nominal_ratio(col.values[rows], y, parent_entropy, xl, m), math.nan
+                ratio, split_at = _nominal_ratio(col.values[rows], y, parent_entropy, xl), math.nan
             if ratio > best_ratio:
                 best_ratio, feature, threshold = ratio, f, split_at
         if best_ratio == -math.inf:

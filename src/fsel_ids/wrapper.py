@@ -22,9 +22,17 @@ from .dataset import Dataset, DatasetError
 
 
 def stratified_folds(labels: np.ndarray, folds: int, seed: int) -> list[np.ndarray]:
-    """Deal each class's shuffled rows round-robin into ``folds`` buckets."""
+    """Deal each class's shuffled rows round-robin into ``folds`` buckets.
+
+    Both classes deal from bucket 0, so every bucket gets a row exactly when
+    ``folds`` is at most the larger class's row count; otherwise this raises.
+    """
     if folds < 2:
         raise DatasetError(f"folds must be >= 2, got {folds}")
+    counts = [int(np.count_nonzero(labels == cls)) for cls in (0, 1)]
+    if folds > max(counts):
+        raise DatasetError(f"folds={folds} would leave folds empty: the classes have "
+                           f"{counts[0]} and {counts[1]} rows")
     rng = np.random.default_rng(seed)
     buckets: list[list[int]] = [[] for _ in range(folds)]
     for cls in (0, 1):

@@ -74,6 +74,23 @@ def test_stop_after_zero_means_exhaustive(toy_split, tmp_path):
     assert last["stop_reason"] == "exhausted"
 
 
+def test_select_wrapper_rejects_folds_that_would_be_empty(toy_split, tmp_path, capsys):
+    # 240 training rows: 400 folds would leave most of them empty.
+    train, _, schema = toy_split
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({
+        "train_path": str(train),
+        "schema_path": str(schema),
+        "fs": "wrapper",
+        "folds": 400,
+        "stop_after": 1,
+    }))
+    out = tmp_path / "empty_folds"
+    assert main(["select", "--config", str(config), "--out", str(out)]) == 1
+    assert "folds=400 would leave folds empty" in capsys.readouterr().err
+    assert not (out / "trace.jsonl").exists()
+
+
 def test_train_wrapper_writes_the_select_trace(toy_split, tmp_path):
     sel, run = tmp_path / "sel", tmp_path / "run"
     assert main(["select", "--fs", "wrapper", *common_flags(toy_split, sel)]) == 0

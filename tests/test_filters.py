@@ -9,10 +9,7 @@ from hypothesis import strategies as st
 from fsel_ids.dataset import DatasetError
 from fsel_ids.filters import (
     FILTER_METHODS,
-    entropy,
     feature_codes,
-    gain_ratio,
-    info_gain,
     rank_by_score,
     relief_weights,
     score_features,
@@ -25,16 +22,32 @@ def codes(*xs):
     return np.asarray(xs, dtype=np.int64)
 
 
+def one_column(f, c):
+    """A dataset whose one nominal column holds the codes ``f``, labelled ``c``."""
+    width = int(max(f, default=0)) + 1
+    return make_dataset([("f", "nominal", f, tuple(f"v{i}" for i in range(width)))], c)
+
+
+def info_gain(f, c):
+    return float(score_features(one_column(f, c), "infogain").scores[0])
+
+
+def gain_ratio(f, c):
+    return float(score_features(one_column(f, c), "gainratio").scores[0])
+
+
 def test_entropy_trivial_values():
-    assert entropy(codes()) == 0.0
-    assert entropy(codes(3, 3, 3)) == 0.0
-    assert entropy(codes(0, 1)) == 1.0
-    assert entropy(codes(0, 0, 1, 2)) == pytest.approx(1.5, abs=1e-12)
+    # The entropy of labels is the gain of a feature that copies them, and
+    # a feature's own entropy is its gain ratio's denominator.
+    assert info_gain(codes(), codes()) == 0.0
+    assert info_gain(codes(1, 1, 1), codes(1, 1, 1)) == 0.0
+    assert info_gain(codes(0, 1), codes(0, 1)) == 1.0
+    assert gain_ratio(codes(0, 0, 1, 2), codes(0, 0, 1, 1)) == pytest.approx(1 / 1.5, abs=1e-12)
 
 
 def test_info_gain_perfect_feature_equals_class_entropy():
     c = codes(0, 0, 1, 1, 1)
-    assert info_gain(c, c) == pytest.approx(entropy(c), abs=1e-12)
+    assert info_gain(c, c) == pytest.approx(oracle_entropy(Counter(c.tolist())), abs=1e-12)
 
 
 def test_info_gain_constant_feature_is_zero():
@@ -42,8 +55,22 @@ def test_info_gain_constant_feature_is_zero():
 
 
 def test_info_gain_length_mismatch():
-    with pytest.raises(DatasetError, match="length"):
-        info_gain(codes(0, 1), codes(0, 1, 0))
+    with pytest.raises(DatasetError, match="rows"):
+        one_column(codes(0, 1), codes(0, 1, 0))
+
+
+@pytest.mark.parametrize("method", ["infogain", "gainratio"])
+def test_single_valued_columns_score_exactly_zero(method):
+    labels = [0, 1, 1, 0, 1, 0, 0, 1, 1]
+    ds = make_dataset(
+        [("one_category", "nominal", [2] * 9, ("a", "b", "c")),
+         ("constant", "numeric", [0.1] * 9),
+         ("mirror", "nominal", labels, ("neg", "pos"))],
+        labels,
+    )
+    scores = score_features(ds, method).scores
+    assert scores[0] == 0.0 and scores[1] == 0.0
+    assert scores[2] > 0.9  # the label copy still scores
 
 
 def oracle_entropy(counter):
@@ -166,21 +193,33 @@ def naive_relief(ds, neighbors, sample_count=None, seed=0):
     return [min(max(w, -1.0), 1.0) for w in weights]
 
 
+RELIEF_CASES = [
+    # seed, rows, features, neighbors, sample_count, numeric values in {0, 1, 2}
+    (3, 30, 4, 1, None, False),
+    (4, 30, 4, 3, None, False),
+    (5, 24, 5, 2, None, False),
+    (6, 25, 3, 2, 10, False),
+    (7, 40, 4, 5, 16, False),
+    (8, 40, 4, 5, None, True),
+]
+
+
 @pytest.mark.parametrize(
-    "seed,n_rows,n_features,neighbors,sample_count",
-    [
-        (3, 30, 4, 1, None),
-        (4, 30, 4, 3, None),
-        (5, 24, 5, 2, None),
-        (6, 25, 3, 2, 10),
-        (7, 40, 4, 5, 16),
-    ],
+    "seed,n_rows,n_features,neighbors,sample_count,grid",
+    RELIEF_CASES,
+    ids=["-".join(map(str, case[:5])) + ("-grid" if case[5] else "") for case in RELIEF_CASES],
 )
 def test_relief_matches_naive_oracle_exactly(
-    seed, n_rows, n_features, neighbors, sample_count
+    seed, n_rows, n_features, neighbors, sample_count, grid
 ):
     rng = np.random.default_rng(seed)
     ds = random_mixed_dataset(rng, n_rows, n_features)
+    if grid:  # many rows tie at the k-th distance
+        ds = make_dataset(
+            [(c.name, "numeric", rng.integers(0, 3, n_rows)) if c.kind == "numeric"
+             else (c.name, c.kind, c.values, c.categories) for c in ds.columns],
+            ds.labels,
+        )
     got = relief_weights(
         ds, neighbors=neighbors, sample_count=sample_count, seed=seed
     )

@@ -45,6 +45,14 @@ def test_folds_deterministic_and_seed_sensitive():
         stratified_folds(labels, 1, seed=0)
 
 
+def test_folds_reject_an_empty_fold():
+    labels = np.asarray([0] * 6 + [1] * 3, dtype=np.uint8)
+    assert all(f.size for f in stratified_folds(labels, 6, seed=0))
+    with pytest.raises(DatasetError, match="folds=7 would leave folds empty: "
+                                           "the classes have 6 and 3 rows"):
+        stratified_folds(labels, 7, seed=0)
+
+
 def test_merit_of_perfect_feature_is_one():
     rng = np.random.default_rng(4)
     labels = rng.integers(0, 2, 60)
