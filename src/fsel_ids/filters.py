@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import Dataset, DatasetError
+from .dataset import Column, Dataset, DatasetError
 from .models import nearest
 from .preprocess import bin_codes, equal_frequency_edges
 from .tree import partition_gain, xlog2x_table
@@ -34,6 +34,15 @@ def feature_codes(ds: Dataset, index: int, bins: int = 10) -> np.ndarray:
         return col.values.astype(np.int64)
     edges = equal_frequency_edges(col.values, bins)
     return bin_codes(col.values, edges).astype(np.int64)
+
+
+def _differences(col: Column, span: float, i: int, rows) -> np.ndarray:
+    """Relief differences between row ``i`` and ``rows`` on one column: 0/1
+    for a nominal column, the absolute difference over ``span`` for a
+    numeric one."""
+    if col.kind == "nominal":
+        return (col.values[rows] != col.values[i]).astype(np.float64)
+    return np.abs(col.values[rows] - col.values[i]) / span
 
 
 def relief_weights(
@@ -74,12 +83,11 @@ def relief_weights(
                 f"for {neighbors} neighbors"
             )
 
-    spans: list[float] = []
+    # A constant column gets span 1.0: its differences are all 0 either way.
+    columns = []
     for col in ds.columns:
-        if col.kind == "numeric":
-            spans.append(float(col.values.max()) - float(col.values.min()))
-        else:
-            spans.append(0.0)
+        span = float(col.values.max()) - float(col.values.min()) if col.kind == "numeric" else 1.0
+        columns.append((col, span if span > 0.0 else 1.0))
 
     if sample_count is None or sample_count >= n:
         sampled = np.arange(n)
@@ -90,30 +98,25 @@ def relief_weights(
     m = len(sampled)
 
     weights = np.zeros(d, dtype=np.float64)
+    # Hits push a weight down and misses up; negating a share is exact, so
+    # adding -1.0 * share equals subtracting it.
+    signs = np.repeat([-1.0, 1.0], neighbors)
     for i in sampled:
-        diffs = np.empty((d, n), dtype=np.float64)
         dist = np.zeros(n, dtype=np.float64)
-        for f, col in enumerate(ds.columns):
-            if col.kind == "nominal":
-                df = (col.values != col.values[i]).astype(np.float64)
-            elif spans[f] > 0.0:
-                df = np.abs(col.values - col.values[i]) / spans[f]
-            else:
-                df = np.zeros(n, dtype=np.float64)
-            diffs[f] = df
-            dist += df
+        for col, span in columns:
+            dist += _differences(col, span, i, slice(None))
         same = labels == labels[i]
+        chosen = []
         for same_class in (True, False):
             # Hits or misses only: the other class and the row itself are never nearest.
             masked = np.where(same == same_class, dist, np.inf)
             masked[i] = np.inf
-            chosen = sorted(np.flatnonzero(nearest(masked, neighbors)), key=dist.__getitem__)
-            for j in chosen:
-                share = diffs[:, j] / (m * neighbors)
-                if same_class:
-                    weights -= share
-                else:
-                    weights += share
+            chosen += sorted(np.flatnonzero(nearest(masked, neighbors)), key=dist.__getitem__)
+        block = np.array([_differences(col, span, i, chosen) for col, span in columns])
+        block /= m * neighbors
+        block *= signs
+        for share in block.T:
+            weights += share
     np.clip(weights, -1.0, 1.0, out=weights)
     return weights
 

@@ -7,10 +7,25 @@ all-numeric (already encoded) datasets. Prediction ties always resolve to
 the attack class.
 
 ``ALGORITHM_TABLE`` is the one place that knows the families: it maps each
-tag to an ``Algorithm`` entry holding its fit, predict, to-doc and from-doc
-functions. ``fit_model``, ``predict_model``, ``model_to_json`` and
-``model_from_json`` look the tag up there, and ``ALGORITHMS`` lists the
-table's tags in order.
+tag to an ``Algorithm`` entry holding its fit, predict and from-doc
+functions, plus a to-doc function for the two tree families. ``fit_model``,
+``predict_model``, ``model_to_json`` and ``model_from_json`` look the tag
+up there, and ``ALGORITHMS`` lists the table's tags in order.
+
+A payload is its ``model.json`` document, with the same keys in the same
+order:
+
+- tree: a ``tree.Tree``, written as ``{"nodes": [...]}``;
+- forest: ``{"feature_sample", "roots"}``, one ``Tree`` per root;
+- naive_bayes: ``{"log_prior", "feature_stats"}``, one
+  ``{"kind": "numeric", "mean", "var"}`` or
+  ``{"kind": "nominal", "log_table", "log_default"}`` per column;
+- knn: ``{"matrix", "labels"}``;
+- mlp: ``{"w1", "b1", "w2", "b2"}``;
+- linear_svm: ``{"w", "b", "objective_trace"}``.
+
+Numpy values are written by one ``json.dumps`` hook, and the array entries
+are read back by ``_arrays_from_doc`` as read-only arrays.
 """
 
 from __future__ import annotations
@@ -20,6 +35,7 @@ import math
 import time
 from collections.abc import Callable
 from dataclasses import asdict, dataclass, fields, replace
+from functools import partial
 
 import numpy as np
 
@@ -135,62 +151,33 @@ class TrainedModel:
             raise ModelError("feature signature must be non-empty")
 
 
-@dataclass(frozen=True)
-class ForestPayload:
-    roots: tuple[Tree, ...]
-    feature_sample: int
-
-
-@dataclass(frozen=True)
-class NominalStats:
-    """Per-class log likelihood per category id, plus the unseen-id default."""
-
-    log_table: tuple[tuple[float, ...], tuple[float, ...]]
-    log_default: tuple[float, float]
-
-
-@dataclass(frozen=True)
-class GaussianStats:
-    mean: tuple[float, float]
-    var: tuple[float, float]
-
-
-@dataclass(frozen=True)
-class NBPayload:
-    log_prior: tuple[float, float]
-    feature_stats: tuple[object, ...]  # GaussianStats or NominalStats per column
-
-
-@dataclass(frozen=True)
-class KNNPayload:
-    matrix: np.ndarray
-    labels: np.ndarray
-
-    def __post_init__(self):
-        self.matrix.flags.writeable = False
-        self.labels.flags.writeable = False
-
-
-@dataclass(frozen=True)
-class MLPPayload:
-    w1: np.ndarray
-    b1: np.ndarray
-    w2: np.ndarray
-    b2: np.ndarray
-
-
-@dataclass(frozen=True)
-class SVMPayload:
-    w: np.ndarray
-    b: float
-    objective_trace: tuple[float, ...] = ()
-
-
 def _check_not_empty(train: Dataset):
     if train.row_count == 0:
         raise ModelError("cannot train on an empty dataset")
     if not train.columns:
         raise ModelError("cannot train with no features")
+
+
+def _arrays_from_doc(doc: dict, **dtypes) -> dict:
+    """The entries of ``doc`` that ``dtypes`` names, in that order, as
+    read-only arrays of those dtypes. A kNN ``matrix`` must be 2-D with one
+    row per label."""
+    payload = {key: np.asarray(doc[key], dtype=dtype) for key, dtype in dtypes.items()}
+    for array in payload.values():
+        array.flags.writeable = False
+    matrix = payload.get("matrix")
+    if matrix is not None and (matrix.ndim != 2 or len(matrix) != len(payload["labels"])):
+        raise ModelError(
+            f"knn matrix of shape {matrix.shape} does not hold one row per label"
+            f" ({len(payload['labels'])} labels)")
+    return payload
+
+
+def _to_builtin(value):
+    """``json.dumps`` hook: numpy arrays and scalars as lists and Python numbers."""
+    if isinstance(value, (np.ndarray, np.generic)):
+        return value.tolist()
+    raise TypeError(f"{type(value).__name__} is not JSON serializable")
 
 
 def _fit_tree(train: Dataset, params: TrainParams) -> Tree:
@@ -204,7 +191,7 @@ def _predict_tree(tree: Tree, ds: Dataset, params: TrainParams) -> np.ndarray:
     return tree_mod.predict(tree, ds)
 
 
-def _fit_forest(train: Dataset, params: TrainParams) -> ForestPayload:
+def _fit_forest(train: Dataset, params: TrainParams) -> dict:
     d = len(train.columns)
     sample = params.feature_sample
     if sample is None:
@@ -226,31 +213,28 @@ def _fit_forest(train: Dataset, params: TrainParams) -> ForestPayload:
                 feature_sample=sample if sample < d else None,
             )
         )
-    return ForestPayload(tuple(trees), sample)
+    return {"feature_sample": sample, "roots": tuple(trees)}
 
 
-def _predict_forest(p: ForestPayload, ds: Dataset, params: TrainParams) -> np.ndarray:
+def _predict_forest(p: dict, ds: Dataset, params: TrainParams) -> np.ndarray:
     votes = np.zeros(ds.row_count, dtype=np.int64)
-    for tree in p.roots:
+    for tree in p["roots"]:
         votes += tree_mod.predict(tree, ds)
-    return (2 * votes >= len(p.roots)).astype(np.uint8)
+    return (2 * votes >= len(p["roots"])).astype(np.uint8)
 
 
-def _forest_to_doc(p: ForestPayload) -> dict:
+def _forest_to_doc(p: dict) -> dict:
+    return {**p, "roots": [tree_mod.to_doc(t) for t in p["roots"]]}
+
+
+def _forest_from_doc(doc: dict) -> dict:
     return {
-        "feature_sample": p.feature_sample,
-        "roots": [tree_mod.to_doc(t) for t in p.roots],
+        "feature_sample": int(doc["feature_sample"]),
+        "roots": tuple(tree_mod.from_doc(t) for t in doc["roots"]),
     }
 
 
-def _forest_from_doc(doc: dict) -> ForestPayload:
-    return ForestPayload(
-        tuple(tree_mod.from_doc(t) for t in doc["roots"]),
-        int(doc["feature_sample"]),
-    )
-
-
-def _fit_naive_bayes(train: Dataset, params: TrainParams) -> NBPayload:
+def _fit_naive_bayes(train: Dataset, params: TrainParams) -> dict:
     y = train.labels
     n = train.row_count
     counts = [int(np.count_nonzero(y == c)) for c in (0, 1)]
@@ -258,7 +242,7 @@ def _fit_naive_bayes(train: Dataset, params: TrainParams) -> NBPayload:
         if have == 0:
             raise ModelError(f"class {c} has no training rows")
     log_prior = tuple(math.log(have / n) for have in counts)
-    stats: list[object] = []
+    stats: list[dict] = []
     for col in train.columns:
         if col.kind == "numeric":
             means, variances = [], []
@@ -266,7 +250,7 @@ def _fit_naive_bayes(train: Dataset, params: TrainParams) -> NBPayload:
                 v = col.values[y == c]
                 means.append(float(v.mean()))
                 variances.append(max(float(v.var()), NB_VAR_FLOOR))
-            stats.append(GaussianStats(tuple(means), tuple(variances)))
+            stats.append({"kind": "numeric", "mean": tuple(means), "var": tuple(variances)})
         else:
             width = len(col.categories)
             tables, defaults = [], []
@@ -275,77 +259,68 @@ def _fit_naive_bayes(train: Dataset, params: TrainParams) -> NBPayload:
                 denom = counts[c] + width
                 tables.append(tuple(math.log((int(o) + 1) / denom) for o in obs))
                 defaults.append(math.log(1.0 / denom))
-            stats.append(NominalStats((tables[0], tables[1]), (defaults[0], defaults[1])))
-    return NBPayload(log_prior, tuple(stats))
+            stats.append({"kind": "nominal", "log_table": (tables[0], tables[1]),
+                          "log_default": (defaults[0], defaults[1])})
+    return {"log_prior": log_prior, "feature_stats": tuple(stats)}
 
 
-def nb_log_joint(payload: NBPayload, ds: Dataset) -> np.ndarray:
+def nb_log_joint(payload: dict, ds: Dataset) -> np.ndarray:
     """Per-row (n, 2) array of log prior + summed log likelihoods."""
     n = ds.row_count
     out = np.zeros((n, 2), dtype=np.float64)
-    out[:, 0] = payload.log_prior[0]
-    out[:, 1] = payload.log_prior[1]
-    for col, stat in zip(ds.columns, payload.feature_stats):
-        if isinstance(stat, GaussianStats):
+    out[:, 0] = payload["log_prior"][0]
+    out[:, 1] = payload["log_prior"][1]
+    for col, stat in zip(ds.columns, payload["feature_stats"]):
+        if stat["kind"] == "numeric":
             x = col.values
             for c in (0, 1):
-                mean, var = stat.mean[c], stat.var[c]
+                mean, var = stat["mean"][c], stat["var"][c]
                 out[:, c] += -0.5 * np.log(2.0 * math.pi * var) - (x - mean) ** 2 / (2.0 * var)
         else:
             ids = col.values
             for c in (0, 1):
-                table = np.asarray(stat.log_table[c])
+                table = np.asarray(stat["log_table"][c])
                 ll = np.where(ids < len(table), table[np.minimum(ids, len(table) - 1)],
-                              stat.log_default[c])
+                              stat["log_default"][c])
                 out[:, c] += ll
     return out
 
 
-def _predict_naive_bayes(p: NBPayload, ds: Dataset, params: TrainParams) -> np.ndarray:
+def _predict_naive_bayes(p: dict, ds: Dataset, params: TrainParams) -> np.ndarray:
     joint = nb_log_joint(p, ds)
     return (joint[:, 1] >= joint[:, 0]).astype(np.uint8)
 
 
-def _nb_to_doc(p: NBPayload) -> dict:
-    stats = []
-    for s in p.feature_stats:
-        if isinstance(s, GaussianStats):
-            stats.append({"kind": "numeric", "mean": list(s.mean), "var": list(s.var)})
-        else:
-            stats.append({
-                "kind": "nominal",
-                "log_table": [list(s.log_table[0]), list(s.log_table[1])],
-                "log_default": list(s.log_default),
-            })
-    return {"log_prior": list(p.log_prior), "feature_stats": stats}
-
-
-def _nb_from_doc(doc: dict) -> NBPayload:
-    stats: list[object] = []
+def _nb_from_doc(doc: dict) -> dict:
+    stats: list[dict] = []
     for s in doc["feature_stats"]:
         if s["kind"] == "numeric":
-            stats.append(GaussianStats(tuple(s["mean"]), tuple(s["var"])))
+            stats.append({"kind": "numeric", "mean": tuple(s["mean"]), "var": tuple(s["var"])})
         else:
-            stats.append(NominalStats(
-                (tuple(s["log_table"][0]), tuple(s["log_table"][1])),
-                tuple(s["log_default"]),
-            ))
-    return NBPayload(tuple(doc["log_prior"]), tuple(stats))
+            stats.append({"kind": "nominal",
+                          "log_table": (tuple(s["log_table"][0]), tuple(s["log_table"][1])),
+                          "log_default": tuple(s["log_default"])})
+    return {"log_prior": tuple(doc["log_prior"]), "feature_stats": tuple(stats)}
 
 
-def _fit_knn(train: Dataset, params: TrainParams) -> KNNPayload:
+def _fit_knn(train: Dataset, params: TrainParams) -> dict:
     if params.k > train.row_count:
         raise ModelError(f"k={params.k} exceeds training rows {train.row_count}")
-    return KNNPayload(train.as_matrix(), train.labels.copy())
+    return _arrays_from_doc({"matrix": train.as_matrix(), "labels": train.labels.copy()},
+                            matrix=np.float64, labels=np.uint8)
 
 
-def _knn_votes(payload: KNNPayload, queries: np.ndarray, k: int) -> np.ndarray:
-    """Attack votes among the k nearest training rows (``nearest``), per query."""
-    t = payload.matrix
-    attack = payload.labels == 1
+def _knn_votes(payload: dict, queries: np.ndarray, k: int) -> np.ndarray:
+    """Attack votes among the k nearest training rows (``nearest``), per query.
+
+    Queries go in blocks of about 250,000 distances (at least 16 queries),
+    which keeps each block's temporaries to a few MB.
+    """
+    t = payload["matrix"]
+    attack = payload["labels"] == 1
     t_sq = np.sum(t * t, axis=1)
     votes = np.empty(len(queries), dtype=np.int64)
-    chunk = max(1, int(2_000_000 // max(1, len(t))))
+    chunk = max(16, 250_000 // len(t))
     for start in range(0, len(queries), chunk):
         q = queries[start:start + chunk]
         d2 = q @ t.T
@@ -370,20 +345,9 @@ def nearest(dist: np.ndarray, k: int) -> np.ndarray:
     return below
 
 
-def _predict_knn(p: KNNPayload, ds: Dataset, params: TrainParams) -> np.ndarray:
+def _predict_knn(p: dict, ds: Dataset, params: TrainParams) -> np.ndarray:
     votes = _knn_votes(p, ds.as_matrix(), params.k)
     return (2 * votes >= params.k).astype(np.uint8)
-
-
-def _knn_to_doc(p: KNNPayload) -> dict:
-    return {"matrix": p.matrix.tolist(), "labels": p.labels.tolist()}
-
-
-def _knn_from_doc(doc: dict) -> KNNPayload:
-    return KNNPayload(
-        np.asarray(doc["matrix"], dtype=np.float64).reshape(len(doc["labels"]), -1),
-        np.asarray(doc["labels"], dtype=np.uint8),
-    )
 
 
 def sigmoid(z: np.ndarray) -> np.ndarray:
@@ -430,7 +394,7 @@ def mlp_grads(params: dict[str, np.ndarray], x: np.ndarray, y: np.ndarray) -> di
     }
 
 
-def _fit_mlp(train: Dataset, params: TrainParams) -> MLPPayload:
+def _fit_mlp(train: Dataset, params: TrainParams) -> dict[str, np.ndarray]:
     x = train.as_matrix()
     y = train.labels.astype(np.float64)
     weights = mlp_init(x.shape[1], params.hidden_units, params.seed)
@@ -445,26 +409,11 @@ def _fit_mlp(train: Dataset, params: TrainParams) -> MLPPayload:
         loss = mlp_loss(weights, x, y)
         if not math.isfinite(loss):
             raise ModelError(f"mlp training diverged at epoch {epoch} (loss {loss})")
-    return MLPPayload(weights["w1"], weights["b1"], weights["w2"], weights["b2"])
+    return weights
 
 
-def _predict_mlp(p: MLPPayload, ds: Dataset, params: TrainParams) -> np.ndarray:
-    weights = {"w1": p.w1, "b1": p.b1, "w2": p.w2, "b2": p.b2}
-    return (mlp_logits(weights, ds.as_matrix()) >= 0.0).astype(np.uint8)
-
-
-def _mlp_to_doc(p: MLPPayload) -> dict:
-    return {"w1": p.w1.tolist(), "b1": p.b1.tolist(),
-            "w2": p.w2.tolist(), "b2": p.b2.tolist()}
-
-
-def _mlp_from_doc(doc: dict) -> MLPPayload:
-    return MLPPayload(
-        np.asarray(doc["w1"], dtype=np.float64),
-        np.asarray(doc["b1"], dtype=np.float64),
-        np.asarray(doc["w2"], dtype=np.float64),
-        np.asarray(doc["b2"], dtype=np.float64),
-    )
+def _predict_mlp(p: dict[str, np.ndarray], ds: Dataset, params: TrainParams) -> np.ndarray:
+    return (mlp_logits(p, ds.as_matrix()) >= 0.0).astype(np.uint8)
 
 
 def svm_objective(w: np.ndarray, b: float, x: np.ndarray, s: np.ndarray, lam: float) -> float:
@@ -473,7 +422,7 @@ def svm_objective(w: np.ndarray, b: float, x: np.ndarray, s: np.ndarray, lam: fl
     return float(np.mean(np.maximum(margins, 0.0)) + lam * float(w @ w))
 
 
-def _fit_svm(train: Dataset, params: TrainParams) -> SVMPayload:
+def _fit_svm(train: Dataset, params: TrainParams) -> dict:
     x = train.as_matrix()
     s = train.labels.astype(np.float64) * 2.0 - 1.0
     n, d = x.shape
@@ -494,23 +443,16 @@ def _fit_svm(train: Dataset, params: TrainParams) -> SVMPayload:
         if not math.isfinite(value):
             raise ModelError(f"svm training diverged at epoch {epoch} (objective {value})")
         trace.append(value)
-    return SVMPayload(w, b, tuple(trace))
+    return {"w": w, "b": b, "objective_trace": tuple(trace)}
 
 
-def _predict_svm(p: SVMPayload, ds: Dataset, params: TrainParams) -> np.ndarray:
-    return (ds.as_matrix() @ p.w + p.b >= 0.0).astype(np.uint8)
+def _predict_svm(p: dict, ds: Dataset, params: TrainParams) -> np.ndarray:
+    return (ds.as_matrix() @ p["w"] + p["b"] >= 0.0).astype(np.uint8)
 
 
-def _svm_to_doc(p: SVMPayload) -> dict:
-    return {"w": p.w.tolist(), "b": p.b, "objective_trace": list(p.objective_trace)}
-
-
-def _svm_from_doc(doc: dict) -> SVMPayload:
-    return SVMPayload(
-        np.asarray(doc["w"], dtype=np.float64),
-        float(doc["b"]),
-        tuple(doc.get("objective_trace", ())),
-    )
+def _svm_from_doc(doc: dict) -> dict:
+    return {**_arrays_from_doc(doc, w=np.float64), "b": float(doc["b"]),
+            "objective_trace": tuple(doc.get("objective_trace", ()))}
 
 
 @dataclass(frozen=True)
@@ -518,23 +460,26 @@ class Algorithm:
     """One classifier family's entry in ``ALGORITHM_TABLE``.
 
     ``fit(train, params)`` returns the payload and ``predict(payload, ds,
-    params)`` the uint8 class ids; ``to_doc`` and ``from_doc`` turn the
-    payload into its JSON document and back.
+    params)`` the uint8 class ids; ``from_doc`` reads the payload back from
+    its JSON document, and ``to_doc`` writes it as one. A payload that is
+    its own document needs no ``to_doc``.
     """
 
     fit: Callable[[Dataset, TrainParams], object]
     predict: Callable[[object, Dataset, TrainParams], np.ndarray]
-    to_doc: Callable[[object], dict]
     from_doc: Callable[[dict], object]
+    to_doc: Callable[[object], dict] | None = None
 
 
 ALGORITHM_TABLE = {
-    "tree": Algorithm(_fit_tree, _predict_tree, tree_mod.to_doc, tree_mod.from_doc),
-    "forest": Algorithm(_fit_forest, _predict_forest, _forest_to_doc, _forest_from_doc),
-    "naive_bayes": Algorithm(_fit_naive_bayes, _predict_naive_bayes, _nb_to_doc, _nb_from_doc),
-    "knn": Algorithm(_fit_knn, _predict_knn, _knn_to_doc, _knn_from_doc),
-    "mlp": Algorithm(_fit_mlp, _predict_mlp, _mlp_to_doc, _mlp_from_doc),
-    "linear_svm": Algorithm(_fit_svm, _predict_svm, _svm_to_doc, _svm_from_doc),
+    "tree": Algorithm(_fit_tree, _predict_tree, tree_mod.from_doc, tree_mod.to_doc),
+    "forest": Algorithm(_fit_forest, _predict_forest, _forest_from_doc, _forest_to_doc),
+    "naive_bayes": Algorithm(_fit_naive_bayes, _predict_naive_bayes, _nb_from_doc),
+    "knn": Algorithm(_fit_knn, _predict_knn,
+                     partial(_arrays_from_doc, matrix=np.float64, labels=np.uint8)),
+    "mlp": Algorithm(_fit_mlp, _predict_mlp, partial(
+        _arrays_from_doc, w1=np.float64, b1=np.float64, w2=np.float64, b2=np.float64)),
+    "linear_svm": Algorithm(_fit_svm, _predict_svm, _svm_from_doc),
 }
 ALGORITHMS = tuple(ALGORITHM_TABLE)
 
@@ -564,6 +509,7 @@ def predict_model(model: TrainedModel, ds: Dataset) -> np.ndarray:
 
 
 def model_to_json(model: TrainedModel) -> str:
+    to_doc = ALGORITHM_TABLE[model.algorithm].to_doc
     doc = {
         "format": MODEL_FORMAT,
         "version": MODEL_VERSION,
@@ -571,9 +517,9 @@ def model_to_json(model: TrainedModel) -> str:
         "params": asdict(model.params),
         "feature_names": list(model.feature_names),
         "train_seconds": model.train_seconds,
-        "payload": ALGORITHM_TABLE[model.algorithm].to_doc(model.payload),
+        "payload": model.payload if to_doc is None else to_doc(model.payload),
     }
-    return json.dumps(doc)
+    return json.dumps(doc, default=_to_builtin)
 
 
 def model_from_json(text: str) -> TrainedModel:

@@ -217,15 +217,22 @@ def _drop_counts(model, plan):
     del node["counts"]
 
 
-@pytest.mark.parametrize("edit, names", [
-    (_drop_counts, "malformed model document (KeyError"),
-    (lambda model, plan: model["params"].update(depth=3), "malformed model document (TypeError"),
-    (lambda model, plan: plan.pop("selected"), "malformed preprocess plan document (KeyError"),
-    (lambda model, plan: plan.update(minmax=5), "malformed preprocess plan document (TypeError"),
-], ids=["tree-node-without-counts", "unknown-param", "plan-without-selected", "minmax-not-a-list"])
-def test_evaluate_rejects_malformed_saved_documents(toy_split, tmp_path, capsys, edit, names):
+@pytest.mark.parametrize("algorithm, edit, names", [
+    ("tree", _drop_counts, "malformed model document (KeyError"),
+    ("tree", lambda model, plan: model["params"].update(depth=3),
+     "malformed model document (TypeError"),
+    ("tree", lambda model, plan: plan.pop("selected"),
+     "malformed preprocess plan document (KeyError"),
+    ("tree", lambda model, plan: plan.update(minmax=5),
+     "malformed preprocess plan document (TypeError"),
+    ("knn", lambda model, plan: model["payload"]["matrix"].pop(), "malformed model document"),
+    ("knn", lambda model, plan: model["payload"]["matrix"][0].pop(), "malformed model document"),
+], ids=["tree-node-without-counts", "unknown-param", "plan-without-selected", "minmax-not-a-list",
+        "knn-matrix-without-a-row", "knn-matrix-with-a-short-row"])
+def test_evaluate_rejects_malformed_saved_documents(toy_split, tmp_path, capsys, algorithm, edit,
+                                                    names):
     run_dir = tmp_path / "run"
-    assert main(["train", "--algo", "tree", *common_flags(toy_split, run_dir)]) == 0
+    assert main(["train", "--algo", algorithm, *common_flags(toy_split, run_dir)]) == 0
     model = json.loads((run_dir / "model.json").read_text())
     plan = json.loads((run_dir / "plan.json").read_text())
     edit(model, plan)

@@ -8,8 +8,6 @@ from hypothesis import strategies as st
 
 from fsel_ids.models import (
     ALGORITHMS,
-    ForestPayload,
-    KNNPayload,
     ModelError,
     TrainedModel,
     TrainParams,
@@ -116,7 +114,7 @@ def test_forest_with_one_full_tree_degenerates_to_tree():
             "forest", {"n_trees": 1, "bootstrap": False, "feature_sample": 4}
         ),
     )
-    assert forest.payload.roots[0] == tree.payload
+    assert forest.payload["roots"][0] == tree.payload
     np.testing.assert_array_equal(
         predict_model(forest, ds), predict_model(tree, ds)
     )
@@ -128,7 +126,7 @@ def test_forest_vote_tie_goes_to_attack():
     model = TrainedModel(
         TrainParams("forest", n_trees=2),
         ("x0",),
-        ForestPayload((always_normal, always_attack), 1),
+        {"feature_sample": 1, "roots": (always_normal, always_attack)},
     )
     ds = numeric_ds([[0.0], [1.0]], [0, 0])
     np.testing.assert_array_equal(predict_model(model, ds), [1, 1])
@@ -138,10 +136,10 @@ def test_forest_default_feature_sample_is_sqrt():
     rng = np.random.default_rng(6)
     ds = random_mixed_dataset(rng, 40, 9)
     model = fit_model(ds, params_from_dict("forest", {"n_trees": 2}))
-    assert model.payload.feature_sample == 3
+    assert model.payload["feature_sample"] == 3
     ds10 = random_mixed_dataset(rng, 40, 10)
     model10 = fit_model(ds10, params_from_dict("forest", {"n_trees": 2}))
-    assert model10.payload.feature_sample == 4
+    assert model10.payload["feature_sample"] == 4
 
 
 def test_forest_tracks_tree_accuracy():
@@ -261,7 +259,7 @@ def test_knn_permutation_of_training_rows_is_irrelevant():
 # Reference kernel: the full stable argsort that ``_knn_votes`` replaced,
 # kept unchanged so that the partial sort can be checked against it.
 def _reference_knn_votes(payload, queries, k):
-    t = payload.matrix
+    t = payload["matrix"]
     t_sq = np.sum(t * t, axis=1)
     votes = np.empty(len(queries), dtype=np.int64)
     chunk = max(1, int(2_000_000 // max(1, len(t))))
@@ -269,20 +267,21 @@ def _reference_knn_votes(payload, queries, k):
         q = queries[start:start + chunk]
         d2 = t_sq[None, :] - 2.0 * (q @ t.T) + np.sum(q * q, axis=1)[:, None]
         order = np.argsort(d2, axis=1, kind="stable")[:, :k]
-        votes[start:start + chunk] = payload.labels[order].sum(axis=1)
+        votes[start:start + chunk] = payload["labels"][order].sum(axis=1)
     return votes
 
 
 @pytest.mark.parametrize("seed", range(3))
 def test_knn_votes_match_stable_argsort_on_ties(seed):
     # small integer grids tie most distances, and 20,000 training rows make
-    # one chunk hold 100 queries, so 250 queries span three chunks
+    # one block of _knn_votes hold 16 queries (its floor) and one chunk of the
+    # reference hold 100, so 250 queries span 16 blocks and three chunks
     rng = np.random.default_rng(seed)
     d = int(rng.integers(1, 4))
     train = rng.integers(0, 3, (20_000, d)).astype(np.float64)
     labels = rng.integers(0, 2, 20_000).astype(np.uint8)
     queries = rng.integers(-1, 4, (250, d)).astype(np.float64)
-    payload = KNNPayload(train, labels)
+    payload = {"matrix": train, "labels": labels}
     for k in (1, 4, 101):
         np.testing.assert_array_equal(
             models._knn_votes(payload, queries, k),
@@ -297,7 +296,7 @@ def test_knn_votes_match_stable_argsort_small(seed, n, top):
     train = rng.integers(0, top + 1, (n, 2)).astype(np.float64)
     labels = rng.integers(0, 2, n).astype(np.uint8)
     queries = rng.integers(0, top + 1, (30, 2)).astype(np.float64)
-    payload = KNNPayload(train, labels)
+    payload = {"matrix": train, "labels": labels}
     for k in range(1, n + 1):
         np.testing.assert_array_equal(
             models._knn_votes(payload, queries, k),
@@ -333,8 +332,8 @@ def test_mlp_zero_epochs_is_the_random_init():
     ds = numeric_ds(rng.normal(0, 1, (50, 4)), rng.integers(0, 2, 50).tolist())
     model = fit_model(ds, params_from_dict("mlp", {"mlp_epochs": 0}))
     init = mlp_init(4, model.params.hidden_units, model.params.seed)
-    np.testing.assert_array_equal(model.payload.w1, init["w1"])
-    np.testing.assert_array_equal(model.payload.w2, init["w2"])
+    np.testing.assert_array_equal(model.payload["w1"], init["w1"])
+    np.testing.assert_array_equal(model.payload["w2"], init["w2"])
 
 
 def test_mlp_gradients_match_central_differences():
@@ -366,11 +365,11 @@ def test_svm_separates_clean_blobs():
     ds = numeric_ds(x, y)
     model = fit_model(ds, params_from_dict("linear_svm", {"svm_epochs": 20}))
     assert float((predict_model(model, ds) == ds.labels).mean()) == 1.0
-    trace = model.payload.objective_trace
+    trace = model.payload["objective_trace"]
     assert len(trace) == 21
     assert all(a >= b - 1e-12 for a, b in zip(trace, trace[1:]))
     assert svm_objective(
-        model.payload.w, model.payload.b, ds.as_matrix(),
+        model.payload["w"], model.payload["b"], ds.as_matrix(),
         ds.labels.astype(np.float64) * 2 - 1, model.params.svm_lambda,
     ) == pytest.approx(trace[-1], abs=1e-12)
 
@@ -384,8 +383,8 @@ def test_svm_large_penalty_shrinks_weights():
     tight = fit_model(
         ds, params_from_dict("linear_svm", {"svm_epochs": 10, "svm_lambda": 4.0})
     )
-    assert np.linalg.norm(tight.payload.w) < np.linalg.norm(loose.payload.w)
-    assert np.linalg.norm(tight.payload.w) < 0.5
+    assert np.linalg.norm(tight.payload["w"]) < np.linalg.norm(loose.payload["w"])
+    assert np.linalg.norm(tight.payload["w"]) < 0.5
 
 
 def test_svm_divergence_is_reported():
@@ -412,6 +411,10 @@ def test_model_json_round_trip(algorithm):
     np.testing.assert_array_equal(
         predict_model(again, test), predict_model(model, test)
     )
+    assert model_to_json(again) == text
+    if algorithm == "knn":
+        assert not again.payload["matrix"].flags.writeable
+        assert not again.payload["labels"].flags.writeable
 
 
 def test_model_from_json_rejects_other_documents():

@@ -447,9 +447,9 @@ def test_forest_roots_match_recursive_reference(seed, monkeypatch):
     raw = random_mixed_dataset(np.random.default_rng(200 + seed), 120, 7)
     params = params_from_dict("forest", {"n_trees": 4, "min_leaf": 1}, seed=seed)
     datasets = (raw, _all_nominal(raw))
-    mine = [fit_model(ds, params).payload.roots for ds in datasets]
+    mine = [fit_model(ds, params).payload["roots"] for ds in datasets]
     monkeypatch.setattr(tree_mod, "grow", lambda *a, **kw: _flatten(_reference_grow(*a, **kw)))
-    assert mine == [fit_model(ds, params).payload.roots for ds in datasets]
+    assert mine == [fit_model(ds, params).payload["roots"] for ds in datasets]
 
 
 def test_deep_chain_tree_needs_no_recursion():
