@@ -112,10 +112,8 @@ class Dataset:
         return Dataset(cols, self.labels[rows].copy(), self.label_name)
 
     def as_matrix(self) -> np.ndarray:
-        """Stack all columns into an (n, d) float64 matrix. Numeric columns only."""
-        for c in self.columns:
-            if c.kind != "numeric":
-                raise DatasetError(f"column {c.name!r} is nominal; encode it first")
+        """Stack all columns into an (n, d) float64 matrix. A nominal column
+        gives its category ids; models reject one before they stack."""
         if not self.columns:
             return np.zeros((self.row_count, 0))
         return np.column_stack([c.values for c in self.columns])

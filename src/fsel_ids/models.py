@@ -1,10 +1,10 @@
 """Classifier families behind a single train/predict contract.
 
 Six algorithm tags: tree, forest, naive_bayes, knn, mlp, linear_svm. Every
-fit is deterministic given (data, params, seed). Trees and naive Bayes
-accept mixed nominal/numeric datasets; knn, mlp and linear_svm require
-all-numeric (already encoded) datasets. Prediction ties always resolve to
-the attack class.
+fit is deterministic given (data, params, seed). Every family is fitted on,
+and predicts from, the preprocessing plan's output, which is all numeric;
+``fit_model`` and ``predict_model`` reject a nominal column. Prediction ties
+always resolve to the attack class.
 
 ``ALGORITHM_TABLE`` is the one place that knows the families: it maps each
 tag to an ``Algorithm`` entry holding its fit, predict and from-doc
@@ -18,14 +18,15 @@ order:
 - tree: a ``tree.Tree``, written as ``{"nodes": [...]}``;
 - forest: ``{"feature_sample", "roots"}``, one ``Tree`` per root;
 - naive_bayes: ``{"log_prior", "feature_stats"}``, one
-  ``{"kind": "numeric", "mean", "var"}`` or
-  ``{"kind": "nominal", "log_table", "log_default"}`` per column;
+  ``{"kind": "numeric", "mean", "var"}`` per feature;
 - knn: ``{"matrix", "labels"}``;
 - mlp: ``{"w1", "b1", "w2", "b2"}``;
 - linear_svm: ``{"w", "b", "objective_trace"}``.
 
 Numpy values are written by one ``json.dumps`` hook, and the array entries
-are read back by ``_arrays_from_doc`` as read-only arrays.
+are read back by ``_arrays_from_doc`` as read-only arrays. A document is
+read against the model's feature count: naive Bayes needs one stat per
+feature and a kNN matrix one column per feature.
 """
 
 from __future__ import annotations
@@ -158,18 +159,29 @@ def _check_not_empty(train: Dataset):
         raise ModelError("cannot train with no features")
 
 
-def _arrays_from_doc(doc: dict, **dtypes) -> dict:
+def _check_encoded(ds: Dataset):
+    """Models take the preprocessing plan's output, which is all numeric."""
+    for col in ds.columns:
+        if col.kind != "numeric":
+            raise ModelError(f"column {col.name!r} is nominal; models take the"
+                             " preprocessing plan's encoded output")
+
+
+def _arrays_from_doc(doc: dict, width: int, **dtypes) -> dict:
     """The entries of ``doc`` that ``dtypes`` names, in that order, as
-    read-only arrays of those dtypes. A kNN ``matrix`` must be 2-D with one
-    row per label."""
+    read-only arrays of those dtypes, for a model over ``width`` features.
+    kNN ``labels`` must be 0 or 1, and its ``matrix`` must hold one row per
+    label and one column per feature."""
+    if "labels" in dtypes and not np.isin(doc["labels"], (0, 1)).all():
+        raise ModelError("knn labels must be 0 or 1")
     payload = {key: np.asarray(doc[key], dtype=dtype) for key, dtype in dtypes.items()}
     for array in payload.values():
         array.flags.writeable = False
     matrix = payload.get("matrix")
-    if matrix is not None and (matrix.ndim != 2 or len(matrix) != len(payload["labels"])):
+    if matrix is not None and matrix.shape != (len(payload["labels"]), width):
         raise ModelError(
             f"knn matrix of shape {matrix.shape} does not hold one row per label"
-            f" ({len(payload['labels'])} labels)")
+            f" ({len(payload['labels'])} labels) and one column per feature ({width})")
     return payload
 
 
@@ -227,7 +239,7 @@ def _forest_to_doc(p: dict) -> dict:
     return {**p, "roots": [tree_mod.to_doc(t) for t in p["roots"]]}
 
 
-def _forest_from_doc(doc: dict) -> dict:
+def _forest_from_doc(doc: dict, width: int) -> dict:
     return {
         "feature_sample": int(doc["feature_sample"]),
         "roots": tuple(tree_mod.from_doc(t) for t in doc["roots"]),
@@ -244,23 +256,12 @@ def _fit_naive_bayes(train: Dataset, params: TrainParams) -> dict:
     log_prior = tuple(math.log(have / n) for have in counts)
     stats: list[dict] = []
     for col in train.columns:
-        if col.kind == "numeric":
-            means, variances = [], []
-            for c in (0, 1):
-                v = col.values[y == c]
-                means.append(float(v.mean()))
-                variances.append(max(float(v.var()), NB_VAR_FLOOR))
-            stats.append({"kind": "numeric", "mean": tuple(means), "var": tuple(variances)})
-        else:
-            width = len(col.categories)
-            tables, defaults = [], []
-            for c in (0, 1):
-                obs = np.bincount(col.values[y == c], minlength=width)[:width]
-                denom = counts[c] + width
-                tables.append(tuple(math.log((int(o) + 1) / denom) for o in obs))
-                defaults.append(math.log(1.0 / denom))
-            stats.append({"kind": "nominal", "log_table": (tables[0], tables[1]),
-                          "log_default": (defaults[0], defaults[1])})
+        means, variances = [], []
+        for c in (0, 1):
+            v = col.values[y == c]
+            means.append(float(v.mean()))
+            variances.append(max(float(v.var()), NB_VAR_FLOOR))
+        stats.append({"kind": "numeric", "mean": tuple(means), "var": tuple(variances)})
     return {"log_prior": log_prior, "feature_stats": tuple(stats)}
 
 
@@ -271,18 +272,10 @@ def nb_log_joint(payload: dict, ds: Dataset) -> np.ndarray:
     out[:, 0] = payload["log_prior"][0]
     out[:, 1] = payload["log_prior"][1]
     for col, stat in zip(ds.columns, payload["feature_stats"]):
-        if stat["kind"] == "numeric":
-            x = col.values
-            for c in (0, 1):
-                mean, var = stat["mean"][c], stat["var"][c]
-                out[:, c] += -0.5 * np.log(2.0 * math.pi * var) - (x - mean) ** 2 / (2.0 * var)
-        else:
-            ids = col.values
-            for c in (0, 1):
-                table = np.asarray(stat["log_table"][c])
-                ll = np.where(ids < len(table), table[np.minimum(ids, len(table) - 1)],
-                              stat["log_default"][c])
-                out[:, c] += ll
+        x = col.values
+        for c in (0, 1):
+            mean, var = stat["mean"][c], stat["var"][c]
+            out[:, c] += -0.5 * np.log(2.0 * math.pi * var) - (x - mean) ** 2 / (2.0 * var)
     return out
 
 
@@ -291,23 +284,28 @@ def _predict_naive_bayes(p: dict, ds: Dataset, params: TrainParams) -> np.ndarra
     return (joint[:, 1] >= joint[:, 0]).astype(np.uint8)
 
 
-def _nb_from_doc(doc: dict) -> dict:
-    stats: list[dict] = []
-    for s in doc["feature_stats"]:
-        if s["kind"] == "numeric":
-            stats.append({"kind": "numeric", "mean": tuple(s["mean"]), "var": tuple(s["var"])})
-        else:
-            stats.append({"kind": "nominal",
-                          "log_table": (tuple(s["log_table"][0]), tuple(s["log_table"][1])),
-                          "log_default": tuple(s["log_default"])})
-    return {"log_prior": tuple(doc["log_prior"]), "feature_stats": tuple(stats)}
+def _nb_from_doc(doc: dict, width: int) -> dict:
+    """Two log priors and, per feature, a numeric stat of two means and two
+    positive variances; every number finite."""
+    stats = doc["feature_stats"]
+    if len(stats) != width:
+        raise ModelError(f"naive Bayes has {len(stats)} feature stats for {width} features")
+    log_prior = tuple(doc["log_prior"])
+    for i, s in enumerate(stats):
+        numbers = np.array([log_prior, s["mean"], s["var"]] if s["kind"] == "numeric" else [],
+                           dtype=np.float64)
+        if numbers.shape != (3, 2) or not np.isfinite(numbers).all() or numbers[2].min() <= 0:
+            raise ModelError(f"naive Bayes feature stat {i} is not numeric with, per class, a"
+                             " finite log prior, a finite mean and a finite positive variance")
+    return {"log_prior": log_prior, "feature_stats": tuple(
+        {"kind": "numeric", "mean": tuple(s["mean"]), "var": tuple(s["var"])} for s in stats)}
 
 
 def _fit_knn(train: Dataset, params: TrainParams) -> dict:
     if params.k > train.row_count:
         raise ModelError(f"k={params.k} exceeds training rows {train.row_count}")
     return _arrays_from_doc({"matrix": train.as_matrix(), "labels": train.labels.copy()},
-                            matrix=np.float64, labels=np.uint8)
+                            len(train.columns), matrix=np.float64, labels=np.uint8)
 
 
 def _knn_votes(payload: dict, queries: np.ndarray, k: int) -> np.ndarray:
@@ -450,8 +448,8 @@ def _predict_svm(p: dict, ds: Dataset, params: TrainParams) -> np.ndarray:
     return (ds.as_matrix() @ p["w"] + p["b"] >= 0.0).astype(np.uint8)
 
 
-def _svm_from_doc(doc: dict) -> dict:
-    return {**_arrays_from_doc(doc, w=np.float64), "b": float(doc["b"]),
+def _svm_from_doc(doc: dict, width: int) -> dict:
+    return {**_arrays_from_doc(doc, width, w=np.float64), "b": float(doc["b"]),
             "objective_trace": tuple(doc.get("objective_trace", ()))}
 
 
@@ -460,19 +458,21 @@ class Algorithm:
     """One classifier family's entry in ``ALGORITHM_TABLE``.
 
     ``fit(train, params)`` returns the payload and ``predict(payload, ds,
-    params)`` the uint8 class ids; ``from_doc`` reads the payload back from
-    its JSON document, and ``to_doc`` writes it as one. A payload that is
-    its own document needs no ``to_doc``.
+    params)`` the uint8 class ids; ``from_doc(doc, width)`` reads the payload
+    of a model over ``width`` features back from its JSON document, and
+    ``to_doc`` writes it as one. A payload that is its own document needs no
+    ``to_doc``.
     """
 
     fit: Callable[[Dataset, TrainParams], object]
     predict: Callable[[object, Dataset, TrainParams], np.ndarray]
-    from_doc: Callable[[dict], object]
+    from_doc: Callable[[dict, int], object]
     to_doc: Callable[[object], dict] | None = None
 
 
 ALGORITHM_TABLE = {
-    "tree": Algorithm(_fit_tree, _predict_tree, tree_mod.from_doc, tree_mod.to_doc),
+    "tree": Algorithm(_fit_tree, _predict_tree, lambda doc, width: tree_mod.from_doc(doc),
+                      tree_mod.to_doc),
     "forest": Algorithm(_fit_forest, _predict_forest, _forest_from_doc, _forest_to_doc),
     "naive_bayes": Algorithm(_fit_naive_bayes, _predict_naive_bayes, _nb_from_doc),
     "knn": Algorithm(_fit_knn, _predict_knn,
@@ -487,6 +487,7 @@ ALGORITHMS = tuple(ALGORITHM_TABLE)
 def fit_model(train: Dataset, params: TrainParams) -> TrainedModel:
     """Train one classifier on the dataset's full feature set."""
     _check_not_empty(train)
+    _check_encoded(train)
     started = time.perf_counter()
     payload = ALGORITHM_TABLE[params.algorithm].fit(train, params)
     elapsed = time.perf_counter() - started
@@ -505,6 +506,7 @@ def _check_signature(model: TrainedModel, ds: Dataset):
 def predict_model(model: TrainedModel, ds: Dataset) -> np.ndarray:
     """Class ids (uint8: 1 = attack) for every row; ties go to attack."""
     _check_signature(model, ds)
+    _check_encoded(ds)
     return ALGORITHM_TABLE[model.algorithm].predict(model.payload, ds, model.params)
 
 
@@ -531,10 +533,11 @@ def model_from_json(text: str) -> TrainedModel:
         raise ModelError(f"unsupported model version {doc.get('version')!r}")
     try:
         params = TrainParams(**doc["params"])
+        names = tuple(doc["feature_names"])
         return TrainedModel(
             params,
-            tuple(doc["feature_names"]),
-            ALGORITHM_TABLE[params.algorithm].from_doc(doc["payload"]),
+            names,
+            ALGORITHM_TABLE[params.algorithm].from_doc(doc["payload"], len(names)),
             float(doc["train_seconds"]),
         )
     except (LookupError, TypeError, ValueError, AttributeError) as exc:

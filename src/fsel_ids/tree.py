@@ -14,7 +14,11 @@ A ``Tree`` is a tuple of ``TreeNode`` in pre-order, the root at index 0,
 first branch first; a split node's ``children`` are indices into that
 tuple, so no node holds another and comparing, hashing or printing a tree
 never recurses. The JSON document of a tree (``to_doc``/``from_doc``) is
-the same list, one entry per node. Nodes are grown from an explicit work
+the same list, one entry per node: a leaf holds its ``counts``, a split
+node also its ``feature``, two ``children`` and numeric ``threshold``.
+Models are fitted on the preprocessing plan's all-numeric output, so a
+saved tree has no nominal split; those are grown only in memory, by the
+wrapper's merit trees on raw columns. Nodes are grown from an explicit work
 stack in that order, which is also the order in which a forest's per-node
 feature draws consume its rng. Nothing in this module recurses, so tree
 depth is bounded by memory, not by the interpreter's recursion limit.
@@ -93,20 +97,15 @@ def _link(records: list[tuple]) -> Tree:
 
 
 def to_doc(tree: Tree) -> dict:
-    """JSON-ready document of a tree: ``{"nodes": [...]}``, one entry per node."""
+    """JSON-ready document of a tree of numeric splits: ``{"nodes": [...]}``,
+    one entry per node."""
     nodes: list[dict] = []
     for node in tree:
         doc: dict = {"counts": list(node.counts)}
         nodes.append(doc)
-        if node.is_leaf:
-            continue
-        doc["feature"] = node.feature
-        doc["children"] = list(node.children)
-        if node.is_numeric_split:
-            doc["threshold"] = node.threshold
-        else:
-            doc["codes"] = list(node.codes)
-            doc["default_child"] = node.default_child
+        if not node.is_leaf:
+            doc.update(feature=node.feature, children=list(node.children),
+                       threshold=node.threshold)
     return {"nodes": nodes}
 
 
@@ -130,19 +129,13 @@ def from_doc(doc: dict) -> Tree:
         feature = int(entry["feature"])
         if feature < 0:
             raise DatasetError(f"tree document: node {i} splits on feature {feature}")
-        if "threshold" in entry:
-            if len(children) != 2:
-                raise DatasetError(
-                    f"tree document: numeric node {i} has {len(children)} children, not 2")
-            tree.append(TreeNode(counts, feature, float(entry["threshold"]), (), children))
-            continue
-        codes = tuple(int(c) for c in entry["codes"])
-        default = int(entry["default_child"])
-        if len(children) < 2 or len(codes) != len(children) or not 0 <= default < len(children):
+        if "codes" in entry or "threshold" not in entry:
+            raise DatasetError(f"tree document: node {i} has codes or no threshold;"
+                               " a saved tree splits on numeric thresholds only")
+        if len(children) != 2:
             raise DatasetError(
-                f"tree document: nominal node {i} has {len(codes)} codes, "
-                f"{len(children)} children and default child {default}")
-        tree.append(TreeNode(counts, feature, math.nan, codes, children, default))
+                f"tree document: numeric node {i} has {len(children)} children, not 2")
+        tree.append(TreeNode(counts, feature, float(entry["threshold"]), (), children))
     if not all(has_parent[1:]):
         raise DatasetError(f"tree document: node {has_parent.index(False, 1)} has no parent")
     return tuple(tree)

@@ -391,12 +391,13 @@ def test_module_invariants(toy_split):
         assert scores.top(k) == scores.ranked[:k]
 
     # a one-tree, no-bootstrap, all-features forest is exactly a tree
-    ds2 = random_mixed_dataset(rng, 70, 4)
+    raw2 = random_mixed_dataset(rng, 70, 4)
+    ds2 = apply_preprocess(fit_preprocess(raw2), raw2)
     tree = fit_model(ds2, params_from_dict("tree", {"prune": False}))
     forest = fit_model(
         ds2,
         params_from_dict(
-            "forest", {"n_trees": 1, "bootstrap": False, "feature_sample": 4}
+            "forest", {"n_trees": 1, "bootstrap": False, "feature_sample": len(ds2.columns)}
         ),
     )
     np.testing.assert_array_equal(

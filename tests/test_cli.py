@@ -227,8 +227,17 @@ def _drop_counts(model, plan):
      "malformed preprocess plan document (TypeError"),
     ("knn", lambda model, plan: model["payload"]["matrix"].pop(), "malformed model document"),
     ("knn", lambda model, plan: model["payload"]["matrix"][0].pop(), "malformed model document"),
+    ("knn", lambda model, plan: model["payload"]["labels"].__setitem__(0, 300),
+     "malformed model document (ModelError: knn labels must be 0 or 1"),
+    ("knn", lambda model, plan: model["payload"]["labels"].__setitem__(0, 2),
+     "malformed model document (ModelError: knn labels must be 0 or 1"),
+    ("naive_bayes", lambda model, plan: model["payload"]["feature_stats"].pop(),
+     "malformed model document (ModelError: naive Bayes has 4 feature stats for 5 features"),
+    ("naive_bayes", lambda model, plan: model["payload"]["feature_stats"][1]["var"].__setitem__(
+        0, -1.0), "malformed model document (ModelError: naive Bayes feature stat 1 is not numeric"),
 ], ids=["tree-node-without-counts", "unknown-param", "plan-without-selected", "minmax-not-a-list",
-        "knn-matrix-without-a-row", "knn-matrix-with-a-short-row"])
+        "knn-matrix-without-a-row", "knn-matrix-with-a-short-row", "knn-label-300",
+        "knn-label-2", "nb-stat-dropped", "nb-negative-var"])
 def test_evaluate_rejects_malformed_saved_documents(toy_split, tmp_path, capsys, algorithm, edit,
                                                     names):
     run_dir = tmp_path / "run"
@@ -248,6 +257,7 @@ def test_evaluate_rejects_malformed_saved_documents(toy_split, tmp_path, capsys,
     assert code == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and names in err
+    assert not (tmp_path / "saved" / "report.json").exists()
 
 
 def test_evaluate_model_without_plan_fails(toy_split, tmp_path, capsys):

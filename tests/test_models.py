@@ -22,6 +22,7 @@ from fsel_ids.models import (
     svm_objective,
 )
 from fsel_ids import models
+from fsel_ids.preprocess import apply_preprocess, fit_preprocess
 from fsel_ids.tree import TreeNode
 
 from conftest import make_dataset, random_mixed_dataset, separable_dataset
@@ -104,14 +105,23 @@ def test_separable_data_is_learnable(algorithm):
     assert acc >= 0.9, f"{algorithm} reached only {acc}"
 
 
+@pytest.mark.parametrize("algorithm", ALGORITHMS)
+def test_fit_rejects_a_nominal_column(algorithm):
+    ds = make_dataset([("x", "numeric", [0.0, 1.0, 2.0, 3.0]),
+                       ("proto", "nominal", [0, 1, 2, 0], ("a", "b", "c"))], [0, 1, 0, 1])
+    with pytest.raises(ModelError, match="column 'proto' is nominal"):
+        fit_model(ds, small_params(algorithm))
+
+
 def test_forest_with_one_full_tree_degenerates_to_tree():
     rng = np.random.default_rng(5)
-    ds = random_mixed_dataset(rng, 80, 4)
+    raw = random_mixed_dataset(rng, 80, 4)
+    ds = apply_preprocess(fit_preprocess(raw), raw)
     tree = fit_model(ds, params_from_dict("tree", {"prune": False}))
     forest = fit_model(
         ds,
         params_from_dict(
-            "forest", {"n_trees": 1, "bootstrap": False, "feature_sample": 4}
+            "forest", {"n_trees": 1, "bootstrap": False, "feature_sample": len(ds.columns)}
         ),
     )
     assert forest.payload["roots"][0] == tree.payload
@@ -134,10 +144,10 @@ def test_forest_vote_tie_goes_to_attack():
 
 def test_forest_default_feature_sample_is_sqrt():
     rng = np.random.default_rng(6)
-    ds = random_mixed_dataset(rng, 40, 9)
+    ds = separable_dataset(rng, 40, noise_features=8)
     model = fit_model(ds, params_from_dict("forest", {"n_trees": 2}))
     assert model.payload["feature_sample"] == 3
-    ds10 = random_mixed_dataset(rng, 40, 10)
+    ds10 = separable_dataset(rng, 40, noise_features=9)
     model10 = fit_model(ds10, params_from_dict("forest", {"n_trees": 2}))
     assert model10.payload["feature_sample"] == 4
 
@@ -173,17 +183,6 @@ def test_nb_hand_computed_posterior():
     got = nb_posterior(model, probe)
     assert got[0, 1] == pytest.approx(want, abs=1e-9)
     assert got[0, 0] == pytest.approx(1.0 - want, abs=1e-9)
-
-
-def test_nb_nominal_unseen_id_uses_default_likelihood():
-    codes = [0, 0, 0, 1, 1, 1]
-    labels = [0, 0, 0, 1, 1, 1]
-    ds = make_dataset([("p", "nominal", codes, ("a", "b"))], labels)
-    model = fit_model(ds, params_from_dict("naive_bayes"))
-    probe = make_dataset([("p", "nominal", [2], ("a", "b", "c"))], [0])
-    got = nb_posterior(model, probe)
-    # both classes fall back to log(1/(3+2)); posteriors reduce to the priors
-    assert got[0, 0] == pytest.approx(0.5, abs=1e-12)
 
 
 def test_nb_gaussian_blobs_track_truth():

@@ -13,6 +13,7 @@ from fsel_ids.models import (
     params_from_dict,
     predict_model,
 )
+from fsel_ids.preprocess import apply_preprocess, fit_preprocess
 from fsel_ids.tree import (
     MIN_GAIN,
     Tree,
@@ -446,7 +447,7 @@ def test_grow_matches_recursive_reference(seed, min_leaf):
 def test_forest_roots_match_recursive_reference(seed, monkeypatch):
     raw = random_mixed_dataset(np.random.default_rng(200 + seed), 120, 7)
     params = params_from_dict("forest", {"n_trees": 4, "min_leaf": 1}, seed=seed)
-    datasets = (raw, _all_nominal(raw))
+    datasets = [apply_preprocess(fit_preprocess(ds), ds) for ds in (raw, _all_nominal(raw))]
     mine = [fit_model(ds, params).payload["roots"] for ds in datasets]
     monkeypatch.setattr(tree_mod, "grow", lambda *a, **kw: _flatten(_reference_grow(*a, **kw)))
     assert mine == [fit_model(ds, params).payload["roots"] for ds in datasets]
@@ -492,11 +493,10 @@ def test_tree_document_is_flat_preorder():
         tree_mod.from_doc(doc)
 
 
-def _nominal_doc(**root):
-    """A one-split nominal tree document with ``root``'s keys replaced."""
+def _split_doc(**root):
+    """A one-split tree document with ``root``'s keys replaced."""
     doc = {"nodes": [
-        {"counts": [2, 3], "feature": 0, "children": [1, 2], "codes": [0, 1],
-         "default_child": 0},
+        {"counts": [2, 3], "feature": 0, "children": [1, 2], "threshold": 2.5},
         {"counts": [2, 0]},
         {"counts": [0, 3]},
     ]}
@@ -505,10 +505,12 @@ def _nominal_doc(**root):
 
 
 @pytest.mark.parametrize("doc, match", [
-    # more codes than children: predict left the third code's rows unset
-    (_nominal_doc(codes=[0, 1, 2]), "node 0 has 3 codes"),
-    (_nominal_doc(default_child=2), "node 0 .* default child 2"),
-    (_nominal_doc(feature=-1), "node 0 splits on feature -1"),
+    # a nominal split: models are fitted on the plan's numeric output
+    (_split_doc(codes=[0, 1], default_child=0), "node 0 has codes"),
+    ({"nodes": [{"counts": [2, 3], "feature": 0, "children": [1, 2]},
+                {"counts": [2, 0]}, {"counts": [0, 3]}]},
+     "node 0 has codes or no threshold"),
+    (_split_doc(feature=-1), "node 0 splits on feature -1"),
     ({"nodes": [{"counts": [2, 3], "feature": 0, "children": [1, 2, 3], "threshold": 2.5},
                 {"counts": [2, 0]}, {"counts": [0, 3]}, {"counts": [0, 0]}]},
      "numeric node 0 has 3 children"),
