@@ -23,8 +23,8 @@ from .pipeline import (
     RunConfig,
     evaluate_model,
     fit_for_config,
+    load_file,
     load_splits,
-    load_train,
     run_pipeline,
     subsample_and_select,
 )
@@ -164,7 +164,7 @@ def cmd_select(args) -> int:
         raise ValueError("select needs an fs method other than 'none'")
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    train = load_train(config)
+    train = load_file(config, config.train_path)
     train, (subset, fs_seconds, scores, trace) = subsample_and_select(train, config)
     names = subset_names(train, subset)
     _write_selection(out, config, train.feature_names, names, scores, trace)
@@ -179,7 +179,7 @@ def cmd_train(args) -> int:
     config, _ = _load_config(args)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    train = load_train(config)
+    train = load_file(config, config.train_path)
     train, (subset, _, scores, trace) = subsample_and_select(train, config)
     plan, model, train_seconds = fit_for_config(train, subset, config)
     (out / "model.json").write_text(model_to_json(model), encoding="utf-8")
@@ -205,7 +205,7 @@ def cmd_evaluate(args) -> int:
     if args.model:
         model = model_from_json(Path(args.model).read_text(encoding="utf-8"))
         plan = plan_from_json(Path(args.plan).read_text(encoding="utf-8"))
-        _, test, _ = load_splits(config)
+        test = load_file(config, config.test_path)  # --train names the report only
         _, report = evaluate_model(plan, model, test, dataset=config.name, fs_method="saved",
                                    fs_seconds=0.0, train_seconds=model.train_seconds)
     else:

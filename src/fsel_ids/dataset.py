@@ -3,8 +3,10 @@
 A Dataset stores one numpy array per input feature plus a binary label
 vector (1 = attack, 0 = normal). Nominal features are dictionary-encoded:
 the column keeps integer category ids and an ordered tuple of category
-strings built in first-occurrence order. Datasets are immutable after
-construction (all arrays are marked read-only) and safe to share.
+strings built in the file's own first-occurrence order, so an id means
+nothing outside its file; a fitted ``PreprocessPlan`` matches categories
+across files by name. Datasets are immutable after construction (all
+arrays are marked read-only) and safe to share.
 
 ``load_csv`` parses a file's rows in one ``np.loadtxt`` pass into a
 structured array built from the schema (float64 numeric fields, object
@@ -89,10 +91,6 @@ class Dataset:
                 return i
         raise DatasetError(f"no column named {name!r}")
 
-    def vocabulary(self) -> dict[str, tuple[str, ...]]:
-        """Nominal dictionaries, for replaying on another file."""
-        return {c.name: c.categories for c in self.columns if c.kind == "nominal"}
-
     def select(self, indices) -> "Dataset":
         """New dataset restricted to the given feature indices.
 
@@ -130,21 +128,14 @@ def _loadtxt(lines, dtype) -> np.ndarray:
                       comments=None, ndmin=1)
 
 
-def load_csv(
-    path,
-    schema: FeatureSchema,
-    *,
-    positive_label: str = "1",
-    vocab: dict[str, tuple[str, ...]] | None = None,
-) -> Dataset:
+def load_csv(path, schema: FeatureSchema, *, positive_label: str = "1") -> Dataset:
     """Load a header-bearing CSV file under a schema.
 
-    Columns with kind=drop are discarded. Nominal dictionaries are built in
-    first-occurrence order; pass ``vocab`` (from the training dataset) to
-    reuse fitted dictionaries, in which case unseen categories get fresh ids
-    appended after the fitted ones. The label column maps to attack when the
-    cell equals ``positive_label`` and to normal otherwise; more than one
-    distinct non-positive label value is an error, as are missing cells.
+    Columns with kind=drop are discarded. Each nominal dictionary is built
+    in this file's first-occurrence order; no other file seeds it. The
+    label column maps to attack when the cell equals ``positive_label`` and
+    to normal otherwise; more than one distinct non-positive label value is
+    an error, as are missing cells.
 
     The rows are parsed in one ``np.loadtxt`` pass. When that pass raises,
     skips a blank line, or yields a value that a check rejects,
@@ -199,10 +190,8 @@ def load_csv(
             suspect = suspect or not np.isfinite(values).all()
             columns.append((names[i], kind, values, ()))
         elif kind == "nominal":
-            codes = {c: j for j, c in enumerate(vocab.get(names[i], ()) if vocab else ())}
-            for cat in dict.fromkeys(cells):
-                suspect = suspect or cat == ""
-                codes.setdefault(cat, len(codes))
+            codes = {cat: j for j, cat in enumerate(dict.fromkeys(cells))}
+            suspect = suspect or "" in codes
             values = np.fromiter(map(codes.__getitem__, cells), np.int32, count=len(cells))
             columns.append((names[i], kind, values, tuple(codes)))
     label_cells = table[f"c{class_idx}"]

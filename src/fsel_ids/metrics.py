@@ -169,29 +169,6 @@ def report_to_json(report: EvaluationReport) -> str:
     return json.dumps(doc, indent=2)
 
 
-def report_from_json(text: str) -> EvaluationReport:
-    doc = json.loads(text)
-    if doc.get("format") != REPORT_FORMAT:
-        raise MetricsError(f"not a report document: {doc.get('format')!r}")
-    if doc.get("version") != REPORT_VERSION:
-        raise MetricsError(f"unsupported report version {doc.get('version')!r}")
-    cm = ConfusionMatrix(**doc["confusion"])
-    t = doc["timings"]
-    return EvaluationReport(
-        dataset=doc["dataset"],
-        fs_method=doc["fs_method"],
-        selected_count=doc["selected_count"],
-        algorithm=doc["algorithm"],
-        cm=cm,
-        acc=doc["acc"],
-        dr=doc["dr"],
-        far=doc["far"],
-        fs_seconds=t["fs_seconds"],
-        train_seconds=t["train_seconds"],
-        eval_seconds=t["eval_seconds"],
-    )
-
-
 MARKDOWN_HEADER = "| FS Method | Algorithm | ACC | DR | FAR |"
 MARKDOWN_RULE = "|---|---|---|---|---|"
 

@@ -26,7 +26,8 @@ order:
 Numpy values are written by one ``json.dumps`` hook, and the array entries
 are read back by ``_arrays_from_doc`` as read-only arrays. A document is
 read against the model's feature count: naive Bayes needs one stat per
-feature and a kNN matrix one column per feature.
+feature, a kNN matrix one column per feature, and a tree split a feature
+index below that count. Every number a model computes with must be finite.
 """
 
 from __future__ import annotations
@@ -170,12 +171,15 @@ def _check_encoded(ds: Dataset):
 def _arrays_from_doc(doc: dict, width: int, **dtypes) -> dict:
     """The entries of ``doc`` that ``dtypes`` names, in that order, as
     read-only arrays of those dtypes, for a model over ``width`` features.
-    kNN ``labels`` must be 0 or 1, and its ``matrix`` must hold one row per
-    label and one column per feature."""
+    Every number must be finite, kNN ``labels`` must be 0 or 1, and its
+    ``matrix`` must hold one row per label and one column per feature."""
     if "labels" in dtypes and not np.isin(doc["labels"], (0, 1)).all():
         raise ModelError("knn labels must be 0 or 1")
     payload = {key: np.asarray(doc[key], dtype=dtype) for key, dtype in dtypes.items()}
-    for array in payload.values():
+    for key, array in payload.items():
+        if not np.isfinite(array).all():
+            where = np.argwhere(~np.isfinite(array))[0].tolist()
+            raise ModelError(f"{key}{where} is {array[tuple(where)]}, not finite")
         array.flags.writeable = False
     matrix = payload.get("matrix")
     if matrix is not None and matrix.shape != (len(payload["labels"]), width):
@@ -242,7 +246,7 @@ def _forest_to_doc(p: dict) -> dict:
 def _forest_from_doc(doc: dict, width: int) -> dict:
     return {
         "feature_sample": int(doc["feature_sample"]),
-        "roots": tuple(tree_mod.from_doc(t) for t in doc["roots"]),
+        "roots": tuple(tree_mod.from_doc(t, width) for t in doc["roots"]),
     }
 
 
@@ -449,7 +453,10 @@ def _predict_svm(p: dict, ds: Dataset, params: TrainParams) -> np.ndarray:
 
 
 def _svm_from_doc(doc: dict, width: int) -> dict:
-    return {**_arrays_from_doc(doc, width, w=np.float64), "b": float(doc["b"]),
+    b = float(doc["b"])
+    if not math.isfinite(b):
+        raise ModelError(f"b is {b}, not finite")
+    return {**_arrays_from_doc(doc, width, w=np.float64), "b": b,
             "objective_trace": tuple(doc.get("objective_trace", ()))}
 
 
@@ -471,8 +478,7 @@ class Algorithm:
 
 
 ALGORITHM_TABLE = {
-    "tree": Algorithm(_fit_tree, _predict_tree, lambda doc, width: tree_mod.from_doc(doc),
-                      tree_mod.to_doc),
+    "tree": Algorithm(_fit_tree, _predict_tree, tree_mod.from_doc, tree_mod.to_doc),
     "forest": Algorithm(_fit_forest, _predict_forest, _forest_from_doc, _forest_to_doc),
     "naive_bayes": Algorithm(_fit_naive_bayes, _predict_naive_bayes, _nb_from_doc),
     "knn": Algorithm(_fit_knn, _predict_knn,

@@ -107,27 +107,27 @@ def _schema(config: RunConfig) -> FeatureSchema:
     return parse_schema(Path(config.schema_path).read_text(encoding="utf-8"))
 
 
-def load_train(config: RunConfig) -> Dataset:
-    """Load the training file alone, for commands that never score."""
+_NO_TEST = "a run that scores needs --test (or a test_path config field)"
+
+
+def load_file(config: RunConfig, path: str | None) -> Dataset:
+    """Load one of ``config``'s data files on its own; None is a missing test file."""
     with _stage("load"):
-        return load_csv(config.train_path, _schema(config),
-                        positive_label=config.positive_label)
+        if path is None:
+            raise ValueError(_NO_TEST)
+        return load_csv(path, _schema(config), positive_label=config.positive_label)
 
 
 def load_splits(config: RunConfig) -> tuple[Dataset, Dataset, FeatureSchema]:
-    """Load train and test files; test reuses the training dictionaries."""
-    with _stage("load"):
-        if config.test_path is None:
-            raise ValueError("a run that scores needs --test (or a test_path config field)")
-        schema = _schema(config)
-        train = load_csv(config.train_path, schema, positive_label=config.positive_label)
-        test = load_csv(
-            config.test_path,
-            schema,
-            positive_label=config.positive_label,
-            vocab=train.vocabulary(),
-        )
-        return train, test, schema
+    """Load the train and test files, each on its own.
+
+    Each file numbers its categories in its own order; a fitted plan
+    matches them by name. A missing test path fails before either loads.
+    """
+    if config.test_path is None:
+        raise PipelineError("load", _NO_TEST)
+    return (load_file(config, config.train_path), load_file(config, config.test_path),
+            _schema(config))
 
 
 def select_features(

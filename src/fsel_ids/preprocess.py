@@ -3,10 +3,12 @@
 A ``PreprocessPlan`` is fitted on training data only and replayed on any
 split: keep the selected features, min-max scale the numeric ones, one-hot
 encode the nominal ones. ``apply_preprocess`` writes the whole encoded
-table in one pass. Out-of-range numeric values clamp into [0, 1], a
-constant fitted range maps to 0, and a category never seen during fitting
-encodes as an all-zero block. The entropy filters bin numeric columns with
-``equal_frequency_edges`` and ``bin_codes``.
+table in one pass. The plan's category names are the only bridge between
+files: a nominal value is encoded by its category's name, so each file may
+number its categories in its own order. Out-of-range numeric values clamp
+into [0, 1], a constant fitted range maps to 0, and a category never seen
+during fitting encodes as an all-zero block. The entropy filters bin
+numeric columns with ``equal_frequency_edges`` and ``bin_codes``.
 """
 
 from __future__ import annotations
@@ -103,15 +105,16 @@ def fit_preprocess(train: Dataset, selected=None) -> PreprocessPlan:
 def apply_preprocess(plan: PreprocessPlan, ds: Dataset) -> Dataset:
     """Replay a fitted plan on ``ds``, finding its columns by name.
 
-    A nominal feature becomes indicator columns named ``feature=category``.
-    Its fitted dictionary must be a prefix of the column's (load-time
-    vocabulary reuse guarantees that); ids beyond it leave the block zero.
+    A nominal feature becomes indicator columns named ``feature=category``,
+    one per fitted category. Each value is looked up by its category's name
+    in the fitted dictionary, whatever id ``ds`` gives it; a name the plan
+    never saw leaves the block zero.
     """
     idx = [ds.index_of(name) for name in plan.selected]
     if any(a >= b for a, b in zip(idx, idx[1:])):
         raise DatasetError("selected features are not in dataset column order")
     ranges = {name: (lo, hi) for name, lo, hi in plan.minmax}
-    dictionaries = dict(plan.onehot)
+    positions = {name: {cat: j for j, cat in enumerate(cats)} for name, cats in plan.onehot}
     out = np.zeros((plan.output_width, ds.row_count))
     names: list[str] = []
     hot_rows, hot_cols = [], []
@@ -125,13 +128,13 @@ def apply_preprocess(plan: PreprocessPlan, ds: Dataset) -> Dataset:
                 out[len(names)] = np.clip((col.values - lo) / (hi - lo), 0.0, 1.0)
             names.append(col.name)
             continue
-        cats = dictionaries[col.name]
-        if col.categories[: len(cats)] != cats:
-            raise DatasetError(f"column {col.name!r}: dictionary does not extend the fitted one")
-        seen = np.flatnonzero(col.values < len(cats))
-        hot_rows.append(len(names) + col.values[seen])
+        fitted = positions[col.name]
+        # the fitted position of each of ds's category ids, -1 for unseen names
+        slots = np.array([fitted.get(cat, -1) for cat in col.categories], np.intp)[col.values]
+        seen = np.flatnonzero(slots >= 0)
+        hot_rows.append(len(names) + slots[seen])
         hot_cols.append(seen)
-        names.extend(f"{col.name}={cat}" for cat in cats)
+        names.extend(f"{col.name}={cat}" for cat in fitted)
     if hot_rows:
         out[np.concatenate(hot_rows), np.concatenate(hot_cols)] = 1.0
     return Dataset(tuple(Column(name, "numeric", row) for name, row in zip(names, out)),

@@ -109,8 +109,9 @@ def to_doc(tree: Tree) -> dict:
     return {"nodes": nodes}
 
 
-def from_doc(doc: dict) -> Tree:
-    """Inverse of ``to_doc``; rejects a document that is not a well-formed tree."""
+def from_doc(doc: dict, width: int) -> Tree:
+    """Inverse of ``to_doc`` for a tree over ``width`` features; rejects a
+    document that is not a well-formed tree of finite thresholds on them."""
     nodes = doc["nodes"]
     if not nodes:
         raise DatasetError("tree document has no nodes")
@@ -127,15 +128,19 @@ def from_doc(doc: dict) -> Tree:
                 raise DatasetError(f"tree document: node {i} has child index {c}")
             has_parent[c] = True
         feature = int(entry["feature"])
-        if feature < 0:
-            raise DatasetError(f"tree document: node {i} splits on feature {feature}")
+        if not 0 <= feature < width:
+            raise DatasetError(
+                f"tree node {i} splits on feature {feature}, but the model has {width} features")
         if "codes" in entry or "threshold" not in entry:
             raise DatasetError(f"tree document: node {i} has codes or no threshold;"
                                " a saved tree splits on numeric thresholds only")
+        threshold = float(entry["threshold"])
+        if not math.isfinite(threshold):
+            raise DatasetError(f"tree document: node {i} has threshold {threshold}")
         if len(children) != 2:
             raise DatasetError(
                 f"tree document: numeric node {i} has {len(children)} children, not 2")
-        tree.append(TreeNode(counts, feature, float(entry["threshold"]), (), children))
+        tree.append(TreeNode(counts, feature, threshold, (), children))
     if not all(has_parent[1:]):
         raise DatasetError(f"tree document: node {has_parent.index(False, 1)} has no parent")
     return tuple(tree)
@@ -347,13 +352,11 @@ def prune(tree: Tree, confidence: float = 0.25) -> Tree:
 
 
 def predict(tree: Tree, ds: Dataset) -> np.ndarray:
-    """Route every row to a leaf and return its majority class."""
-    width = len(ds.columns)
-    for i, node in enumerate(tree):
-        if node.feature >= width:
-            raise DatasetError(
-                f"tree node {i} splits on feature {node.feature}, "
-                f"but the dataset has {width} features")
+    """Route every row to a leaf and return its majority class.
+
+    The tree must split only on features of ``ds``: ``grow`` fits its
+    dataset, and ``from_doc`` checks a saved tree against the model's width.
+    """
     out = np.empty(ds.row_count, dtype=np.uint8)
     stack = [(0, np.arange(ds.row_count))]
     while stack:

@@ -8,9 +8,6 @@ numeric), and use the binary label column with 1 meaning attack.
 
 from __future__ import annotations
 
-import os
-from pathlib import Path
-
 from .schema import FeatureSchema
 
 TRAIN_FILE = "UNSW_NB15_training-set.csv"
@@ -173,22 +170,3 @@ REFERENCE_SUBSETS = {
     "gainratio": GAINRATIO_SUBSET,
     "relief": RELIEF_SUBSET,
 }
-
-
-def data_dir() -> Path | None:
-    """Directory holding the official split CSVs, if configured."""
-    value = os.environ.get(DATA_DIR_ENV, "").strip()
-    if not value:
-        return None
-    return Path(value)
-
-
-def split_paths(root: Path | None = None) -> tuple[Path, Path]:
-    """(train, test) CSV paths under ``root`` or the configured data dir."""
-    base = root if root is not None else data_dir()
-    if base is None:
-        raise FileNotFoundError(
-            f"set {DATA_DIR_ENV} to the directory containing "
-            f"{TRAIN_FILE} and {TEST_FILE}"
-        )
-    return base / TRAIN_FILE, base / TEST_FILE

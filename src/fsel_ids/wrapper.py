@@ -43,24 +43,14 @@ def stratified_folds(labels: np.ndarray, folds: int, seed: int) -> list[np.ndarr
     return [np.sort(np.asarray(b, dtype=np.int64)) for b in buckets]
 
 
-def _validate_subset(train: Dataset, subset) -> tuple[int, ...]:
-    subset = tuple(int(f) for f in subset)
-    if not subset:
-        raise DatasetError("subset must be non-empty")
-    if len(set(subset)) != len(subset):
-        raise DatasetError(f"subset has duplicate features: {subset}")
-    for f in subset:
-        if f < 0 or f >= len(train.columns):
-            raise DatasetError(f"feature index {f} out of range")
-    return subset
-
-
 def _merit_on_folds(
     train: Dataset,
     subset: tuple[int, ...],
     fold_rows: list[np.ndarray],
     min_leaf: int,
 ) -> float:
+    """Mean accuracy of an unpruned tree on ``subset``, each of ``fold_rows``
+    held out in turn; the merit the search ranks subsets by."""
     sub = train.select(subset)
     all_rows = np.arange(sub.row_count)
     accuracies = []
@@ -77,20 +67,6 @@ def _merit_on_folds(
         predicted = tree_mod.predict(tree, sub.take_rows(held_out))
         accuracies.append(float(np.mean(predicted == sub.labels[held_out])))
     return float(np.mean(accuracies))
-
-
-def wrapper_merit(
-    train: Dataset,
-    subset,
-    folds: int = 5,
-    seed: int = 0,
-    *,
-    min_leaf: int = 2,
-) -> float:
-    """Mean stratified k-fold accuracy of an unpruned tree on ``subset``."""
-    subset = _validate_subset(train, subset)
-    fold_rows = stratified_folds(train.labels, folds, seed)
-    return _merit_on_folds(train, subset, fold_rows, min_leaf)
 
 
 @dataclass(frozen=True)

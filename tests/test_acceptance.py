@@ -47,9 +47,8 @@ from fsel_ids.unsw import (
     TRAIN_NORMAL,
     TRAIN_ROWS,
     UNSW_SCHEMA,
-    split_paths,
 )
-from fsel_ids.wrapper import best_first_search, wrapper_merit
+from fsel_ids.wrapper import _merit_on_folds, best_first_search, stratified_folds
 
 from conftest import make_dataset, random_mixed_dataset, write_csv
 
@@ -69,10 +68,8 @@ needs_benchmark = pytest.mark.skipif(
 
 @pytest.fixture(scope="module")
 def benchmark_splits():
-    train_path, test_path = split_paths()
-    train = load_csv(train_path, UNSW_SCHEMA)
-    test = load_csv(test_path, UNSW_SCHEMA, vocab=train.vocabulary())
-    return train, test
+    root = Path(os.environ[DATA_DIR_ENV])
+    return load_csv(root / TRAIN_FILE, UNSW_SCHEMA), load_csv(root / TEST_FILE, UNSW_SCHEMA)
 
 
 # --- independent oracles ---------------------------------------------------
@@ -183,8 +180,9 @@ def test_subset_search_matches_exhaustive_enumeration():
         n_features = int(rng.integers(2, 7))
         ds = random_mixed_dataset(rng, n_rows, n_features)
         seed = case
+        fold_rows = stratified_folds(ds.labels, folds, seed)
         best_merit = max(
-            wrapper_merit(ds, subset, folds=folds, seed=seed)
+            _merit_on_folds(ds, subset, fold_rows, 2)
             for r in range(1, n_features + 1)
             for subset in itertools.combinations(range(n_features), r)
         )

@@ -5,7 +5,7 @@ import pytest
 
 from fsel_ids import cli, models, pipeline, unsw
 from fsel_ids.cli import main
-from fsel_ids.metrics import report_from_json
+from fsel_ids.metrics import report_to_json
 from fsel_ids.models import model_from_json
 from fsel_ids.pipeline import REFERENCE_FS, RunConfig, run_pipeline
 
@@ -164,8 +164,8 @@ def test_evaluate_fresh_writes_report(toy_split, tmp_path, capsys):
     out = tmp_path / "eval"
     code = main(["evaluate", "--algo", "tree", *common_flags(toy_split, out)])
     assert code == 0
-    report = report_from_json((out / "report.json").read_text())
-    assert report.acc >= 95.0
+    report = json.loads((out / "report.json").read_text())
+    assert report["acc"] >= 95.0
     md = (out / "report.md").read_text()
     assert md.startswith("| FS Method | Algorithm | ACC | DR | FAR |")
     stdout = capsys.readouterr().out
@@ -178,7 +178,7 @@ def test_evaluate_saved_model_matches_fresh_run(toy_split, tmp_path):
 
     fresh_dir = tmp_path / "fresh"
     assert main(["evaluate", "--algo", "tree", *common_flags(toy_split, fresh_dir)]) == 0
-    fresh = report_from_json((fresh_dir / "report.json").read_text())
+    fresh = json.loads((fresh_dir / "report.json").read_text())
 
     saved_dir = tmp_path / "saved"
     code = main([
@@ -188,10 +188,32 @@ def test_evaluate_saved_model_matches_fresh_run(toy_split, tmp_path):
         *common_flags(toy_split, saved_dir),
     ])
     assert code == 0
-    saved = report_from_json((saved_dir / "report.json").read_text())
-    assert saved.fs_method == "saved"
-    assert saved.cm == fresh.cm
-    assert saved.acc == fresh.acc
+    saved = json.loads((saved_dir / "report.json").read_text())
+    assert saved["fs_method"] == "saved"
+    assert saved["confusion"] == fresh["confusion"]
+    assert saved["acc"] == fresh["acc"]
+
+
+def test_evaluate_saved_model_never_opens_train(toy_split, tmp_path, capsys):
+    train, test, schema = toy_split
+    run_dir = tmp_path / "run"
+    assert main(["train", "--algo", "knn", *common_flags(toy_split, run_dir)]) == 0
+    saved = ["evaluate", "--model", str(run_dir / "model.json"),
+             "--plan", str(run_dir / "plan.json"), "--schema", str(schema)]
+    reports = []
+    # same stem, so the report's dataset name is the same
+    for tag, train_path in (("real", train), ("missing", tmp_path / "gone" / train.name)):
+        out = tmp_path / tag
+        assert main([*saved, "--train", str(train_path), "--test", str(test),
+                     "--out", str(out)]) == 0
+        report = json.loads((out / "report.json").read_text())
+        del report["timings"]
+        reports.append(report)
+    assert reports[0] == reports[1]
+    assert reports[0]["dataset"] == "train"
+    capsys.readouterr()
+    assert main([*saved, "--train", str(train), "--out", str(tmp_path / "no_test")]) == 1
+    assert "a run that scores needs --test" in capsys.readouterr().err
 
 
 def test_evaluate_rejects_a_tree_split_beyond_the_features(toy_split, tmp_path, capsys):
@@ -217,6 +239,11 @@ def _drop_counts(model, plan):
     del node["counts"]
 
 
+def _nan_threshold(model, plan):
+    assert "threshold" in model["payload"]["nodes"][0]  # the root splits
+    model["payload"]["nodes"][0]["threshold"] = float("nan")
+
+
 @pytest.mark.parametrize("algorithm, edit, names", [
     ("tree", _drop_counts, "malformed model document (KeyError"),
     ("tree", lambda model, plan: model["params"].update(depth=3),
@@ -235,9 +262,16 @@ def _drop_counts(model, plan):
      "malformed model document (ModelError: naive Bayes has 4 feature stats for 5 features"),
     ("naive_bayes", lambda model, plan: model["payload"]["feature_stats"][1]["var"].__setitem__(
         0, -1.0), "malformed model document (ModelError: naive Bayes feature stat 1 is not numeric"),
+    ("tree", _nan_threshold, "malformed model document (DatasetError: tree document: node 0"
+     " has threshold nan"),
+    ("mlp", lambda model, plan: model["payload"]["w2"].__setitem__(0, float("inf")),
+     "malformed model document (ModelError: w2[0] is inf, not finite"),
+    ("linear_svm", lambda model, plan: model["payload"].update(b=float("nan")),
+     "malformed model document (ModelError: b is nan, not finite"),
 ], ids=["tree-node-without-counts", "unknown-param", "plan-without-selected", "minmax-not-a-list",
         "knn-matrix-without-a-row", "knn-matrix-with-a-short-row", "knn-label-300",
-        "knn-label-2", "nb-stat-dropped", "nb-negative-var"])
+        "knn-label-2", "nb-stat-dropped", "nb-negative-var", "tree-nan-threshold",
+        "mlp-inf-weight", "svm-nan-bias"])
 def test_evaluate_rejects_malformed_saved_documents(toy_split, tmp_path, capsys, algorithm, edit,
                                                     names):
     run_dir = tmp_path / "run"
@@ -314,8 +348,8 @@ def test_bench_grid_writes_cells_and_summary(toy_split, tmp_path):
     assert {row["fs_method"] for row in summary["averages"]} == {"none", "infogain"}
     for fs in ("none", "infogain"):
         for algo in ("tree", "naive_bayes"):
-            report = report_from_json((out / f"cell_{fs}_{algo}" / "report.json").read_text())
-            assert report.fs_method == fs and report.algorithm == algo
+            report = json.loads((out / f"cell_{fs}_{algo}" / "report.json").read_text())
+            assert (report["fs_method"], report["algorithm"]) == (fs, algo)
     md = (out / "summary.md").read_text()
     assert "| FS Method | Mean ACC | Mean DR | Mean FAR |" in md
 
@@ -565,19 +599,21 @@ def test_bench_reference_grid_matches_run_pipeline(unsw_grid, tmp_path):
     out = tmp_path / "grid"
     assert main(["bench", "--config", str(config), "--out", str(out)]) == 0
     assert REFERENCE_FS == ("ref-wrapper", "ref-infogain", "ref-gainratio", "ref-relief")
+    got = untimed_reports(out)
     for fs in ("none", "infogain", *REFERENCE_FS):
         for algo in ("naive_bayes", "tree"):
-            got = report_from_json((out / f"cell_{fs}_{algo}" / "report.json").read_text())
-            want = run_pipeline(RunConfig(train_path=base.train_path,
-                                          test_path=base.test_path,
-                                          fs=fs, algorithm=algo)).report
-            assert (got.fs_method, got.algorithm) == (fs, algo)
-            assert got.cm == want.cm
-            assert got.selected_count == want.selected_count
+            cell = f"cell_{fs}_{algo}"
+            want = json.loads(report_to_json(run_pipeline(RunConfig(
+                train_path=base.train_path, test_path=base.test_path,
+                fs=fs, algorithm=algo)).report))
+            del want["timings"]
+            assert got[cell] == want
+            assert (want["fs_method"], want["algorithm"]) == (fs, algo)
             if fs.startswith("ref-"):
-                assert got.selected_count == 19 and got.fs_seconds == 0.0
-    assert report_from_json((out / "cell_none_tree" / "report.json").read_text()
-                            ).selected_count == 42
+                assert want["selected_count"] == 19
+                doc = json.loads((out / cell / "report.json").read_text())
+                assert doc["timings"]["fs_seconds"] == 0.0
+    assert got["cell_none_tree"]["selected_count"] == 42
 
 
 def test_bench_reports_do_not_depend_on_jobs(unsw_grid, tmp_path):

@@ -103,25 +103,6 @@ def test_two_distinct_negative_labels_rejected(tmp_path):
         load_csv(p, SCHEMA)
 
 
-def test_vocab_reuse_appends_unseen_categories(tmp_path):
-    train_p, test_p = tmp_path / "train.csv", tmp_path / "test.csv"
-    write_sample(train_p, [
-        ["1", "1.0", "tcp", "x", "1"],
-        ["2", "1.0", "udp", "x", "0"],
-    ])
-    write_sample(test_p, [
-        ["1", "1.0", "udp", "x", "0"],
-        ["2", "1.0", "sctp", "x", "1"],
-        ["3", "1.0", "tcp", "x", "1"],
-    ])
-    train = load_csv(train_p, SCHEMA)
-    test = load_csv(test_p, SCHEMA, vocab=train.vocabulary())
-    # fitted ids keep their values; the unseen category gets the next id
-    assert test.columns[1].categories == ("tcp", "udp", "sctp")
-    np.testing.assert_array_equal(test.columns[1].values, [1, 2, 0])
-    assert [test.columns[1].categories[i] for i in test.columns[1].values] == ["udp", "sctp", "tcp"]
-
-
 def test_subsample_identity_at_full_fraction():
     ds = make_dataset([("a", "numeric", range(20))], [i % 2 for i in range(20)])
     out = stratified_subsample(ds, 1.0, seed=3)
@@ -290,10 +271,10 @@ def assert_same_dataset(got, want):
         assert a.values.tobytes() == b.values.tobytes()
 
 
-def load_outcome(loader, path, schema, vocab=None):
+def load_outcome(loader, path, schema):
     """The Dataset, or the DatasetError message."""
     try:
-        return loader(path, schema, vocab=vocab)
+        return loader(path, schema)
     except DatasetError as exc:
         return str(exc)
 
@@ -354,10 +335,8 @@ def test_load_matches_reference_loader(tmp_path_factory, case):
     want = load_outcome(_reference_load_csv, train_p, schema)
     got = load_outcome(load_csv, train_p, schema)
     assert_same_outcome(got, want)
-    if isinstance(want, Dataset):
-        vocab = want.vocabulary()
-        assert_same_outcome(load_outcome(load_csv, test_p, schema, vocab),
-                            load_outcome(_reference_load_csv, test_p, schema, vocab))
+    assert_same_outcome(load_outcome(load_csv, test_p, schema),
+                        load_outcome(_reference_load_csv, test_p, schema))
 
 
 H = ",".join(HEADER)

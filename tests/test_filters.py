@@ -3,7 +3,7 @@ from collections import Counter, defaultdict
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fsel_ids.dataset import DatasetError
@@ -288,9 +288,14 @@ def test_relief_deterministic_under_subsampling():
 
 @settings(max_examples=20)
 @given(st.integers(min_value=0, max_value=10_000))
+@example(688)  # a draw with 2 normal rows
 def test_relief_weights_bounded(seed):
     rng = np.random.default_rng(seed)
     ds = random_mixed_dataset(rng, 20, 3)
+    if min(np.bincount(ds.labels, minlength=2)) < 3:
+        with pytest.raises(DatasetError, match="need at least 3"):
+            relief_weights(ds, neighbors=2)
+        return
     w = relief_weights(ds, neighbors=2)
     assert w.min() >= -1.0 and w.max() <= 1.0
 

@@ -9,6 +9,9 @@ from fsel_ids.pipeline import (
     run_pipeline,
     subsample_and_select,
 )
+from fsel_ids.preprocess import apply_preprocess, fit_preprocess
+
+from conftest import write_csv
 
 
 def toy_config(toy_split, **overrides):
@@ -153,11 +156,19 @@ def test_evaluate_stage_annotates_signature_drift(toy_split):
     assert info.value.stage == "load"
 
 
-def test_load_splits_shares_training_vocabulary(toy_split):
+def test_load_splits_test_split_encodes_by_name(toy_split):
+    train_p, test_p, _ = toy_split
+    header = ["f1", "f2", "proto", "label"]
+    write_csv(train_p, header, [["0", "0", p, "1"] for p in ("tcp", "udp", "icmp")])
+    write_csv(test_p, header, [["0", "0", p, "0"] for p in ("icmp", "tcp", "sctp", "udp")])
     train, test, _ = load_splits(toy_config(toy_split))
-    t_proto = train.columns[train.index_of("proto")]
-    e_proto = test.columns[test.index_of("proto")]
-    assert e_proto.categories[: len(t_proto.categories)] == t_proto.categories
+    # each file numbers its categories in its own first-occurrence order
+    assert train.columns[2].categories == ("tcp", "udp", "icmp")
+    assert test.columns[2].categories == ("icmp", "tcp", "sctp", "udp")
+    encoded = apply_preprocess(fit_preprocess(train, [2]), test)
+    assert encoded.feature_names == ("proto=tcp", "proto=udp", "proto=icmp")
+    np.testing.assert_array_equal(np.column_stack([c.values for c in encoded.columns]),
+                                  [[0, 0, 1], [1, 0, 0], [0, 0, 0], [0, 1, 0]])
 
 
 @pytest.mark.parametrize("algorithm", ["naive_bayes", "knn", "linear_svm"])

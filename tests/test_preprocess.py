@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fsel_ids.dataset import Column, Dataset, DatasetError
+from fsel_ids.dataset import Column, Dataset, DatasetError, load_csv
 from fsel_ids.preprocess import (
     PLAN_FORMAT,
     PLAN_VERSION,
@@ -18,8 +18,9 @@ from fsel_ids.preprocess import (
     plan_from_json,
     plan_to_json,
 )
+from fsel_ids.schema import parse_schema
 
-from conftest import make_dataset
+from conftest import make_dataset, write_csv
 
 finite_floats = st.floats(min_value=-1e9, max_value=1e9,
                           allow_nan=False, allow_infinity=False)
@@ -124,10 +125,20 @@ def test_onehot_width_arithmetic():
     assert len(out.columns) == 4
 
 
-def test_onehot_rejects_a_dictionary_that_does_not_extend_the_fitted_one():
-    plan = fit_preprocess(nominal_ds([0, 1], ("udp", "tcp")))
-    with pytest.raises(DatasetError, match="does not extend"):
-        apply_preprocess(plan, nominal_ds([0, 1], ("tcp", "udp")))
+def test_onehot_encodes_a_file_by_category_name(tmp_path):
+    schema = parse_schema("x,numeric\nproto,nominal\nlabel,class\n")
+    train_p, test_p = tmp_path / "train.csv", tmp_path / "test.csv"
+    header = ["x", "proto", "label"]
+    write_csv(train_p, header, [["1", "udp", "1"], ["2", "tcp", "0"], ["3", "icmp", "1"]])
+    # tcp first, icmp before udp, and sctp unseen during fitting
+    write_csv(test_p, header, [["2", "tcp", "0"], ["2", "sctp", "1"], ["2", "icmp", "1"],
+                               ["2", "udp", "0"], ["2", "tcp", "1"]])
+    plan = fit_preprocess(load_csv(train_p, schema))
+    out = apply_preprocess(plan, load_csv(test_p, schema))
+    assert out.feature_names == ("x", "proto=udp", "proto=tcp", "proto=icmp")
+    got = np.column_stack([c.values for c in out.columns])
+    np.testing.assert_array_equal(got, [[0.5, 0, 1, 0], [0.5, 0, 0, 0], [0.5, 0, 0, 1],
+                                        [0.5, 1, 0, 0], [0.5, 0, 1, 0]])
 
 
 def test_equal_frequency_even_occupancy():

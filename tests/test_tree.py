@@ -487,10 +487,10 @@ def test_tree_document_is_flat_preorder():
         {"counts": [2, 0]},
         {"counts": [0, 3]},
     ]}
-    assert tree_mod.from_doc(doc) == tree
+    assert tree_mod.from_doc(doc, 1) == tree
     doc["nodes"][0]["children"] = [1, 0]
     with pytest.raises(DatasetError, match="child index"):
-        tree_mod.from_doc(doc)
+        tree_mod.from_doc(doc, 1)
 
 
 def _split_doc(**root):
@@ -523,8 +523,11 @@ def _split_doc(**root):
     ({"nodes": [{"counts": [2, 3], "feature": 0, "children": [1, 2], "threshold": 2.5},
                 {"counts": [2, 0]}, {"counts": [0, 3]}, {"counts": [0, 0]}]},
      "node 3 has no parent"),
+    (_split_doc(feature=1), "node 0 splits on feature 1, but the model has 1 features"),
+    (_split_doc(threshold=math.nan), "node 0 has threshold nan"),
+    (_split_doc(threshold=-math.inf), "node 0 has threshold -inf"),
 ])
 def test_tree_document_rejects_malformed_trees(doc, match):
     with pytest.raises(DatasetError, match=match):
-        tree_mod.from_doc(doc)
+        tree_mod.from_doc(doc, 1)
 
