@@ -88,7 +88,8 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load_config(args, allow_grid: bool = False) -> tuple[RunConfig, dict]:
+def _load_config(args, allow_grid: bool = False,
+                 needs_train: bool = True) -> tuple[RunConfig, dict]:
     """Merge config-file fields with flag overrides (flags win)."""
     doc: dict = {}
     if args.config:
@@ -127,7 +128,7 @@ def _load_config(args, allow_grid: bool = False) -> tuple[RunConfig, dict]:
     unknown = sorted(set(doc) - known)
     if unknown:
         raise ValueError(f"unknown config fields: {unknown}")
-    if "train_path" not in doc:
+    if needs_train and "train_path" not in doc:
         needs = "--train" if args.command in ("select", "train") else "--train and --test"
         raise ValueError(f"a run needs {needs} (or config fields)")
     if "stop_after" in doc and doc["stop_after"] == 0:
@@ -197,15 +198,16 @@ def _write_report(report, out: Path) -> None:
 
 
 def cmd_evaluate(args) -> int:
-    config, _ = _load_config(args)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     if (args.model is None) != (args.plan is None):
         raise ValueError("--model and --plan must be given together")
+    # A saved model reads only --test; --train, if given, names the report.
+    config, _ = _load_config(args, needs_train=args.model is None)
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
     if args.model:
         model = model_from_json(Path(args.model).read_text(encoding="utf-8"))
         plan = plan_from_json(Path(args.plan).read_text(encoding="utf-8"))
-        test = load_file(config, config.test_path)  # --train names the report only
+        test = load_file(config, config.test_path)
         _, report = evaluate_model(plan, model, test, dataset=config.name, fs_method="saved",
                                    fs_seconds=0.0, train_seconds=model.train_seconds)
     else:

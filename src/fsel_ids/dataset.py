@@ -6,7 +6,9 @@ the column keeps integer category ids and an ordered tuple of category
 strings built in the file's own first-occurrence order, so an id means
 nothing outside its file; a fitted ``PreprocessPlan`` matches categories
 across files by name. Datasets are immutable after construction (all
-arrays are marked read-only) and safe to share.
+arrays are marked read-only) and safe to share. ``Dataset.from_matrix``
+builds the preprocessing plan's output, whose columns are views of one
+(rows x width) array that ``as_matrix`` hands to models without a copy.
 
 ``load_csv`` parses a file's rows in one ``np.loadtxt`` pass into a
 structured array built from the schema (float64 numeric fields, object
@@ -20,7 +22,7 @@ from __future__ import annotations
 
 import csv
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -67,6 +69,7 @@ class Dataset:
     columns: tuple[Column, ...]
     labels: np.ndarray  # uint8, 1 = attack
     label_name: str = "label"
+    matrix: np.ndarray | None = field(default=None, repr=False)  # set by from_matrix
 
     def __post_init__(self):
         _frozen(self.labels)
@@ -76,6 +79,14 @@ class Dataset:
                 raise DatasetError(
                     f"column {col.name!r} has {len(col.values)} rows, labels have {n}"
                 )
+
+    @classmethod
+    def from_matrix(cls, names, matrix: np.ndarray, labels, label_name="label") -> "Dataset":
+        """Numeric dataset over an (n, d) float64 array: column j is the view
+        ``matrix[:, j]``, and ``as_matrix`` returns ``matrix`` itself."""
+        _frozen(matrix)
+        return cls(tuple(Column(name, "numeric", matrix[:, j]) for j, name in enumerate(names)),
+                   labels, label_name, matrix)
 
     @property
     def row_count(self) -> int:
@@ -110,8 +121,15 @@ class Dataset:
         return Dataset(cols, self.labels[rows].copy(), self.label_name)
 
     def as_matrix(self) -> np.ndarray:
-        """Stack all columns into an (n, d) float64 matrix. A nominal column
-        gives its category ids; models reject one before they stack."""
+        """The (n, d) float64 matrix of all columns.
+
+        A dataset built by ``from_matrix`` (the preprocessing plan's output)
+        returns its read-only C-order array, with no copy. Any other dataset
+        stacks a new one, in which a nominal column gives its category ids;
+        models reject a nominal column before they read the matrix.
+        """
+        if self.matrix is not None:
+            return self.matrix
         if not self.columns:
             return np.zeros((self.row_count, 0))
         return np.column_stack([c.values for c in self.columns])

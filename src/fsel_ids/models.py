@@ -24,10 +24,17 @@ order:
 - linear_svm: ``{"w", "b", "objective_trace"}``.
 
 Numpy values are written by one ``json.dumps`` hook, and the array entries
-are read back by ``_arrays_from_doc`` as read-only arrays. A document is
-read against the model's feature count: naive Bayes needs one stat per
-feature, a kNN matrix one column per feature, and a tree split a feature
-index below that count. Every number a model computes with must be finite.
+are read back by ``_arrays_from_doc`` as read-only arrays of the shapes the
+model needs. A document is read against the model's feature count and
+``params``: naive Bayes needs one stat per feature, a kNN matrix one row
+per label and one column per feature, an MLP a (width x ``hidden_units``)
+``w1``, ``hidden_units``-long ``b1`` and ``w2`` and a one-long ``b2``, an
+SVM a width-long ``w``, and a tree split a feature index below that
+count. Every number a model computes with must be finite.
+
+kNN, MLP and SVM read rows through ``Dataset.as_matrix``, which for the
+plan's output is its one C-order array, so a fit holds no second copy of
+the encoded split.
 """
 
 from __future__ import annotations
@@ -37,7 +44,6 @@ import math
 import time
 from collections.abc import Callable
 from dataclasses import asdict, dataclass, fields, replace
-from functools import partial
 
 import numpy as np
 
@@ -168,24 +174,19 @@ def _check_encoded(ds: Dataset):
                              " preprocessing plan's encoded output")
 
 
-def _arrays_from_doc(doc: dict, width: int, **dtypes) -> dict:
-    """The entries of ``doc`` that ``dtypes`` names, in that order, as
-    read-only arrays of those dtypes, for a model over ``width`` features.
-    Every number must be finite, kNN ``labels`` must be 0 or 1, and its
-    ``matrix`` must hold one row per label and one column per feature."""
-    if "labels" in dtypes and not np.isin(doc["labels"], (0, 1)).all():
-        raise ModelError("knn labels must be 0 or 1")
-    payload = {key: np.asarray(doc[key], dtype=dtype) for key, dtype in dtypes.items()}
-    for key, array in payload.items():
+def _arrays_from_doc(doc: dict, dtype=np.float64, **shapes) -> dict:
+    """The entries of ``doc`` that ``shapes`` names, in that order, as
+    read-only arrays of ``dtype`` with those shapes; every number finite."""
+    payload = {}
+    for key, shape in shapes.items():
+        array = np.asarray(doc[key], dtype=dtype)
+        if array.shape != shape:
+            raise ModelError(f"{key} has shape {array.shape}, the model needs {shape}")
         if not np.isfinite(array).all():
             where = np.argwhere(~np.isfinite(array))[0].tolist()
             raise ModelError(f"{key}{where} is {array[tuple(where)]}, not finite")
         array.flags.writeable = False
-    matrix = payload.get("matrix")
-    if matrix is not None and matrix.shape != (len(payload["labels"]), width):
-        raise ModelError(
-            f"knn matrix of shape {matrix.shape} does not hold one row per label"
-            f" ({len(payload['labels'])} labels) and one column per feature ({width})")
+        payload[key] = array
     return payload
 
 
@@ -243,7 +244,7 @@ def _forest_to_doc(p: dict) -> dict:
     return {**p, "roots": [tree_mod.to_doc(t) for t in p["roots"]]}
 
 
-def _forest_from_doc(doc: dict, width: int) -> dict:
+def _forest_from_doc(doc: dict, width: int, params: TrainParams) -> dict:
     return {
         "feature_sample": int(doc["feature_sample"]),
         "roots": tuple(tree_mod.from_doc(t, width) for t in doc["roots"]),
@@ -288,7 +289,7 @@ def _predict_naive_bayes(p: dict, ds: Dataset, params: TrainParams) -> np.ndarra
     return (joint[:, 1] >= joint[:, 0]).astype(np.uint8)
 
 
-def _nb_from_doc(doc: dict, width: int) -> dict:
+def _nb_from_doc(doc: dict, width: int, params: TrainParams) -> dict:
     """Two log priors and, per feature, a numeric stat of two means and two
     positive variances; every number finite."""
     stats = doc["feature_stats"]
@@ -308,8 +309,17 @@ def _nb_from_doc(doc: dict, width: int) -> dict:
 def _fit_knn(train: Dataset, params: TrainParams) -> dict:
     if params.k > train.row_count:
         raise ModelError(f"k={params.k} exceeds training rows {train.row_count}")
-    return _arrays_from_doc({"matrix": train.as_matrix(), "labels": train.labels.copy()},
-                            len(train.columns), matrix=np.float64, labels=np.uint8)
+    return _knn_from_doc({"matrix": train.as_matrix(), "labels": train.labels.copy()},
+                         len(train.columns), params)
+
+
+def _knn_from_doc(doc: dict, width: int, params: TrainParams) -> dict:
+    """A ``matrix`` of one row per 0/1 label and one column per feature."""
+    if not np.isin(doc["labels"], (0, 1)).all():
+        raise ModelError("knn labels must be 0 or 1")
+    rows = len(doc["labels"])
+    return {**_arrays_from_doc(doc, matrix=(rows, width)),
+            **_arrays_from_doc(doc, np.uint8, labels=(rows,))}
 
 
 def _knn_votes(payload: dict, queries: np.ndarray, k: int) -> np.ndarray:
@@ -414,6 +424,11 @@ def _fit_mlp(train: Dataset, params: TrainParams) -> dict[str, np.ndarray]:
     return weights
 
 
+def _mlp_from_doc(doc: dict, width: int, params: TrainParams) -> dict[str, np.ndarray]:
+    h = params.hidden_units
+    return _arrays_from_doc(doc, w1=(width, h), b1=(h,), w2=(h,), b2=(1,))
+
+
 def _predict_mlp(p: dict[str, np.ndarray], ds: Dataset, params: TrainParams) -> np.ndarray:
     return (mlp_logits(p, ds.as_matrix()) >= 0.0).astype(np.uint8)
 
@@ -452,11 +467,11 @@ def _predict_svm(p: dict, ds: Dataset, params: TrainParams) -> np.ndarray:
     return (ds.as_matrix() @ p["w"] + p["b"] >= 0.0).astype(np.uint8)
 
 
-def _svm_from_doc(doc: dict, width: int) -> dict:
+def _svm_from_doc(doc: dict, width: int, params: TrainParams) -> dict:
     b = float(doc["b"])
     if not math.isfinite(b):
         raise ModelError(f"b is {b}, not finite")
-    return {**_arrays_from_doc(doc, width, w=np.float64), "b": b,
+    return {**_arrays_from_doc(doc, w=(width,)), "b": b,
             "objective_trace": tuple(doc.get("objective_trace", ()))}
 
 
@@ -465,26 +480,25 @@ class Algorithm:
     """One classifier family's entry in ``ALGORITHM_TABLE``.
 
     ``fit(train, params)`` returns the payload and ``predict(payload, ds,
-    params)`` the uint8 class ids; ``from_doc(doc, width)`` reads the payload
-    of a model over ``width`` features back from its JSON document, and
+    params)`` the uint8 class ids; ``from_doc(doc, width, params)`` reads the
+    payload of a model over ``width`` features back from its JSON document, and
     ``to_doc`` writes it as one. A payload that is its own document needs no
     ``to_doc``.
     """
 
     fit: Callable[[Dataset, TrainParams], object]
     predict: Callable[[object, Dataset, TrainParams], np.ndarray]
-    from_doc: Callable[[dict, int], object]
+    from_doc: Callable[[dict, int, TrainParams], object]
     to_doc: Callable[[object], dict] | None = None
 
 
 ALGORITHM_TABLE = {
-    "tree": Algorithm(_fit_tree, _predict_tree, tree_mod.from_doc, tree_mod.to_doc),
+    "tree": Algorithm(_fit_tree, _predict_tree,
+                      lambda doc, width, params: tree_mod.from_doc(doc, width), tree_mod.to_doc),
     "forest": Algorithm(_fit_forest, _predict_forest, _forest_from_doc, _forest_to_doc),
     "naive_bayes": Algorithm(_fit_naive_bayes, _predict_naive_bayes, _nb_from_doc),
-    "knn": Algorithm(_fit_knn, _predict_knn,
-                     partial(_arrays_from_doc, matrix=np.float64, labels=np.uint8)),
-    "mlp": Algorithm(_fit_mlp, _predict_mlp, partial(
-        _arrays_from_doc, w1=np.float64, b1=np.float64, w2=np.float64, b2=np.float64)),
+    "knn": Algorithm(_fit_knn, _predict_knn, _knn_from_doc),
+    "mlp": Algorithm(_fit_mlp, _predict_mlp, _mlp_from_doc),
     "linear_svm": Algorithm(_fit_svm, _predict_svm, _svm_from_doc),
 }
 ALGORITHMS = tuple(ALGORITHM_TABLE)
@@ -543,7 +557,7 @@ def model_from_json(text: str) -> TrainedModel:
         return TrainedModel(
             params,
             names,
-            ALGORITHM_TABLE[params.algorithm].from_doc(doc["payload"], len(names)),
+            ALGORITHM_TABLE[params.algorithm].from_doc(doc["payload"], len(names), params),
             float(doc["train_seconds"]),
         )
     except (LookupError, TypeError, ValueError, AttributeError) as exc:

@@ -42,7 +42,7 @@ class PipelineError(RuntimeError):
 class RunConfig:
     """Everything that determines one experiment cell."""
 
-    train_path: str
+    train_path: str | None = None  # only commands that fit need it
     test_path: str | None = None  # only commands that score need it
     schema_path: str | None = None  # None uses the built-in UNSW-NB15 schema
     fs: str = "none"
@@ -74,7 +74,8 @@ class RunConfig:
 
     @property
     def name(self) -> str:
-        return self.dataset_name or Path(self.train_path).stem
+        """``dataset_name``, else the training file's stem, else the test file's."""
+        return self.dataset_name or Path(self.train_path or self.test_path).stem
 
 
 @dataclass(frozen=True)
@@ -122,8 +123,10 @@ def load_splits(config: RunConfig) -> tuple[Dataset, Dataset, FeatureSchema]:
     """Load the train and test files, each on its own.
 
     Each file numbers its categories in its own order; a fitted plan
-    matches them by name. A missing test path fails before either loads.
+    matches them by name. A missing path fails before either file loads.
     """
+    if config.train_path is None:
+        raise PipelineError("load", "a run that fits needs --train (or a train_path config field)")
     if config.test_path is None:
         raise PipelineError("load", _NO_TEST)
     return (load_file(config, config.train_path), load_file(config, config.test_path),

@@ -3,12 +3,15 @@
 A ``PreprocessPlan`` is fitted on training data only and replayed on any
 split: keep the selected features, min-max scale the numeric ones, one-hot
 encode the nominal ones. ``apply_preprocess`` writes the whole encoded
-table in one pass. The plan's category names are the only bridge between
-files: a nominal value is encoded by its category's name, so each file may
-number its categories in its own order. Out-of-range numeric values clamp
-into [0, 1], a constant fitted range maps to 0, and a category never seen
-during fitting encodes as an all-zero block. The entropy filters bin
-numeric columns with ``equal_frequency_edges`` and ``bin_codes``.
+table into one zeroed C-order (rows x width) float64 array, and each output
+column is a view of it, so the models that read rows (kNN, MLP, SVM) take
+that array as it is, with no second copy. The plan's category names are
+the only bridge between files: a nominal value is encoded by its
+category's name, so each file may number its categories in its own order.
+Out-of-range numeric values clamp into [0, 1], a constant fitted range maps
+to 0, and a category never seen during fitting encodes as an all-zero
+block. The entropy filters bin numeric columns with
+``equal_frequency_edges`` and ``bin_codes``.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import Column, Dataset, DatasetError
+from .dataset import Dataset, DatasetError
 
 PLAN_FORMAT = "fsel-ids/preprocess-plan"
 PLAN_VERSION = 1
@@ -105,17 +108,20 @@ def fit_preprocess(train: Dataset, selected=None) -> PreprocessPlan:
 def apply_preprocess(plan: PreprocessPlan, ds: Dataset) -> Dataset:
     """Replay a fitted plan on ``ds``, finding its columns by name.
 
-    A nominal feature becomes indicator columns named ``feature=category``,
-    one per fitted category. Each value is looked up by its category's name
-    in the fitted dictionary, whatever id ``ds`` gives it; a name the plan
-    never saw leaves the block zero.
+    The output is ``Dataset.from_matrix`` over one zeroed C-order
+    (rows x ``plan.output_width``) float64 array: each scaled numeric
+    feature is written into its column, and the one-hot ones in one
+    scatter. A nominal feature becomes indicator columns named
+    ``feature=category``, one per fitted category. Each value is looked up
+    by its category's name in the fitted dictionary, whatever id ``ds``
+    gives it; a name the plan never saw leaves the block zero.
     """
     idx = [ds.index_of(name) for name in plan.selected]
     if any(a >= b for a, b in zip(idx, idx[1:])):
         raise DatasetError("selected features are not in dataset column order")
     ranges = {name: (lo, hi) for name, lo, hi in plan.minmax}
     positions = {name: {cat: j for j, cat in enumerate(cats)} for name, cats in plan.onehot}
-    out = np.zeros((plan.output_width, ds.row_count))
+    x = np.zeros((ds.row_count, plan.output_width))
     names: list[str] = []
     hot_rows, hot_cols = [], []
     for col in (ds.columns[i] for i in idx):
@@ -125,20 +131,19 @@ def apply_preprocess(plan: PreprocessPlan, ds: Dataset) -> Dataset:
         if want == "numeric":
             lo, hi = ranges[col.name]
             if hi > lo:
-                out[len(names)] = np.clip((col.values - lo) / (hi - lo), 0.0, 1.0)
+                x[:, len(names)] = np.clip((col.values - lo) / (hi - lo), 0.0, 1.0)
             names.append(col.name)
             continue
         fitted = positions[col.name]
         # the fitted position of each of ds's category ids, -1 for unseen names
         slots = np.array([fitted.get(cat, -1) for cat in col.categories], np.intp)[col.values]
         seen = np.flatnonzero(slots >= 0)
-        hot_rows.append(len(names) + slots[seen])
-        hot_cols.append(seen)
+        hot_rows.append(seen)
+        hot_cols.append(len(names) + slots[seen])
         names.extend(f"{col.name}={cat}" for cat in fitted)
     if hot_rows:
-        out[np.concatenate(hot_rows), np.concatenate(hot_cols)] = 1.0
-    return Dataset(tuple(Column(name, "numeric", row) for name, row in zip(names, out)),
-                   ds.labels, ds.label_name)
+        x[np.concatenate(hot_rows), np.concatenate(hot_cols)] = 1.0
+    return Dataset.from_matrix(names, x, ds.labels, ds.label_name)
 
 
 def plan_to_json(plan: PreprocessPlan) -> str:

@@ -216,6 +216,20 @@ def test_evaluate_saved_model_never_opens_train(toy_split, tmp_path, capsys):
     assert "a run that scores needs --test" in capsys.readouterr().err
 
 
+def test_evaluate_saved_model_needs_no_train(toy_split, tmp_path):
+    train, test, schema = toy_split
+    run_dir = tmp_path / "run"
+    assert main(["train", "--algo", "naive_bayes", *common_flags(toy_split, run_dir)]) == 0
+    saved = ["evaluate", "--model", str(run_dir / "model.json"),
+             "--plan", str(run_dir / "plan.json"), "--schema", str(schema), "--test", str(test)]
+    assert main([*saved, "--train", str(train), "--out", str(tmp_path / "with")]) == 0
+    assert main([*saved, "--out", str(tmp_path / "without")]) == 0
+    with_train, without = (json.loads((tmp_path / tag / "report.json").read_text())
+                           for tag in ("with", "without"))
+    assert (with_train["dataset"], without["dataset"]) == ("train", "test")
+    assert without["confusion"] == with_train["confusion"]
+
+
 def test_evaluate_rejects_a_tree_split_beyond_the_features(toy_split, tmp_path, capsys):
     run_dir = tmp_path / "run"
     assert main(["train", "--algo", "tree", *common_flags(toy_split, run_dir)]) == 0
@@ -244,6 +258,15 @@ def _nan_threshold(model, plan):
     model["payload"]["nodes"][0]["threshold"] = float("nan")
 
 
+def _drop_hidden_unit(model, plan):
+    """The last hidden unit goes from w1, b1 and w2; params still say 32."""
+    payload = model["payload"]
+    for row in payload["w1"]:
+        row.pop()
+    payload["b1"].pop()
+    payload["w2"].pop()
+
+
 @pytest.mark.parametrize("algorithm, edit, names", [
     ("tree", _drop_counts, "malformed model document (KeyError"),
     ("tree", lambda model, plan: model["params"].update(depth=3),
@@ -268,10 +291,19 @@ def _nan_threshold(model, plan):
      "malformed model document (ModelError: w2[0] is inf, not finite"),
     ("linear_svm", lambda model, plan: model["payload"].update(b=float("nan")),
      "malformed model document (ModelError: b is nan, not finite"),
+    ("mlp", lambda model, plan: model["payload"]["w1"].pop(),
+     "malformed model document (ModelError: w1 has shape (4, 32), the model needs (5, 32)"),
+    ("mlp", lambda model, plan: model["payload"].update(b2=[0.0, 5.0]),
+     "malformed model document (ModelError: b2 has shape (2,), the model needs (1,)"),
+    ("mlp", _drop_hidden_unit,
+     "malformed model document (ModelError: w1 has shape (5, 31), the model needs (5, 32)"),
+    ("linear_svm", lambda model, plan: model["payload"]["w"].pop(),
+     "malformed model document (ModelError: w has shape (4,), the model needs (5,)"),
 ], ids=["tree-node-without-counts", "unknown-param", "plan-without-selected", "minmax-not-a-list",
         "knn-matrix-without-a-row", "knn-matrix-with-a-short-row", "knn-label-300",
         "knn-label-2", "nb-stat-dropped", "nb-negative-var", "tree-nan-threshold",
-        "mlp-inf-weight", "svm-nan-bias"])
+        "mlp-inf-weight", "svm-nan-bias", "mlp-w1-row-dropped", "mlp-b2-two-long",
+        "mlp-hidden-unit-dropped", "svm-w-entry-dropped"])
 def test_evaluate_rejects_malformed_saved_documents(toy_split, tmp_path, capsys, algorithm, edit,
                                                     names):
     run_dir = tmp_path / "run"

@@ -1,5 +1,7 @@
 import json
 import math
+import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -22,6 +24,7 @@ from fsel_ids.models import (
     svm_objective,
 )
 from fsel_ids import models
+from fsel_ids.dataset import Column, Dataset
 from fsel_ids.preprocess import apply_preprocess, fit_preprocess
 from fsel_ids.tree import TreeNode
 
@@ -441,3 +444,51 @@ def test_train_seconds_is_recorded():
     ds = separable_dataset(rng, 40)
     model = fit_model(ds, params_from_dict("tree"))
     assert model.train_seconds >= 0.0
+
+
+def encoded_split(rng, rows, features):
+    """A random mixed dataset's first ``rows`` rows and the rest, both
+    replayed through a plan fitted on the first part."""
+    raw = random_mixed_dataset(rng, rows + 100, features)
+    train, test = raw.take_rows(np.arange(rows)), raw.take_rows(np.arange(rows, rows + 100))
+    plan = fit_preprocess(train)
+    return apply_preprocess(plan, train), apply_preprocess(plan, test)
+
+
+def plain_copy(ds):
+    """The same table as a plain Dataset over copies of its columns."""
+    return Dataset(tuple(Column(c.name, c.kind, c.values.copy()) for c in ds.columns),
+                   ds.labels, ds.label_name)
+
+
+@pytest.mark.parametrize("algorithm", ALGORITHMS)
+def test_fit_on_the_plan_output_matches_a_plain_dataset(algorithm):
+    train, test = encoded_split(np.random.default_rng(31), 300, 12)
+    plain_train = plain_copy(train)
+    assert plain_train.matrix is None and train.matrix is not None
+    params = small_params(algorithm)
+    on_plan, on_plain = fit_model(train, params), fit_model(plain_train, params)
+    assert (model_to_json(replace(on_plan, train_seconds=0.0))
+            == model_to_json(replace(on_plain, train_seconds=0.0)))
+    assert (predict_model(on_plan, test).tobytes()
+            == predict_model(on_plain, plain_copy(test)).tobytes())
+
+
+def test_svm_fit_on_the_plan_output_makes_no_copy_of_it():
+    rng = np.random.default_rng(32)
+    n = 2000
+    labels = (rng.random(n) < 0.5).astype(np.uint8)
+    raw = make_dataset([("x", "numeric", rng.normal(size=n) + labels),
+                        ("y", "numeric", rng.normal(size=n)),
+                        ("service", "nominal", rng.integers(0, 40, n),
+                         tuple(f"s{i}" for i in range(40)))], labels)
+    train = apply_preprocess(fit_preprocess(raw), raw)
+    size = train.as_matrix().nbytes
+    assert size == n * 42 * 8
+    tracemalloc.start()
+    try:
+        fit_model(train, params_from_dict("linear_svm", {"svm_epochs": 1}))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < size / 2

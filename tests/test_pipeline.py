@@ -136,6 +136,9 @@ def test_load_stage_annotates_missing_file(toy_split):
     with pytest.raises(PipelineError, match=r"^\[load\]") as info:
         run_pipeline(config)
     assert info.value.stage == "load"
+    # without a training path the run fails in [load] before any file opens
+    with pytest.raises(PipelineError, match=r"^\[load\] a run that fits needs --train"):
+        run_pipeline(toy_config(toy_split, train_path=None))
 
 
 def test_train_stage_annotates_bad_algorithm(toy_split):

@@ -141,6 +141,38 @@ def test_onehot_encodes_a_file_by_category_name(tmp_path):
                                         [0.5, 1, 0, 0], [0.5, 0, 1, 0]])
 
 
+def mixed_ds():
+    """Two numeric columns around a nominal one, 7 rows."""
+    return make_dataset(
+        [
+            ("a", "numeric", [3.0, 1.0, 4.0, 1.0, 5.0, 9.0, 2.0]),
+            ("proto", "nominal", [0, 1, 2, 1, 0, 2, 2], ("tcp", "udp", "icmp")),
+            ("b", "numeric", [2.0, 7.0, 1.0, 8.0, 2.0, 8.0, 1.0]),
+        ],
+        [1, 0, 1, 0, 1, 1, 0],
+    )
+
+
+def test_plan_output_is_one_c_order_matrix():
+    out = encode(mixed_ds())
+    x = out.as_matrix()
+    assert x.shape == (7, 5)
+    assert x.flags.c_contiguous and not x.flags.writeable
+    assert out.as_matrix() is x
+    for j, col in enumerate(out.columns):
+        assert np.shares_memory(col.values, x)
+        np.testing.assert_array_equal(col.values, x[:, j])
+    np.testing.assert_array_equal(x[:, 1:4], np.eye(3)[[0, 1, 2, 1, 0, 2, 2]])
+
+
+def test_select_and_take_rows_of_the_plan_output_are_plain_datasets():
+    out = encode(mixed_ds())
+    for part in (out.select([0, 3]), out.take_rows(np.array([4, 0, 6]))):
+        assert part.matrix is None
+        np.testing.assert_array_equal(part.as_matrix(),
+                                      np.column_stack([c.values for c in part.columns]))
+
+
 def test_equal_frequency_even_occupancy():
     values = np.arange(1.0, 101.0)
     edges = equal_frequency_edges(values, 10)
