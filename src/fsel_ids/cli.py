@@ -10,8 +10,10 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import multiprocessing
+import signal
 import sys
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 from .metrics import markdown_table, report_to_json
@@ -27,6 +29,7 @@ from .pipeline import (
     load_splits,
     run_pipeline,
     subsample_and_select,
+    subsampled,
 )
 from .preprocess import plan_from_json, plan_to_json
 from .wrapper import subset_names, trace_to_jsonl
@@ -65,6 +68,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, help="master seed for the whole run")
         p.add_argument("--subsample", type=float, help="training subsample fraction")
         p.add_argument("--bins", type=int, help="bins for entropy-filter discretization")
+        p.add_argument("--relief-sample", type=int, metavar="N",
+                       help="rows relief samples, at least 1 (default: every row)")
         p.add_argument("--set", metavar="KEY=VALUE", action="append", default=[],
                        type=_parse_override, dest="overrides",
                        help="hyperparameter override, repeatable")
@@ -83,7 +88,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_bench = sub.add_parser("bench", help="run an FS-method x algorithm grid")
     add_common(p_bench)
-    p_bench.add_argument("--jobs", type=int, default=1, help="concurrent grid cells")
+    p_bench.add_argument("--jobs", type=int, default=1,
+                         help="forked worker processes that run the selections and cells")
 
     return parser
 
@@ -115,6 +121,7 @@ def _load_config(args, allow_grid: bool = False,
         "seed": "seed",
         "subsample": "subsample",
         "bins": "bins",
+        "relief_sample": "relief_sample",
     }
     for flag, field in flag_map.items():
         value = getattr(args, flag, None)
@@ -166,7 +173,7 @@ def cmd_select(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     train = load_file(config, config.train_path)
-    train, (subset, fs_seconds, scores, trace) = subsample_and_select(train, config)
+    _, (subset, fs_seconds, scores, trace) = subsample_and_select(train, config)
     names = subset_names(train, subset)
     _write_selection(out, config, train.feature_names, names, scores, trace)
     print(f"{config.fs}: selected {len(names)} features in {fs_seconds:.2f}s "
@@ -181,7 +188,8 @@ def cmd_train(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     train = load_file(config, config.train_path)
-    train, (subset, _, scores, trace) = subsample_and_select(train, config)
+    rows, (subset, _, scores, trace) = subsample_and_select(train, config)
+    train = subsampled(train, rows)
     plan, model, train_seconds = fit_for_config(train, subset, config)
     (out / "model.json").write_text(model_to_json(model), encoding="utf-8")
     (out / "plan.json").write_text(plan_to_json(plan), encoding="utf-8")
@@ -219,10 +227,71 @@ def cmd_evaluate(args) -> int:
     return 0
 
 
+# The running bench's (train, test) pair. Workers are forked while it is
+# set, so they inherit it copy-on-write: the splits never cross the pipe,
+# only configs, selections and reports do.
+_SPLITS: tuple = ()
+
+
+def _guarded(fn, *fn_args):
+    try:
+        return fn(*fn_args), None
+    except Exception as exc:  # noqa: BLE001 -- a failure must not kill the batch
+        return None, f"{type(exc).__name__}: {exc}"
+
+
+def _select_row(row: RunConfig):
+    """An fs row's ``subsample_and_select`` on the shared train split, or its error."""
+    return _guarded(subsample_and_select, _SPLITS[0], row)
+
+
+def _run_cell(config: RunConfig, row_selection):
+    """One cell's report on the shared splits and its row's selection, or its error."""
+    selection, error = row_selection
+    if error is not None:  # the row's selection failed
+        return None, error
+    result, error = _guarded(run_pipeline, config, _SPLITS, selection)
+    return (result.report if result else None), error
+
+
+def _map(fn, jobs: int, *columns) -> list:
+    """``list(map(fn, *columns))`` in at most ``jobs`` forked workers, and in
+    no more than there are tasks; one task or ``jobs`` of 1 runs here.
+
+    An interrupt stops the workers at once; none outlives the call.
+    """
+    workers = min(jobs, len(columns[0]))
+    if workers < 2:
+        return list(map(fn, *columns))
+    # Workers ignore Ctrl-C, which the terminal sends to the whole process
+    # group: this process gets it and stops them.
+    pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"),
+                               initializer=signal.signal,
+                               initargs=(signal.SIGINT, signal.SIG_IGN))
+    try:
+        return list(pool.map(fn, *columns))
+    except KeyboardInterrupt:
+        for worker in pool._processes.values():  # no public handle before Python 3.14
+            worker.terminate()
+        raise
+    finally:
+        pool.shutdown(cancel_futures=True)
+
+
 def cmd_bench(args) -> int:
+    """Run the fs-method x algorithm grid on one loaded (train, test) pair.
+
+    Each fs row selects once (``_select_row``) and its cells share that
+    selection (``_run_cell``); with ``--jobs`` above 1 both phases run in
+    forked worker processes, which inherit the loaded splits.
+    """
+    global _SPLITS
     base, grid = _load_config(args, allow_grid=True)
     if args.jobs < 1:
         raise ValueError(f"--jobs must be >= 1, got {args.jobs}")
+    if args.jobs > 1 and "fork" not in multiprocessing.get_all_start_methods():
+        raise ValueError("--jobs above 1 needs the 'fork' start method, "
+                         "which this platform does not have")
     fs_methods = grid.get("fs_methods") or [base.fs]
     algorithms = grid.get("algorithms") or [base.algorithm]
     rows = [dataclasses.replace(base, fs=fs) for fs in fs_methods]
@@ -230,32 +299,13 @@ def cmd_bench(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     # Every cell shares one (train, test) pair; the columns are read-only.
-    train, test, _ = load_splits(base)
-
-    def guarded(fn, *fn_args):
-        try:
-            return fn(*fn_args), None
-        except Exception as exc:  # noqa: BLE001 -- a failure must not kill the batch
-            return None, f"{type(exc).__name__}: {exc}"
-
-    def run_cell(config: RunConfig, row_selection):
-        selection, error = row_selection
-        if error is not None:  # the row's selection failed
-            return None, error
-        result, error = guarded(run_pipeline, config, (train, test), selection)
-        return (result.report if result else None), error
-
-    # A row selects once and its cells share that selection. Both phases run
-    # on one mapper: the pool's for --jobs > 1, the builtin one otherwise.
-    pool = ThreadPoolExecutor(max_workers=args.jobs) if args.jobs > 1 else None
-    mapper = pool.map if pool is not None else map
+    _SPLITS = load_splits(base)[:2]
     try:
-        selections = list(mapper(lambda row: guarded(subsample_and_select, train, row), rows))
-        outcomes = list(mapper(run_cell, cells,
-                               [s for s in selections for _ in algorithms]))
-    finally:  # an interrupt drops the work that has not started
-        if pool is not None:
-            pool.shutdown(cancel_futures=True)
+        selections = _map(_select_row, args.jobs, rows)
+        outcomes = _map(_run_cell, args.jobs, cells,
+                        [s for s in selections for _ in algorithms])
+    finally:
+        _SPLITS = ()
 
     reports, failures = [], []
     for config, (report, error) in zip(cells, outcomes):

@@ -272,18 +272,23 @@ def _first_fault(path, schema: FeatureSchema, positive_label: str) -> DatasetErr
 
 
 def stratified_subsample(ds: Dataset, fraction: float, seed: int) -> Dataset:
-    """Deterministic per-class subsample preserving proportions within 1 row.
+    """``ds.take_rows(stratified_rows(ds.labels, fraction, seed))``."""
+    return ds.take_rows(stratified_rows(ds.labels, fraction, seed))
+
+
+def stratified_rows(labels: np.ndarray, fraction: float, seed: int) -> np.ndarray:
+    """Sorted row indices of a deterministic per-class subsample.
 
     Each class contributes round(fraction * class_count) rows, drawn without
-    replacement by numpy's default_rng(seed). Selected rows keep their
-    original order.
+    replacement by numpy's default_rng(seed), so proportions hold within 1
+    row. Selected rows keep their original order.
     """
     if not (0.0 < fraction <= 1.0):
         raise DatasetError(f"fraction must be in (0, 1], got {fraction}")
     rng = np.random.default_rng(seed)
     chosen = []
     for cls in (NORMAL, ATTACK):
-        rows = np.flatnonzero(ds.labels == cls)
+        rows = np.flatnonzero(labels == cls)
         if rows.size == 0:
             continue
         if fraction * rows.size < 2:
@@ -292,5 +297,4 @@ def stratified_subsample(ds: Dataset, fraction: float, seed: int) -> Dataset:
             )
         target = int(round(fraction * rows.size))
         chosen.append(rng.choice(rows, size=target, replace=False))
-    picked = np.sort(np.concatenate(chosen))
-    return ds.take_rows(picked)
+    return np.sort(np.concatenate(chosen))

@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .dataset import Dataset, load_csv, stratified_subsample
+from .dataset import Dataset, load_csv, stratified_rows
 from .filters import FILTER_METHODS, FilterScores, score_features
 from .metrics import EvaluationReport, build_report, confusion
 from .models import TrainedModel, check_field_types, fit_model, params_from_dict, predict_model
@@ -71,6 +71,8 @@ class RunConfig:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
         if not (0.0 < self.subsample <= 1.0):
             raise ValueError(f"subsample must be in (0, 1], got {self.subsample}")
+        if self.relief_sample is not None and self.relief_sample < 1:
+            raise ValueError(f"relief_sample must be >= 1, got {self.relief_sample}")
 
     @property
     def name(self) -> str:
@@ -173,13 +175,21 @@ def select_features(
 def subsample_and_select(train: Dataset, config: RunConfig):
     """Subsample the training split, then select on it.
 
-    Returns ``(train, select_features(train, config))``; the returned
-    ``train`` is the subsampled split that the selection indices refer to.
+    Returns ``(rows, select_features(train.take_rows(rows), config))``:
+    ``rows`` are the sorted indices of the subsample in ``train``, or None
+    when ``config`` keeps every row. Indices, not the subsampled split, so
+    that a forked bench worker sends back only a few numbers.
     """
+    rows = None
     with _stage("subsample"):
         if config.subsample < 1.0:
-            train = stratified_subsample(train, config.subsample, config.seed)
-    return train, select_features(train, config)
+            rows = stratified_rows(train.labels, config.subsample, config.seed)
+    return rows, select_features(subsampled(train, rows), config)
+
+
+def subsampled(train: Dataset, rows) -> Dataset:
+    """The rows of ``train`` that ``subsample_and_select`` returned."""
+    return train if rows is None else train.take_rows(rows)
 
 
 def fit_for_config(
@@ -236,8 +246,9 @@ def run_pipeline(config: RunConfig, splits: tuple[Dataset, Dataset] | None = Non
     default it is computed here.
     """
     train, test = splits if splits is not None else load_splits(config)[:2]
-    train, (subset, fs_seconds, scores, trace) = (
+    rows, (subset, fs_seconds, scores, trace) = (
         selection if selection is not None else subsample_and_select(train, config))
+    train = subsampled(train, rows)
 
     plan, model, train_seconds = fit_for_config(train, subset, config)
 

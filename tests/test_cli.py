@@ -1,10 +1,14 @@
 import json
+import multiprocessing
+import os
+import pickle
 
 import numpy as np
 import pytest
 
 from fsel_ids import cli, models, pipeline, unsw
 from fsel_ids.cli import main
+from fsel_ids.dataset import Dataset
 from fsel_ids.metrics import report_to_json
 from fsel_ids.models import model_from_json
 from fsel_ids.pipeline import REFERENCE_FS, RunConfig, run_pipeline
@@ -454,29 +458,51 @@ def test_missing_paths_fail_cleanly(tmp_path, capsys):
     assert "--train and --test" in capsys.readouterr().err
 
 
+def log_calls(patch, module, name, log, fn=None):
+    """Patch ``module.name`` to append the caller's pid to ``log``, then call ``fn``.
+
+    ``fn`` defaults to the original. The file sees calls made in forked
+    workers, which a list in this process would miss.
+    """
+    call = fn or getattr(module, name)
+
+    def logged(*args, **kwargs):
+        with open(log, "a", encoding="utf-8") as f:
+            f.write(f"{os.getpid()}\n")
+        return call(*args, **kwargs)
+
+    patch.setattr(module, name, logged)
+
+
+def logged_pids(log):
+    return [int(line) for line in log.read_text().split()] if log.exists() else []
+
+
 def test_bench_interrupt_stops_the_grid(toy_split, tmp_path, monkeypatch):
     def interrupt(*args, **kwargs):
         raise KeyboardInterrupt
 
-    cells = []
-    run_cell = cli.run_pipeline
-
-    def counted(*args, **kwargs):
-        cells.append(1)
-        return run_cell(*args, **kwargs)
-
-    monkeypatch.setattr(cli, "run_pipeline", counted)
     config = bench_config(toy_split, tmp_path, ["none", "infogain"], ["tree", "naive_bayes"])
     for stage in ("select_features", "fit_model"):
-        with monkeypatch.context() as patch:
-            patch.setattr(pipeline, stage, interrupt)
-            for jobs in ("1", "2"):
-                out = tmp_path / f"interrupted_{stage}_{jobs}"
+        for jobs in ("1", "2"):
+            cells, interrupts = (tmp_path / f"{log}_{stage}_{jobs}.log"
+                                 for log in ("cells", "interrupts"))
+            out = tmp_path / f"interrupted_{stage}_{jobs}"
+            with monkeypatch.context() as patch:
+                log_calls(patch, cli, "run_pipeline", cells)
+                log_calls(patch, pipeline, stage, interrupts, interrupt)
                 with pytest.raises(KeyboardInterrupt):
                     main(["bench", "--config", str(config), "--jobs", jobs, "--out", str(out)])
-                assert not (out / "summary.json").exists()
-        # An interrupt while the rows select starts no cell.
-        assert bool(cells) == (stage == "fit_model")
+            assert not (out / "summary.json").exists()
+            assert not multiprocessing.active_children()
+            # With --jobs 2 the interrupt is raised inside a worker.
+            assert logged_pids(interrupts)
+            assert all((pid != os.getpid()) == (jobs == "2") for pid in logged_pids(interrupts))
+            # An interrupt while the rows select starts no cell; with --jobs 1 an
+            # interrupted cell is the last to start.
+            started = len(logged_pids(cells))
+            assert bool(started) == (stage == "fit_model")
+            assert jobs == "2" or started <= 1
 
 
 def test_bench_loads_each_split_once(toy_split, tmp_path, monkeypatch):
@@ -521,21 +547,132 @@ def test_bench_reference_subset_fails_on_a_schema_without_its_columns(toy_split,
 
 @pytest.mark.parametrize("jobs", ["1", "2"])
 def test_bench_selects_once_per_fs_row(toy_split, tmp_path, monkeypatch, jobs):
-    searches = []
-    search = pipeline.best_first_search
-
-    def counted(*args, **kwargs):
-        searches.append(1)
-        return search(*args, **kwargs)
-
-    monkeypatch.setattr(pipeline, "best_first_search", counted)
+    searches = tmp_path / "searches.log"
+    log_calls(monkeypatch, pipeline, "best_first_search", searches)
     config = bench_config(toy_split, tmp_path, ["wrapper", "none"], ["tree", "naive_bayes"])
     out = tmp_path / "grid"
     assert main(["bench", "--config", str(config), "--jobs", jobs, "--out", str(out)]) == 0
-    assert len(searches) == 1
+    assert len(logged_pids(searches)) == 1
     timings = [json.loads((out / f"cell_wrapper_{algo}" / "report.json").read_text())["timings"]
                for algo in ("tree", "naive_bayes")]
     assert timings[0]["fs_seconds"] == timings[1]["fs_seconds"] > 0
+
+
+def test_bench_starts_no_more_workers_than_tasks(toy_split, tmp_path, monkeypatch):
+    started = []
+
+    class RecordingPool:
+        """Runs the tasks in this process and records the requested pool size."""
+
+        def __init__(self, max_workers, mp_context, **kwargs):
+            assert mp_context.get_start_method() == "fork"
+            started.append(max_workers)
+
+        def map(self, fn, *columns):
+            return map(fn, *columns)
+
+        def shutdown(self, cancel_futures=False):
+            pass
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+    config = bench_config(toy_split, tmp_path, ["none", "infogain", "gainratio"],
+                          ["tree", "naive_bayes", "knn", "mlp"])
+    assert main(["bench", "--config", str(config), "--jobs", "64",
+                 "--out", str(tmp_path / "grid")]) == 0
+    assert started == [3, 12]  # 3 fs rows, then 12 cells
+    # One task per phase runs in this process: no pool at all.
+    started.clear()
+    config = bench_config(toy_split, tmp_path, ["infogain"], ["naive_bayes"])
+    assert main(["bench", "--config", str(config), "--jobs", "64",
+                 "--out", str(tmp_path / "one")]) == 0
+    assert started == []
+
+
+@pytest.mark.parametrize("algorithms, code", [(["tree", "naive_bayes"], 0),
+                                              (["tree", "boosting"], 1)])
+def test_bench_leaves_no_worker_running(toy_split, tmp_path, algorithms, code):
+    config = bench_config(toy_split, tmp_path, ["none", "infogain"], algorithms)
+    assert main(["bench", "--config", str(config), "--jobs", "2",
+                 "--out", str(tmp_path / "grid")]) == code
+    assert not multiprocessing.active_children()
+
+
+def test_bench_splits_never_cross_the_pipe(toy_split, tmp_path, monkeypatch):
+    def refuse(self):
+        raise AssertionError("a Dataset was pickled")
+
+    monkeypatch.setattr(Dataset, "__reduce__", refuse)
+    train_path, _, schema_path = map(str, toy_split)
+    train = pipeline.load_file(RunConfig(schema_path=schema_path), train_path)
+    with pytest.raises(AssertionError, match="a Dataset was pickled"):
+        pickle.dumps(train)
+    config = bench_config(toy_split, tmp_path, ["none", "infogain"], ["tree", "naive_bayes"])
+    out = tmp_path / "grid"
+    assert main(["bench", "--config", str(config), "--jobs", "2", "--out", str(out)]) == 0
+    assert json.loads((out / "summary.json").read_text())["reports"] == 4
+
+
+def test_bench_subsampled_reports_do_not_depend_on_jobs(toy_split, tmp_path):
+    config = bench_config(toy_split, tmp_path, ["none", "infogain", "relief"],
+                          ["tree", "naive_bayes"])
+    doc = json.loads(config.read_text())
+    config.write_text(json.dumps({**doc, "subsample": 0.5, "seed": 3}))
+    outs = {}
+    for jobs in ("1", "2"):
+        out = tmp_path / f"jobs{jobs}"
+        assert main(["bench", "--config", str(config), "--jobs", jobs, "--out", str(out)]) == 0
+        outs[jobs] = untimed_reports(out)
+    assert len(outs["1"]) == 6
+    assert outs["1"] == outs["2"]
+    cell = RunConfig(**{k: v for k, v in doc.items() if k not in ("fs_methods", "algorithms")},
+                     fs="relief", algorithm="tree", subsample=0.5, seed=3)
+    want = json.loads(report_to_json(run_pipeline(cell).report))
+    del want["timings"]
+    assert outs["2"]["cell_relief_tree"] == want
+
+
+def test_bench_jobs_needs_fork(toy_split, tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(cli.multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+    config = bench_config(toy_split, tmp_path, ["none"], ["tree"])
+    out = tmp_path / "grid"
+    assert main(["bench", "--config", str(config), "--jobs", "2", "--out", str(out)]) == 1
+    assert "'fork' start method" in capsys.readouterr().err
+    assert not out.exists()
+    assert main(["bench", "--config", str(config), "--jobs", "1", "--out", str(out)]) == 0
+
+
+@pytest.mark.parametrize("command", ["select", "train", "bench"])
+def test_relief_sample_flag_overrides_the_config_file(toy_split, tmp_path, monkeypatch, command):
+    samples = []
+    score = pipeline.score_features
+
+    def recorded(*args, sample_count=None, **kwargs):
+        samples.append(sample_count)
+        return score(*args, sample_count=sample_count, **kwargs)
+
+    monkeypatch.setattr(pipeline, "score_features", recorded)
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"relief_sample": 7}))
+    run = [command, "--fs", "relief", "--k", "2", *common_flags(toy_split, tmp_path / "out")]
+    assert main(run) == 0
+    assert main([*run, "--config", str(config)]) == 0
+    assert main([*run, "--config", str(config), "--relief-sample", "3"]) == 0
+    assert main([*run, "--relief-sample", "5"]) == 0
+    assert samples == [None, 7, 3, 5]
+
+
+@pytest.mark.parametrize("command", ["select", "train", "bench"])
+@pytest.mark.parametrize("value", ["0", "-4"])
+def test_relief_sample_must_be_at_least_one(toy_split, tmp_path, capsys, command, value):
+    out = tmp_path / "out"
+    flags = [command, "--fs", "relief", *common_flags(toy_split, out)]
+    assert main([*flags, "--relief-sample", value]) == 1
+    assert f"relief_sample must be >= 1, got {value}" in capsys.readouterr().err
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"relief_sample": int(value)}))
+    assert main([*flags, "--config", str(config)]) == 1
+    assert f"relief_sample must be >= 1, got {value}" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("field", ["fs_methods", "algorithms"])

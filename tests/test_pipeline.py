@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
 
+from fsel_ids.dataset import stratified_subsample
 from fsel_ids.pipeline import (
     FS_METHODS,
     PipelineError,
     RunConfig,
+    fit_for_config,
     load_splits,
     run_pipeline,
     subsample_and_select,
@@ -129,6 +131,22 @@ def test_a_given_selection_replaces_the_cells_own(toy_split):
     assert shared.selected_names == own.selected_names
     assert shared.report.cm == own.report.cm
     assert shared.report.fs_seconds == selection[1][1]
+
+
+def test_a_selection_carries_the_subsample_rows_the_cell_fits_on(toy_split):
+    config = toy_config(toy_split, fs="infogain", k=2, algorithm="naive_bayes",
+                        subsample=0.5, seed=1)
+    train, test, _ = load_splits(config)
+    rows, selection = subsample_and_select(train, config)
+    assert len(rows) == train.row_count // 2 and np.all(np.diff(rows) > 0)
+    plan, model, _ = fit_for_config(stratified_subsample(train, 0.5, seed=1), selection[0],
+                                    config)
+    result = run_pipeline(config, (train, test), (rows, selection))
+    assert result.plan == plan != fit_preprocess(train, sorted(selection[0]))
+    assert result.model.payload == model.payload
+    # A run that keeps every row returns no indices and fits on the whole split.
+    whole = toy_config(toy_split, fs="infogain", k=2)
+    assert subsample_and_select(train, whole)[0] is None
 
 
 def test_load_stage_annotates_missing_file(toy_split):
