@@ -13,7 +13,8 @@ import json
 import multiprocessing
 import signal
 import sys
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import Future, ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
 
 from .metrics import markdown_table, report_to_json
@@ -29,7 +30,6 @@ from .pipeline import (
     load_splits,
     run_pipeline,
     subsample_and_select,
-    subsampled,
 )
 from .preprocess import plan_from_json, plan_to_json
 from .wrapper import subset_names, trace_to_jsonl
@@ -187,9 +187,8 @@ def cmd_train(args) -> int:
     config, _ = _load_config(args)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    train = load_file(config, config.train_path)
-    rows, (subset, _, scores, trace) = subsample_and_select(train, config)
-    train = subsampled(train, rows)
+    train, (subset, _, scores, trace) = subsample_and_select(
+        load_file(config, config.train_path), config)
     plan, model, train_seconds = fit_for_config(train, subset, config)
     (out / "model.json").write_text(model_to_json(model), encoding="utf-8")
     (out / "plan.json").write_text(plan_to_json(plan), encoding="utf-8")
@@ -227,65 +226,76 @@ def cmd_evaluate(args) -> int:
     return 0
 
 
-# The running bench's (train, test) pair. Workers are forked while it is
-# set, so they inherit it copy-on-write: the splits never cross the pipe,
-# only configs, selections and reports do.
-_SPLITS: tuple = ()
+# The running map's task. Workers are forked while it is set, so they
+# inherit it, and all it closes over, copy-on-write: only task numbers and
+# (result, error) pairs cross the pipe.
+_TASK = None
 
 
-def _guarded(fn, *fn_args):
+def _guarded(i: int):
     try:
-        return fn(*fn_args), None
+        return _TASK(i), None
     except Exception as exc:  # noqa: BLE001 -- a failure must not kill the batch
         return None, f"{type(exc).__name__}: {exc}"
 
 
-def _select_row(row: RunConfig):
-    """An fs row's ``subsample_and_select`` on the shared train split, or its error."""
-    return _guarded(subsample_and_select, _SPLITS[0], row)
-
-
-def _run_cell(config: RunConfig, row_selection):
-    """One cell's report on the shared splits and its row's selection, or its error."""
-    selection, error = row_selection
-    if error is not None:  # the row's selection failed
-        return None, error
-    result, error = _guarded(run_pipeline, config, _SPLITS, selection)
-    return (result.report if result else None), error
-
-
-def _map(fn, jobs: int, *columns) -> list:
-    """``list(map(fn, *columns))`` in at most ``jobs`` forked workers, and in
-    no more than there are tasks; one task or ``jobs`` of 1 runs here.
-
-    An interrupt stops the workers at once; none outlives the call.
-    """
-    workers = min(jobs, len(columns[0]))
-    if workers < 2:
-        return list(map(fn, *columns))
-    # Workers ignore Ctrl-C, which the terminal sends to the whole process
-    # group: this process gets it and stops them.
-    pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"),
-                               initializer=signal.signal,
-                               initargs=(signal.SIGINT, signal.SIG_IGN))
+def _submit(pool: ProcessPoolExecutor, i: int) -> Future:
+    """``pool.submit(_guarded, i)``, or a failed future once a worker has died."""
     try:
-        return list(pool.map(fn, *columns))
-    except KeyboardInterrupt:
-        for worker in pool._processes.values():  # no public handle before Python 3.14
-            worker.terminate()
-        raise
+        return pool.submit(_guarded, i)
+    except BrokenProcessPool as exc:
+        future = Future()
+        future.set_exception(exc)
+        return future
+
+
+def _outcome(future: Future):
+    """A task's ``(result, error)``; a dead worker fails the tasks it had not returned."""
+    try:
+        return future.result()
+    except BrokenProcessPool as exc:
+        return None, f"BrokenProcessPool: {exc}"
+
+
+def _map(task, count: int, jobs: int) -> list:
+    """``(task(i), None)``, or ``(None, error)`` if it raised, for each ``i < count``.
+
+    At most ``jobs`` forked workers run the tasks, and no more than there are
+    tasks; one task or ``jobs`` of 1 runs here. A worker that dies fails only
+    the tasks it had not returned. An interrupt stops the workers at once;
+    none outlives the call.
+    """
+    global _TASK
+    _TASK = task
+    try:
+        workers = min(jobs, count)
+        if workers < 2:
+            return [_guarded(i) for i in range(count)]
+        # Workers ignore Ctrl-C, which the terminal sends to the whole process
+        # group: this process gets it and stops them.
+        pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"),
+                                   initializer=signal.signal,
+                                   initargs=(signal.SIGINT, signal.SIG_IGN))
+        try:
+            return [_outcome(f) for f in [_submit(pool, i) for i in range(count)]]
+        except KeyboardInterrupt:
+            for worker in pool._processes.values():  # no public handle before Python 3.14
+                worker.terminate()
+            raise
+        finally:
+            pool.shutdown(cancel_futures=True)
     finally:
-        pool.shutdown(cancel_futures=True)
+        _TASK = None
 
 
 def cmd_bench(args) -> int:
     """Run the fs-method x algorithm grid on one loaded (train, test) pair.
 
-    Each fs row selects once (``_select_row``) and its cells share that
-    selection (``_run_cell``); with ``--jobs`` above 1 both phases run in
-    forked worker processes, which inherit the loaded splits.
+    Each fs row selects once on its subsample, and its cells share that
+    selection. With ``--jobs`` above 1 both phases run in forked workers
+    (``_map``) as closures over the splits and selections, so only task
+    numbers, selections and reports cross the pipe. A cell fails alone.
     """
-    global _SPLITS
     base, grid = _load_config(args, allow_grid=True)
     if args.jobs < 1:
         raise ValueError(f"--jobs must be >= 1, got {args.jobs}")
@@ -299,41 +309,36 @@ def cmd_bench(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     # Every cell shares one (train, test) pair; the columns are read-only.
-    _SPLITS = load_splits(base)[:2]
-    try:
-        selections = _map(_select_row, args.jobs, rows)
-        outcomes = _map(_run_cell, args.jobs, cells,
-                        [s for s in selections for _ in algorithms])
-    finally:
-        _SPLITS = ()
+    splits = load_splits(base)[:2]
+    selections = _map(lambda i: subsample_and_select(splits[0], rows[i])[1],
+                      len(rows), args.jobs)
+
+    def run_cell(i):  # a cell whose row failed to select runs nothing
+        selection, row_error = selections[i // len(algorithms)]
+        return None if row_error else run_pipeline(cells[i], splits, selection).report
+
+    outcomes = _map(run_cell, len(cells), args.jobs)
 
     reports, failures = [], []
-    for config, (report, error) in zip(cells, outcomes):
+    for i, (config, (report, error)) in enumerate(zip(cells, outcomes)):
         cell_dir = out / f"cell_{config.fs}_{config.algorithm}"
         cell_dir.mkdir(parents=True, exist_ok=True)
         if report is not None:
             _write_report(report, cell_dir)
             reports.append(report)
         else:
+            error = error or selections[i // len(algorithms)][1]  # the row's own failure
             (cell_dir / "error.txt").write_text(error + "\n", encoding="utf-8")
             failures.append({"fs": config.fs, "algorithm": config.algorithm,
                              "error": error})
 
     averages = []
     for fs in fs_methods:
-        rows = [r for r in reports if r.fs_method == fs]
-        if not rows:
-            continue
-        averages.append({
-            "fs_method": fs,
-            "cells": len(rows),
-            "mean_acc": sum(r.acc for r in rows) / len(rows),
-            "mean_dr": sum(r.dr for r in rows) / len(rows),
-            "mean_far": sum(r.far for r in rows) / len(rows),
-            "mean_fs_seconds": sum(r.fs_seconds for r in rows) / len(rows),
-            "mean_blended_train_seconds":
-                sum(r.blended_train_seconds for r in rows) / len(rows),
-        })
+        row = [r for r in reports if r.fs_method == fs]
+        if row:
+            averages.append({"fs_method": fs, "cells": len(row), **{
+                f"mean_{key}": sum(getattr(r, key) for r in row) / len(row)
+                for key in ("acc", "dr", "far", "fs_seconds", "blended_train_seconds")}})
 
     summary = {"reports": len(reports), "failures": failures, "averages": averages}
     (out / "summary.json").write_text(json.dumps(summary, indent=2), encoding="utf-8")

@@ -68,7 +68,6 @@ class Dataset:
 
     columns: tuple[Column, ...]
     labels: np.ndarray  # uint8, 1 = attack
-    label_name: str = "label"
     matrix: np.ndarray | None = field(default=None, repr=False)  # set by from_matrix
 
     def __post_init__(self):
@@ -81,12 +80,12 @@ class Dataset:
                 )
 
     @classmethod
-    def from_matrix(cls, names, matrix: np.ndarray, labels, label_name="label") -> "Dataset":
+    def from_matrix(cls, names, matrix: np.ndarray, labels) -> "Dataset":
         """Numeric dataset over an (n, d) float64 array: column j is the view
         ``matrix[:, j]``, and ``as_matrix`` returns ``matrix`` itself."""
         _frozen(matrix)
         return cls(tuple(Column(name, "numeric", matrix[:, j]) for j, name in enumerate(names)),
-                   labels, label_name, matrix)
+                   labels, matrix)
 
     @property
     def row_count(self) -> int:
@@ -112,13 +111,13 @@ class Dataset:
         idx = sorted(set(int(i) for i in indices))
         if idx and (idx[0] < 0 or idx[-1] >= len(self.columns)):
             raise DatasetError(f"feature index out of range: {idx}")
-        return Dataset(tuple(self.columns[i] for i in idx), self.labels, self.label_name)
+        return Dataset(tuple(self.columns[i] for i in idx), self.labels)
 
     def take_rows(self, rows: np.ndarray) -> "Dataset":
         cols = tuple(
             Column(c.name, c.kind, c.values[rows].copy(), c.categories) for c in self.columns
         )
-        return Dataset(cols, self.labels[rows].copy(), self.label_name)
+        return Dataset(cols, self.labels[rows].copy())
 
     def as_matrix(self) -> np.ndarray:
         """The (n, d) float64 matrix of all columns.
@@ -220,7 +219,7 @@ def load_csv(path, schema: FeatureSchema, *, positive_label: str = "1") -> Datas
     if suspect and (fault := _first_fault(path, schema, positive_label)) is not None:
         raise fault
     columns = tuple(Column(*c) for c in columns)
-    return Dataset(columns, attack.astype(np.uint8), names[class_idx])
+    return Dataset(columns, attack.astype(np.uint8))
 
 
 def _finite_numbers(cells: list[str]) -> bool:
@@ -272,23 +271,18 @@ def _first_fault(path, schema: FeatureSchema, positive_label: str) -> DatasetErr
 
 
 def stratified_subsample(ds: Dataset, fraction: float, seed: int) -> Dataset:
-    """``ds.take_rows(stratified_rows(ds.labels, fraction, seed))``."""
-    return ds.take_rows(stratified_rows(ds.labels, fraction, seed))
-
-
-def stratified_rows(labels: np.ndarray, fraction: float, seed: int) -> np.ndarray:
-    """Sorted row indices of a deterministic per-class subsample.
+    """Deterministic per-class subsample preserving proportions within 1 row.
 
     Each class contributes round(fraction * class_count) rows, drawn without
-    replacement by numpy's default_rng(seed), so proportions hold within 1
-    row. Selected rows keep their original order.
+    replacement by numpy's default_rng(seed). Selected rows keep their
+    original order.
     """
     if not (0.0 < fraction <= 1.0):
         raise DatasetError(f"fraction must be in (0, 1], got {fraction}")
     rng = np.random.default_rng(seed)
     chosen = []
     for cls in (NORMAL, ATTACK):
-        rows = np.flatnonzero(labels == cls)
+        rows = np.flatnonzero(ds.labels == cls)
         if rows.size == 0:
             continue
         if fraction * rows.size < 2:
@@ -297,4 +291,4 @@ def stratified_rows(labels: np.ndarray, fraction: float, seed: int) -> np.ndarra
             )
         target = int(round(fraction * rows.size))
         chosen.append(rng.choice(rows, size=target, replace=False))
-    return np.sort(np.concatenate(chosen))
+    return ds.take_rows(np.sort(np.concatenate(chosen)))

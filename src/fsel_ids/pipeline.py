@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .dataset import Dataset, load_csv, stratified_rows
+from .dataset import Dataset, load_csv, stratified_subsample
 from .filters import FILTER_METHODS, FilterScores, score_features
 from .metrics import EvaluationReport, build_report, confusion
 from .models import TrainedModel, check_field_types, fit_model, params_from_dict, predict_model
@@ -122,7 +122,7 @@ def load_file(config: RunConfig, path: str | None) -> Dataset:
 
 
 def load_splits(config: RunConfig) -> tuple[Dataset, Dataset, FeatureSchema]:
-    """Load the train and test files, each on its own.
+    """Load the train and test files, each on its own, under one parse of the schema.
 
     Each file numbers its categories in its own order; a fitted plan
     matches them by name. A missing path fails before either file loads.
@@ -131,8 +131,11 @@ def load_splits(config: RunConfig) -> tuple[Dataset, Dataset, FeatureSchema]:
         raise PipelineError("load", "a run that fits needs --train (or a train_path config field)")
     if config.test_path is None:
         raise PipelineError("load", _NO_TEST)
-    return (load_file(config, config.train_path), load_file(config, config.test_path),
-            _schema(config))
+    with _stage("load"):
+        schema = _schema(config)
+        train, test = (load_csv(path, schema, positive_label=config.positive_label)
+                       for path in (config.train_path, config.test_path))
+    return train, test, schema
 
 
 def select_features(
@@ -172,24 +175,20 @@ def select_features(
         return subset, time.perf_counter() - started, scores, None
 
 
-def subsample_and_select(train: Dataset, config: RunConfig):
-    """Subsample the training split, then select on it.
-
-    Returns ``(rows, select_features(train.take_rows(rows), config))``:
-    ``rows`` are the sorted indices of the subsample in ``train``, or None
-    when ``config`` keeps every row. Indices, not the subsampled split, so
-    that a forked bench worker sends back only a few numbers.
-    """
-    rows = None
+def subsampled(train: Dataset, config: RunConfig) -> Dataset:
+    """``config``'s stratified subsample of ``train``, or ``train`` itself when
+    it keeps every row. A pure function of the labels, ``subsample`` and
+    ``seed``: each stage that needs it draws it again."""
     with _stage("subsample"):
         if config.subsample < 1.0:
-            rows = stratified_rows(train.labels, config.subsample, config.seed)
-    return rows, select_features(subsampled(train, rows), config)
+            return stratified_subsample(train, config.subsample, config.seed)
+        return train
 
 
-def subsampled(train: Dataset, rows) -> Dataset:
-    """The rows of ``train`` that ``subsample_and_select`` returned."""
-    return train if rows is None else train.take_rows(rows)
+def subsample_and_select(train: Dataset, config: RunConfig):
+    """``(subsample, select_features(subsample, config))`` on ``subsampled(train, config)``."""
+    train = subsampled(train, config)
+    return train, select_features(train, config)
 
 
 def fit_for_config(
@@ -241,14 +240,14 @@ def run_pipeline(config: RunConfig, splits: tuple[Dataset, Dataset] | None = Non
 
     ``splits`` is a ``(train, test)`` pair already loaded for ``config``'s
     files, which a grid shares between its cells; by default both are loaded.
-    ``selection`` is ``subsample_and_select``'s result on that train split
-    for ``config``, which a grid shares between the cells of one fs row; by
-    default it is computed here.
+    ``selection`` is ``select_features``'s result on ``config``'s subsample
+    of that train split, which a grid shares between the cells of one fs
+    row; by default it is computed here.
     """
     train, test = splits if splits is not None else load_splits(config)[:2]
-    rows, (subset, fs_seconds, scores, trace) = (
-        selection if selection is not None else subsample_and_select(train, config))
-    train = subsampled(train, rows)
+    train = subsampled(train, config)
+    subset, fs_seconds, scores, trace = (
+        selection if selection is not None else select_features(train, config))
 
     plan, model, train_seconds = fit_for_config(train, subset, config)
 

@@ -143,7 +143,7 @@ def apply_preprocess(plan: PreprocessPlan, ds: Dataset) -> Dataset:
         names.extend(f"{col.name}={cat}" for cat in fitted)
     if hot_rows:
         x[np.concatenate(hot_rows), np.concatenate(hot_cols)] = 1.0
-    return Dataset.from_matrix(names, x, ds.labels, ds.label_name)
+    return Dataset.from_matrix(names, x, ds.labels)
 
 
 def plan_to_json(plan: PreprocessPlan) -> str:

@@ -2,6 +2,9 @@ import json
 import multiprocessing
 import os
 import pickle
+import signal
+import time
+from concurrent.futures import Future
 
 import numpy as np
 import pytest
@@ -330,6 +333,26 @@ def test_evaluate_rejects_malformed_saved_documents(toy_split, tmp_path, capsys,
     assert not (tmp_path / "saved" / "report.json").exists()
 
 
+@pytest.mark.parametrize("document, version, message", [
+    ("model.json", 1, "unsupported model version 1"),
+    ("plan.json", 2, "unsupported plan version 2"),
+])
+def test_evaluate_rejects_an_unsupported_document_version(toy_split, tmp_path, capsys, document,
+                                                          version, message):
+    run_dir = tmp_path / "run"
+    assert main(["train", "--algo", "tree", *common_flags(toy_split, run_dir)]) == 0
+    doc = json.loads((run_dir / document).read_text())
+    (run_dir / document).write_text(json.dumps({**doc, "version": version}))
+    capsys.readouterr()
+    code = main(["evaluate", "--model", str(run_dir / "model.json"),
+                 "--plan", str(run_dir / "plan.json"),
+                 *common_flags(toy_split, tmp_path / "saved")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and message in err
+    assert not (tmp_path / "saved" / "report.json").exists()
+
+
 def test_evaluate_model_without_plan_fails(toy_split, tmp_path, capsys):
     code = main([
         "evaluate", "--model", "whatever.json",
@@ -443,6 +466,32 @@ def test_unknown_config_field_is_rejected(toy_split, tmp_path, capsys):
     code = main(["evaluate", "--config", str(config), "--out", str(tmp_path / "x")])
     assert code == 1
     assert "unknown config fields" in capsys.readouterr().err
+
+
+def test_an_override_without_equals_is_rejected(toy_split, tmp_path, capsys):
+    with pytest.raises(SystemExit) as info:
+        main(["evaluate", "--set", "min_leaf", *common_flags(toy_split, tmp_path / "x")])
+    assert info.value.code == 2
+    assert "expected key=value, got 'min_leaf'" in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
+
+
+def test_a_config_file_that_is_not_an_object_is_rejected(toy_split, tmp_path, capsys):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(["fs", "infogain"]))
+    code = main(["evaluate", "--config", str(config), *common_flags(toy_split, tmp_path / "x")])
+    assert code == 1
+    assert "config must be a JSON object" in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
+
+
+def test_a_feature_sample_below_one_is_rejected(toy_split, tmp_path, capsys):
+    code = main(["evaluate", "--algo", "forest", "--set", "feature_sample=0",
+                 *common_flags(toy_split, tmp_path / "x")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "feature_sample must be >= 1, got 0" in err
+    assert not (tmp_path / "x" / "report.json").exists()
 
 
 def test_grid_fields_rejected_outside_bench(toy_split, tmp_path, capsys):
@@ -568,8 +617,10 @@ def test_bench_starts_no_more_workers_than_tasks(toy_split, tmp_path, monkeypatc
             assert mp_context.get_start_method() == "fork"
             started.append(max_workers)
 
-        def map(self, fn, *columns):
-            return map(fn, *columns)
+        def submit(self, fn, *args):
+            future = Future()
+            future.set_result(fn(*args))
+            return future
 
         def shutdown(self, cancel_futures=False):
             pass
@@ -594,6 +645,102 @@ def test_bench_leaves_no_worker_running(toy_split, tmp_path, algorithms, code):
     config = bench_config(toy_split, tmp_path, ["none", "infogain"], algorithms)
     assert main(["bench", "--config", str(config), "--jobs", "2",
                  "--out", str(tmp_path / "grid")]) == code
+    assert not multiprocessing.active_children()
+
+
+def wait_then_kill(returned, parent):
+    """SIGKILL this worker once another task marked ``returned``, and its result
+    has had a second to reach the parent."""
+    assert os.getpid() != parent, "the task would kill the test process"
+    deadline = time.monotonic() + 60
+    while not returned.exists() and time.monotonic() < deadline:
+        time.sleep(0.01)
+    time.sleep(1.0)
+    os.kill(os.getpid(), signal.SIGKILL)
+
+
+def test_map_fails_only_the_tasks_a_killed_worker_had_not_returned(tmp_path):
+    returned, parent = tmp_path / "returned", os.getpid()
+
+    def task(i):
+        if i == 1:
+            wait_then_kill(returned, parent)
+        if i == 2:  # still running, or never started, when the pool breaks
+            time.sleep(60)
+        returned.touch()
+        return f"task {i}"
+
+    outcomes = cli._map(task, 3, 2)
+    assert outcomes[0] == ("task 0", None)
+    for result, error in outcomes[1:]:
+        assert result is None and error.startswith("BrokenProcessPool: ")
+    assert not multiprocessing.active_children()
+    assert cli._TASK is None
+
+
+def test_map_fails_every_task_when_the_workers_die_before_all_are_submitted():
+    parent = os.getpid()
+
+    def die(i):
+        assert os.getpid() != parent, "the task would kill the test process"
+        os.kill(os.getpid(), signal.SIGKILL)
+
+    # Enough tasks that the pool breaks while they are still being submitted.
+    outcomes = cli._map(die, 1000, 2)
+    assert len(outcomes) == 1000
+    for result, error in outcomes:
+        assert result is None and error.startswith("BrokenProcessPool: ")
+    assert not multiprocessing.active_children()
+    assert cli._TASK is None
+
+
+def test_bench_with_a_killed_worker_keeps_the_finished_cells(toy_split, tmp_path, monkeypatch):
+    returned, parent = tmp_path / "returned", os.getpid()
+    run = cli.run_pipeline
+
+    def run_or_die(config, *args):
+        if config.algorithm == "naive_bayes":
+            wait_then_kill(returned, parent)
+        result = run(config, *args)
+        returned.touch()
+        return result
+
+    monkeypatch.setattr(cli, "run_pipeline", run_or_die)
+    config = bench_config(toy_split, tmp_path, ["none", "infogain"], ["tree", "naive_bayes"])
+    out = tmp_path / "grid"
+    assert main(["bench", "--config", str(config), "--jobs", "2", "--out", str(out)]) == 1
+    summary = json.loads((out / "summary.json").read_text())
+    cells = sorted(out.glob("cell_*"))
+    assert len(cells) == 4
+    for cell in cells:
+        assert (cell / "report.json").exists() != (cell / "error.txt").exists()
+    assert summary["reports"] + len(summary["failures"]) == 4
+    assert (out / "cell_none_tree" / "report.json").exists()
+    assert summary["failures"]
+    for failure in summary["failures"]:
+        assert failure["error"].startswith("BrokenProcessPool: ")
+    assert not multiprocessing.active_children()
+    assert cli._TASK is None
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_bench_clears_the_task_on_every_path(toy_split, tmp_path, monkeypatch, jobs):
+    def interrupt(*args, **kwargs):
+        raise KeyboardInterrupt
+
+    clean = bench_config(toy_split, tmp_path, ["none", "infogain"], ["tree", "naive_bayes"])
+    assert main(["bench", "--config", str(clean), "--jobs", jobs,
+                 "--out", str(tmp_path / "clean")]) == 0
+    assert cli._TASK is None
+    failed = bench_config(toy_split, tmp_path, ["none"], ["tree", "boosting"])
+    assert main(["bench", "--config", str(failed), "--jobs", jobs,
+                 "--out", str(tmp_path / "failed")]) == 1
+    assert cli._TASK is None
+    monkeypatch.setattr(pipeline, "fit_model", interrupt)
+    with pytest.raises(KeyboardInterrupt):
+        main(["bench", "--config", str(clean), "--jobs", jobs,
+              "--out", str(tmp_path / "interrupted")])
+    assert cli._TASK is None
     assert not multiprocessing.active_children()
 
 

@@ -256,11 +256,10 @@ def _reference_load_csv(
             columns.append(
                 Column(name, "nominal", np.asarray(nominal_data[i], dtype=np.int32), cats)
             )
-    return Dataset(tuple(columns), np.asarray(labels, dtype=np.uint8), names[class_idx])
+    return Dataset(tuple(columns), np.asarray(labels, dtype=np.uint8))
 
 
 def assert_same_dataset(got, want):
-    assert got.label_name == want.label_name
     assert got.labels.dtype == want.labels.dtype
     assert got.labels.tobytes() == want.labels.tobytes()
     assert [(c.name, c.kind, c.categories) for c in got.columns] == [

@@ -458,7 +458,7 @@ def encoded_split(rng, rows, features):
 def plain_copy(ds):
     """The same table as a plain Dataset over copies of its columns."""
     return Dataset(tuple(Column(c.name, c.kind, c.values.copy()) for c in ds.columns),
-                   ds.labels, ds.label_name)
+                   ds.labels)
 
 
 @pytest.mark.parametrize("algorithm", ALGORITHMS)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from fsel_ids import pipeline
 from fsel_ids.dataset import stratified_subsample
 from fsel_ids.pipeline import (
     FS_METHODS,
@@ -124,29 +125,30 @@ def test_subsample_shrinks_training_only(toy_split):
 def test_a_given_selection_replaces_the_cells_own(toy_split):
     config = toy_config(toy_split, fs="infogain", k=2, subsample=0.5, seed=1)
     train, test, _ = load_splits(config)
-    selection = subsample_and_select(train, config)
+    _, selection = subsample_and_select(train, config)
     shared = run_pipeline(config, (train, test), selection)
     own = run_pipeline(config)
     np.testing.assert_array_equal(shared.predictions, own.predictions)
     assert shared.selected_names == own.selected_names
     assert shared.report.cm == own.report.cm
-    assert shared.report.fs_seconds == selection[1][1]
+    assert shared.report.fs_seconds == selection[1]
 
 
 def test_a_selection_carries_the_subsample_rows_the_cell_fits_on(toy_split):
     config = toy_config(toy_split, fs="infogain", k=2, algorithm="naive_bayes",
                         subsample=0.5, seed=1)
     train, test, _ = load_splits(config)
-    rows, selection = subsample_and_select(train, config)
-    assert len(rows) == train.row_count // 2 and np.all(np.diff(rows) > 0)
-    plan, model, _ = fit_for_config(stratified_subsample(train, 0.5, seed=1), selection[0],
-                                    config)
-    result = run_pipeline(config, (train, test), (rows, selection))
+    subsample, selection = subsample_and_select(train, config)
+    want = stratified_subsample(train, 0.5, seed=1)
+    assert subsample.row_count == want.row_count == train.row_count // 2
+    np.testing.assert_array_equal(subsample.labels, want.labels)
+    plan, model, _ = fit_for_config(want, selection[0], config)
+    result = run_pipeline(config, (train, test), selection)
     assert result.plan == plan != fit_preprocess(train, sorted(selection[0]))
     assert result.model.payload == model.payload
-    # A run that keeps every row returns no indices and fits on the whole split.
+    # A run that keeps every row gets the split itself and fits on all of it.
     whole = toy_config(toy_split, fs="infogain", k=2)
-    assert subsample_and_select(train, whole)[0] is None
+    assert subsample_and_select(train, whole)[0] is train
 
 
 def test_load_stage_annotates_missing_file(toy_split):
@@ -175,6 +177,20 @@ def test_evaluate_stage_annotates_signature_drift(toy_split):
     with pytest.raises(PipelineError) as info:
         run_pipeline(config)
     assert info.value.stage == "load"
+
+
+def test_load_splits_parses_the_schema_once(toy_split, monkeypatch):
+    texts = []
+    parse = pipeline.parse_schema
+    monkeypatch.setattr(pipeline, "parse_schema", lambda text: texts.append(text) or parse(text))
+    _, _, schema = load_splits(toy_config(toy_split))
+    assert len(texts) == 1 and schema == parse(texts[0])
+    # a schema that does not parse fails inside [load], before either file loads
+    bad_schema = toy_split[2].parent / "bad_schema.txt"
+    bad_schema.write_text("f1,numeric\nlabel,class,extra\n", encoding="utf-8")
+    with pytest.raises(PipelineError, match=r"^\[load\] line 2: expected 'name,kind'"):
+        load_splits(toy_config(toy_split, schema_path=str(bad_schema)))
+    assert len(texts) == 2
 
 
 def test_load_splits_test_split_encodes_by_name(toy_split):

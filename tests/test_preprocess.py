@@ -399,7 +399,7 @@ def apply_minmax(ds: Dataset, params: MinMaxParams) -> Dataset:
             columns.append(col)
     if fitted:
         raise DatasetError(f"scaler columns missing from dataset: {sorted(fitted)}")
-    return Dataset(tuple(columns), ds.labels, ds.label_name)
+    return Dataset(tuple(columns), ds.labels)
 
 
 def fit_onehot(train: Dataset, features=None) -> OneHotPlan:
@@ -445,7 +445,7 @@ def apply_onehot(ds: Dataset, plan: OneHotPlan) -> Dataset:
             columns.append(Column(f"{col.name}={cat}", "numeric", block[:, j].copy()))
     if planned:
         raise DatasetError(f"encoder columns missing from dataset: {sorted(planned)}")
-    return Dataset(tuple(columns), ds.labels, ds.label_name)
+    return Dataset(tuple(columns), ds.labels)
 
 
 def _reference_preprocess(train: Dataset, selected, datasets):
