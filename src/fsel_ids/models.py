@@ -322,24 +322,27 @@ def _knn_from_doc(doc: dict, width: int, params: TrainParams) -> dict:
             **_arrays_from_doc(doc, np.uint8, labels=(rows,))}
 
 
-def _knn_votes(payload: dict, queries: np.ndarray, k: int) -> np.ndarray:
-    """Attack votes among the k nearest training rows (``nearest``), per query.
+def _row_blocks(rows: int, width: int) -> list[slice]:
+    """Slices of ``rows`` rows in blocks of about 250,000 (row x ``width``)
+    values and at least 16 rows, so that a block's temporaries take a few MB."""
+    step = max(16, 250_000 // width)
+    return [slice(start, start + step) for start in range(0, rows, step)]
 
-    Queries go in blocks of about 250,000 distances (at least 16 queries),
-    which keeps each block's temporaries to a few MB.
-    """
+
+def _knn_votes(payload: dict, queries: np.ndarray, k: int) -> np.ndarray:
+    """Attack votes among the k nearest training rows (``nearest``), per query;
+    queries go in ``_row_blocks`` of distances to every training row."""
     t = payload["matrix"]
     attack = payload["labels"] == 1
     t_sq = np.sum(t * t, axis=1)
     votes = np.empty(len(queries), dtype=np.int64)
-    chunk = max(16, 250_000 // len(t))
-    for start in range(0, len(queries), chunk):
-        q = queries[start:start + chunk]
+    for block in _row_blocks(len(queries), len(t)):
+        q = queries[block]
         d2 = q @ t.T
         d2 *= -2.0
         d2 += t_sq
         d2 += np.sum(q * q, axis=1)[:, None]
-        votes[start:start + chunk] = np.count_nonzero(nearest(d2, k) & attack, axis=1)
+        votes[block] = np.count_nonzero(nearest(d2, k) & attack, axis=1)
     return votes
 
 
@@ -387,9 +390,13 @@ def mlp_logits(params: dict[str, np.ndarray], x: np.ndarray) -> np.ndarray:
 
 
 def mlp_loss(params: dict[str, np.ndarray], x: np.ndarray, y: np.ndarray) -> float:
-    """Mean binary cross-entropy, computed from logits for stability."""
-    z = mlp_logits(params, x)
-    return float(np.mean(np.logaddexp(0.0, z) - y * z))
+    """Mean binary cross-entropy, computed from logits for stability, summed over
+    ``_row_blocks`` of (row x hidden unit) values: no (rows x hidden) array is made."""
+    total = 0.0
+    for block in _row_blocks(len(x), params["w1"].shape[1]):
+        z = mlp_logits(params, x[block])
+        total += float(np.sum(np.logaddexp(0.0, z) - y[block] * z))
+    return total / len(x)
 
 
 def mlp_grads(params: dict[str, np.ndarray], x: np.ndarray, y: np.ndarray) -> dict[str, np.ndarray]:
@@ -413,12 +420,15 @@ def _fit_mlp(train: Dataset, params: TrainParams) -> dict[str, np.ndarray]:
     rng = np.random.default_rng(params.seed + 1)
     for epoch in range(params.mlp_epochs):
         order = rng.permutation(len(x))
-        for start in range(0, len(x), params.batch_size):
-            batch = order[start:start + params.batch_size]
-            grads = mlp_grads(weights, x[batch], y[batch])
-            for key in weights:
-                weights[key] = weights[key] - params.mlp_learning_rate * grads[key]
-        loss = mlp_loss(weights, x, y)
+        # An overflow or NaN leaves the loss non-finite, which the check below
+        # reports as divergence; numpy's warnings would only print ahead of it.
+        with np.errstate(over="ignore", invalid="ignore"):
+            for start in range(0, len(x), params.batch_size):
+                batch = order[start:start + params.batch_size]
+                grads = mlp_grads(weights, x[batch], y[batch])
+                for key in weights:
+                    weights[key] = weights[key] - params.mlp_learning_rate * grads[key]
+            loss = mlp_loss(weights, x, y)
         if not math.isfinite(loss):
             raise ModelError(f"mlp training diverged at epoch {epoch} (loss {loss})")
     return weights
@@ -449,14 +459,15 @@ def _fit_svm(train: Dataset, params: TrainParams) -> dict:
     trace = [svm_objective(w, b, x, s, params.svm_lambda)]
     for epoch in range(params.svm_epochs):
         lr = params.svm_learning_rate / (1.0 + epoch)
-        for i in rng.permutation(n):
-            margin = s[i] * (float(x[i] @ w) + b)
-            if margin < 1.0:
-                w = w - lr * (2.0 * params.svm_lambda * w - s[i] * x[i])
-                b = b + lr * s[i]
-            else:
-                w = w - lr * (2.0 * params.svm_lambda * w)
-        value = svm_objective(w, b, x, s, params.svm_lambda)
+        with np.errstate(over="ignore", invalid="ignore"):  # as in _fit_mlp
+            for i in rng.permutation(n):
+                margin = s[i] * (float(x[i] @ w) + b)
+                if margin < 1.0:
+                    w = w - lr * (2.0 * params.svm_lambda * w - s[i] * x[i])
+                    b = b + lr * s[i]
+                else:
+                    w = w - lr * (2.0 * params.svm_lambda * w)
+            value = svm_objective(w, b, x, s, params.svm_lambda)
         if not math.isfinite(value):
             raise ModelError(f"svm training diverged at epoch {epoch} (objective {value})")
         trace.append(value)

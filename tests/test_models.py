@@ -1,6 +1,7 @@
 import json
 import math
 import tracemalloc
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -16,6 +17,7 @@ from fsel_ids.models import (
     fit_model,
     mlp_grads,
     mlp_init,
+    mlp_logits,
     mlp_loss,
     model_from_json,
     model_to_json,
@@ -396,6 +398,72 @@ def test_svm_divergence_is_reported():
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(ModelError, match="diverged"):
             fit_model(ds, params)
+
+
+def diverging_data():
+    rng = np.random.default_rng(0)
+    return numeric_ds(rng.normal(0, 1, (64, 3)), rng.integers(0, 2, 64).tolist())
+
+
+def test_mlp_divergence_is_reported():
+    ds = diverging_data()
+    with pytest.raises(ModelError, match=r"^mlp training diverged at epoch 0 \(loss inf\)$"):
+        fit_model(ds, params_from_dict("mlp", {"mlp_learning_rate": 1e307, "mlp_epochs": 3}))
+    model = fit_model(ds, params_from_dict("mlp", {"mlp_learning_rate": 1e306, "mlp_epochs": 3}))
+    assert all(np.isfinite(w).all() for w in model.payload.values())
+
+
+@pytest.mark.parametrize("algorithm, overrides", [
+    ("mlp", {"mlp_learning_rate": 1e307, "mlp_epochs": 3}),
+    ("linear_svm", {"svm_lambda": 1e6, "svm_epochs": 3}),
+])
+def test_a_diverged_fit_raises_without_a_warning(algorithm, overrides):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ModelError, match="diverged"):
+            fit_model(diverging_data(), params_from_dict(algorithm, overrides))
+
+
+def one_shot_mlp_loss(params, x, y):
+    """The mean cross-entropy over the whole matrix at once."""
+    z = mlp_logits(params, x)
+    return float(np.mean(np.logaddexp(0.0, z) - y * z))
+
+
+def test_blocked_mlp_loss_matches_the_whole_matrix_loss():
+    rng = np.random.default_rng(33)
+    x = rng.normal(0, 1, (20_000, 4))
+    y = rng.integers(0, 2, 20_000).astype(np.float64)
+    params = mlp_init(4, 32, seed=2)
+    assert len(models._row_blocks(len(x), 32)) == 3
+    assert mlp_loss(params, x, y) == pytest.approx(one_shot_mlp_loss(params, x, y), rel=1e-12)
+    huge = {key: value * 1e307 for key, value in params.items()}
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert not math.isfinite(mlp_loss(huge, x, y))
+        assert not math.isfinite(one_shot_mlp_loss(huge, x, y))
+
+
+@pytest.mark.parametrize("rows, width, sizes", [
+    (0, 5, []), (15, 1, [15]), (100, 300_000, [16] * 6 + [4]), (20_000, 32, [7812, 7812, 4376])])
+def test_row_blocks_cut_the_rows_in_order(rows, width, sizes):
+    # kNN's blocks: max(16, 250_000 // width) rows each, the last one short
+    starts = np.cumsum([0] + sizes).tolist()
+    assert [range(rows)[b] for b in models._row_blocks(rows, width)] == [
+        range(start, start + size) for start, size in zip(starts, sizes)]
+
+
+def test_mlp_loss_holds_no_rows_by_hidden_array():
+    rng = np.random.default_rng(34)
+    x = rng.normal(0, 1, (100_000, 4))
+    y = rng.integers(0, 2, 100_000).astype(np.float64)
+    params = mlp_init(4, 32, seed=3)
+    tracemalloc.start()
+    try:
+        mlp_loss(params, x, y)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 100_000 * 32 * 8
 
 
 @pytest.mark.parametrize("algorithm", ALGORITHMS)
