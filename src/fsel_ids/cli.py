@@ -58,13 +58,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_common(p: argparse.ArgumentParser):
         p.add_argument("--config", help="JSON config file; flags override its fields")
-        p.add_argument("--train", help="training CSV path")
-        p.add_argument("--test", help="test CSV path")
-        p.add_argument("--schema", help="schema file (name,kind lines); default UNSW-NB15")
+        # A flag's dest is the RunConfig field it sets.
+        p.add_argument("--train", dest="train_path", help="training CSV path")
+        p.add_argument("--test", dest="test_path", help="test CSV path")
+        p.add_argument("--schema", dest="schema_path",
+                       help="schema file (name,kind lines); default UNSW-NB15")
         p.add_argument("--fs", choices=FS_METHODS + REFERENCE_FS,
                        help="feature selection method, or a bundled reference subset")
         p.add_argument("--k", type=int, help="features to keep for ranker methods")
-        p.add_argument("--algo", help="classifier tag")
+        p.add_argument("--algo", dest="algorithm", help="classifier tag")
         p.add_argument("--seed", type=int, help="master seed for the whole run")
         p.add_argument("--subsample", type=float, help="training subsample fraction")
         p.add_argument("--bins", type=int, help="bins for entropy-filter discretization")
@@ -96,7 +98,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _load_config(args, allow_grid: bool = False,
                  needs_train: bool = True) -> tuple[RunConfig, dict]:
-    """Merge config-file fields with flag overrides (flags win)."""
+    """Merge config-file fields with flag overrides (flags win) into a checked RunConfig."""
     doc: dict = {}
     if args.config:
         doc = json.loads(Path(args.config).read_text(encoding="utf-8"))
@@ -111,27 +113,13 @@ def _load_config(args, allow_grid: bool = False,
         twice = [v for i, v in enumerate(value) if v in value[:i]]
         if twice:
             raise ValueError(f"config field {key!r} lists {twice[0]!r} more than once")
-    flag_map = {
-        "train": "train_path",
-        "test": "test_path",
-        "schema": "schema_path",
-        "fs": "fs",
-        "k": "k",
-        "algo": "algorithm",
-        "seed": "seed",
-        "subsample": "subsample",
-        "bins": "bins",
-        "relief_sample": "relief_sample",
-    }
-    for flag, field in flag_map.items():
-        value = getattr(args, flag, None)
-        if value is not None:
-            doc[field] = value
+    known = {f.name for f in dataclasses.fields(RunConfig)}
+    doc.update((name, value) for name, value in vars(args).items()
+               if name in known and value is not None)
     params = doc.get("params") or {}
     if not isinstance(params, dict):
         raise ValueError(f"config field 'params' must be an object, got {params!r}")
     doc["params"] = {**params, **dict(args.overrides)}
-    known = {f.name for f in dataclasses.fields(RunConfig)}
     unknown = sorted(set(doc) - known)
     if unknown:
         raise ValueError(f"unknown config fields: {unknown}")

@@ -83,7 +83,8 @@ def false_alarm_rate(cm: ConfusionMatrix) -> float:
 
 @dataclass(frozen=True)
 class EvaluationReport:
-    """One experiment cell: what ran, the confusion counts, metrics, timings.
+    """One experiment cell: what ran, the confusion counts, timings, and the
+    three metrics computed from the counts.
 
     fs_seconds covers selection scoring or search only; train_seconds
     covers transform fitting plus model training; eval_seconds covers
@@ -97,21 +98,27 @@ class EvaluationReport:
     selected_count: int
     algorithm: str
     cm: ConfusionMatrix
-    acc: float
-    dr: float
-    far: float
     fs_seconds: float
     train_seconds: float
     eval_seconds: float
 
     def __post_init__(self):
-        for name in ("acc", "dr", "far"):
-            value = getattr(self, name)
-            if not (0.0 <= value <= 100.0):
-                raise MetricsError(f"{name}={value} outside [0, 100]")
+        self.dr, self.far  # noqa: B018 -- counts that leave a rate undefined fail here
         for name in ("fs_seconds", "train_seconds", "eval_seconds"):
             if getattr(self, name) < 0:
                 raise MetricsError(f"{name} must be >= 0")
+
+    @property
+    def acc(self) -> float:
+        return accuracy(self.cm)
+
+    @property
+    def dr(self) -> float:
+        return detection_rate(self.cm)
+
+    @property
+    def far(self) -> float:
+        return false_alarm_rate(self.cm)
 
     @property
     def blended_train_seconds(self) -> float:
@@ -119,31 +126,8 @@ class EvaluationReport:
         return self.fs_seconds + self.train_seconds
 
 
-def build_report(
-    *,
-    dataset: str,
-    fs_method: str,
-    selected_count: int,
-    algorithm: str,
-    cm: ConfusionMatrix,
-    fs_seconds: float,
-    train_seconds: float,
-    eval_seconds: float,
-) -> EvaluationReport:
-    """Assemble a report, computing the three metrics from the counts."""
-    return EvaluationReport(
-        dataset=dataset,
-        fs_method=fs_method,
-        selected_count=selected_count,
-        algorithm=algorithm,
-        cm=cm,
-        acc=accuracy(cm),
-        dr=detection_rate(cm),
-        far=false_alarm_rate(cm),
-        fs_seconds=fs_seconds,
-        train_seconds=train_seconds,
-        eval_seconds=eval_seconds,
-    )
+# Builds a report from keyword fields; acc, dr and far follow from ``cm``.
+build_report = EvaluationReport
 
 
 def report_to_json(report: EvaluationReport) -> str:

@@ -130,14 +130,15 @@ class TrainParams:
 
 
 def params_from_dict(algorithm: str, overrides: dict | None = None, seed: int = 0) -> TrainParams:
-    """Build TrainParams from an override mapping, rejecting unknown keys."""
+    """Build TrainParams from an override mapping; unknown keys and ``algorithm`` fail."""
     base = TrainParams(algorithm=algorithm, seed=seed)
     if not overrides:
         return base
-    known = {f.name for f in fields(TrainParams)}
+    known = {f.name for f in fields(TrainParams)} - {"algorithm"}
     bad = sorted(set(overrides) - known)
     if bad:
-        raise ModelError(f"unknown hyperparameters: {bad}")
+        hint = "; set the algorithm with --algo" if "algorithm" in bad else ""
+        raise ModelError(f"unknown hyperparameters: {bad}{hint}")
     return replace(base, **overrides)
 
 

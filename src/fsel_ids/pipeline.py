@@ -19,7 +19,8 @@ import numpy as np
 from .dataset import Dataset, load_csv, stratified_subsample
 from .filters import FILTER_METHODS, FilterScores, score_features
 from .metrics import EvaluationReport, build_report, confusion
-from .models import TrainedModel, check_field_types, fit_model, params_from_dict, predict_model
+from .models import (TrainedModel, TrainParams, check_field_types, fit_model, params_from_dict,
+                     predict_model)
 from .preprocess import PreprocessPlan, apply_preprocess, fit_preprocess
 from .schema import FeatureSchema, parse_schema
 from .unsw import REFERENCE_SUBSETS, UNSW_SCHEMA
@@ -40,7 +41,8 @@ class PipelineError(RuntimeError):
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Everything that determines one experiment cell."""
+    """Everything that determines one experiment cell, ``train_params`` too,
+    each checked as the config is built, before any file is read."""
 
     train_path: str | None = None  # only commands that fit need it
     test_path: str | None = None  # only commands that score need it
@@ -73,6 +75,12 @@ class RunConfig:
             raise ValueError(f"subsample must be in (0, 1], got {self.subsample}")
         if self.relief_sample is not None and self.relief_sample < 1:
             raise ValueError(f"relief_sample must be >= 1, got {self.relief_sample}")
+        self.train_params  # noqa: B018 -- checks algorithm and params
+
+    @property
+    def train_params(self) -> TrainParams:
+        """The model settings every stage reads, the wrapper's merit trees too."""
+        return params_from_dict(self.algorithm, self.params, seed=self.seed)
 
     @property
     def name(self) -> str:
@@ -161,6 +169,7 @@ def select_features(
                 stop_after=config.stop_after,
                 epsilon=config.epsilon,
                 seed=config.seed,
+                min_leaf=config.train_params.min_leaf,
             )
             return subset, time.perf_counter() - started, None, trace
         scores = score_features(
@@ -202,10 +211,9 @@ def fit_for_config(
     and the seconds both fits took together.
     """
     with _stage("train"):
-        params = params_from_dict(config.algorithm, config.params, seed=config.seed)
         started = time.perf_counter()
         plan = fit_preprocess(train, sorted(subset))
-        model = fit_model(apply_preprocess(plan, train), params)
+        model = fit_model(apply_preprocess(plan, train), config.train_params)
         return plan, model, time.perf_counter() - started
 
 

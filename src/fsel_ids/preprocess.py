@@ -131,7 +131,11 @@ def apply_preprocess(plan: PreprocessPlan, ds: Dataset) -> Dataset:
         if want == "numeric":
             lo, hi = ranges[col.name]
             if hi > lo:
-                x[:, len(names)] = np.clip((col.values - lo) / (hi - lo), 0.0, 1.0)
+                v = col.values
+                # a range wider than the largest float is scaled in halves
+                scaled = ((v - lo) / (hi - lo) if np.isfinite(hi - lo)
+                          else (v / 2 - lo / 2) / (hi / 2 - lo / 2))
+                x[:, len(names)] = np.clip(scaled, 0.0, 1.0)
             names.append(col.name)
             continue
         fitted = positions[col.name]

@@ -171,7 +171,9 @@ def _numeric_split(values, y, attack, parent_entropy, xl):
     """Best (gain ratio, threshold) of a cut on ``values``; (-inf, nan) if none.
 
     ``xl[k]`` is k*log2(k). Cuts fall between neighbouring distinct sorted
-    values and are admissible where the gain is positive.
+    values and are admissible where the gain is positive. The threshold is
+    the midpoint of the two values, or the lower one where rounding or
+    overflow puts the midpoint outside [lower, upper): both sides keep rows.
     """
     m = values.size
     order = np.argsort(values, kind="stable")
@@ -194,8 +196,9 @@ def _numeric_split(values, y, attack, parent_entropy, xl):
     best = int(ratios.argmax())  # the lowest threshold wins ties
     if ratios[best] == -np.inf:
         return -math.inf, math.nan
-    cut = cuts[best]
-    return float(ratios[best]), float((vs[cut] + vs[cut + 1]) / 2.0)
+    lower, upper = float(vs[cuts[best]]), float(vs[cuts[best] + 1])
+    mid = (lower + upper) / 2.0
+    return float(ratios[best]), mid if lower <= mid < upper else lower
 
 
 def partition_gain(codes, y, parent_entropy, xl) -> tuple[float, float, int]:

@@ -362,7 +362,7 @@ def test_evaluate_model_without_plan_fails(toy_split, tmp_path, capsys):
     assert "together" in capsys.readouterr().err
 
 
-def bench_config(toy_split, tmp_path, fs_methods, algorithms):
+def bench_config(toy_split, tmp_path, fs_methods, algorithms, params=None):
     train, test, schema = toy_split
     path = tmp_path / "bench_config.json"
     path.write_text(json.dumps({
@@ -373,8 +373,13 @@ def bench_config(toy_split, tmp_path, fs_methods, algorithms):
         "k": 2,
         "fs_methods": fs_methods,
         "algorithms": algorithms,
+        **({"params": params} if params else {}),
     }))
     return path
+
+
+# A kNN cell whose k exceeds the training rows fails at fit time, in its worker.
+FAILING_KNN = {"k": 1_000_000}
 
 
 @pytest.mark.parametrize("field, value", [
@@ -426,16 +431,16 @@ def test_bench_metrics_reproduce_across_runs(toy_split, tmp_path):
 
 
 def test_bench_isolates_cell_failures(toy_split, tmp_path, capsys):
-    config = bench_config(toy_split, tmp_path, ["none"], ["tree", "boosting"])
+    config = bench_config(toy_split, tmp_path, ["none"], ["tree", "knn"], FAILING_KNN)
     out = tmp_path / "mixed"
     code = main(["bench", "--config", str(config), "--out", str(out)])
     assert code == 1
     assert (out / "cell_none_tree" / "report.json").exists()
-    assert (out / "cell_none_boosting" / "error.txt").exists()
+    assert "exceeds training rows" in (out / "cell_none_knn" / "error.txt").read_text()
     summary = json.loads((out / "summary.json").read_text())
     assert summary["reports"] == 1
-    assert summary["failures"][0]["algorithm"] == "boosting"
-    assert "boosting" in capsys.readouterr().err
+    assert summary["failures"][0]["algorithm"] == "knn"
+    assert "failed none/knn" in capsys.readouterr().err
 
 
 def test_flags_override_config_file(toy_split, tmp_path):
@@ -640,9 +645,10 @@ def test_bench_starts_no_more_workers_than_tasks(toy_split, tmp_path, monkeypatc
 
 
 @pytest.mark.parametrize("algorithms, code", [(["tree", "naive_bayes"], 0),
-                                              (["tree", "boosting"], 1)])
+                                              (["tree", "knn"], 1)])
 def test_bench_leaves_no_worker_running(toy_split, tmp_path, algorithms, code):
-    config = bench_config(toy_split, tmp_path, ["none", "infogain"], algorithms)
+    config = bench_config(toy_split, tmp_path, ["none", "infogain"], algorithms,
+                          FAILING_KNN if "knn" in algorithms else None)
     assert main(["bench", "--config", str(config), "--jobs", "2",
                  "--out", str(tmp_path / "grid")]) == code
     assert not multiprocessing.active_children()
@@ -732,7 +738,7 @@ def test_bench_clears_the_task_on_every_path(toy_split, tmp_path, monkeypatch, j
     assert main(["bench", "--config", str(clean), "--jobs", jobs,
                  "--out", str(tmp_path / "clean")]) == 0
     assert cli._TASK is None
-    failed = bench_config(toy_split, tmp_path, ["none"], ["tree", "boosting"])
+    failed = bench_config(toy_split, tmp_path, ["none"], ["tree", "knn"], FAILING_KNN)
     assert main(["bench", "--config", str(failed), "--jobs", jobs,
                  "--out", str(tmp_path / "failed")]) == 1
     assert cli._TASK is None
@@ -842,6 +848,39 @@ def test_bench_rejects_jobs_below_one(toy_split, tmp_path, capsys, jobs):
     assert main(["bench", "--config", str(config), "--jobs", jobs, "--out", str(out)]) == 1
     assert f"--jobs must be >= 1, got {jobs}" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_bench_rejects_a_misspelled_grid_algorithm_before_loading(toy_split, tmp_path,
+                                                                  monkeypatch, capsys, jobs):
+    loaded = []
+    monkeypatch.setattr(cli, "load_splits", loaded.append)
+    config = bench_config(toy_split, tmp_path, ["relief"], ["tre"])
+    out = tmp_path / "grid"
+    assert main(["bench", "--config", str(config), "--jobs", jobs, "--out", str(out)]) == 1
+    assert "error: unknown algorithm 'tre'" in capsys.readouterr().err
+    assert loaded == [] and not out.exists()
+
+
+@pytest.mark.parametrize("command", [["select"], ["train"], ["evaluate"], ["bench"],
+                                     ["bench", "--jobs", "2"]])
+@pytest.mark.parametrize("flags, message", [
+    (["--algo", "tre"], "unknown algorithm 'tre'"),
+    (["--set", "mlp_epoch=2"], "unknown hyperparameters: ['mlp_epoch']"),
+    (["--set", "k=2.5"], "hyperparameter 'k' must be int, got 2.5"),
+    (["--algo", "tree", "--set", "algorithm=knn"],
+     "unknown hyperparameters: ['algorithm']; set the algorithm with --algo"),
+])
+def test_a_bad_model_setting_fails_before_any_file_is_read(toy_split, tmp_path, monkeypatch,
+                                                           capsys, command, flags, message):
+    reads = []
+    load = pipeline.load_csv
+    monkeypatch.setattr(pipeline, "load_csv", lambda *a, **kw: reads.append(a) or load(*a, **kw))
+    out = tmp_path / "out"
+    assert main([*command, "--fs", "infogain", *flags, *common_flags(toy_split, out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and message in err and err.count("\n") == 1
+    assert reads == [] and not out.exists()
 
 
 @pytest.mark.parametrize("flags, message", [

@@ -120,12 +120,8 @@ def test_report_json_round_trip():
 
 
 def test_report_validation():
-    with pytest.raises(MetricsError, match="outside"):
-        sample_report().__class__(
-            dataset="x", fs_method="none", selected_count=1, algorithm="tree",
-            cm=ConfusionMatrix(1, 1, 1, 1), acc=101.0, dr=50.0, far=50.0,
-            fs_seconds=0, train_seconds=0, eval_seconds=0,
-        )
+    with pytest.raises(MetricsError, match="detection rate undefined"):
+        sample_report(cm=ConfusionMatrix(tp=0, tn=5, fp=5, fn=0))
     with pytest.raises(MetricsError, match=">= 0"):
         sample_report(fs_seconds=-1.0)
 

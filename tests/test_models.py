@@ -79,6 +79,8 @@ def test_train_params_validation():
 def test_params_from_dict_rejects_unknown_keys():
     with pytest.raises(ModelError, match="unknown hyperparameters"):
         params_from_dict("tree", {"depth": 3})
+    with pytest.raises(ModelError, match=r"\['algorithm'\]; set the algorithm with --algo"):
+        params_from_dict("tree", {"algorithm": "knn"})
     p = params_from_dict("knn", {"k": 9}, seed=4)
     assert p.k == 9 and p.seed == 4
 

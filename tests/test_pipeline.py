@@ -3,6 +3,7 @@ import pytest
 
 from fsel_ids import pipeline
 from fsel_ids.dataset import stratified_subsample
+from fsel_ids.models import ModelError
 from fsel_ids.pipeline import (
     FS_METHODS,
     PipelineError,
@@ -10,6 +11,7 @@ from fsel_ids.pipeline import (
     fit_for_config,
     load_splits,
     run_pipeline,
+    select_features,
     subsample_and_select,
 )
 from fsel_ids.preprocess import apply_preprocess, fit_preprocess
@@ -162,10 +164,29 @@ def test_load_stage_annotates_missing_file(toy_split):
 
 
 def test_train_stage_annotates_bad_algorithm(toy_split):
-    config = toy_config(toy_split, algorithm="boosting")
-    with pytest.raises(PipelineError, match=r"^\[train\]") as info:
+    # an unknown algorithm fails as the config is built, before any stage runs
+    with pytest.raises(ModelError, match="unknown algorithm 'boosting'"):
+        toy_config(toy_split, algorithm="boosting")
+    config = toy_config(toy_split, algorithm="knn", params={"k": 1_000_000})
+    with pytest.raises(PipelineError, match=r"^\[train\] k=1000000 exceeds training rows") as info:
         run_pipeline(config)
     assert info.value.stage == "train"
+
+
+@pytest.mark.parametrize("params, min_leaf", [({}, 2), ({"min_leaf": 7}, 7)])
+def test_select_features_hands_the_wrapper_the_runs_min_leaf(toy_split, monkeypatch,
+                                                             params, min_leaf):
+    seen = []
+    search = pipeline.best_first_search
+
+    def spy(*args, **kwargs):
+        seen.append(kwargs["min_leaf"])
+        return search(*args, **kwargs)
+
+    monkeypatch.setattr(pipeline, "best_first_search", spy)
+    config = toy_config(toy_split, fs="wrapper", stop_after=1, params=params)
+    select_features(load_splits(config)[0], config)
+    assert seen == [min_leaf]
 
 
 def test_evaluate_stage_annotates_signature_drift(toy_split):

@@ -1,4 +1,5 @@
 import json
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -52,6 +53,13 @@ def test_minmax_clamps_out_of_range():
     plan = fit_preprocess(numeric_ds([2.0, 6.0]))
     out = apply_preprocess(plan, numeric_ds([8.0, 1.0, 4.0]))
     np.testing.assert_allclose(out.columns[0].values, [1.0, 0.0, 0.5])
+
+
+def test_minmax_scales_a_range_wider_than_the_largest_float():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out = encode(numeric_ds([-1e308, 1e308, 0.0, 5.0]))
+    np.testing.assert_array_equal(out.columns[0].values, [0.0, 1.0, 0.5, 0.5])
 
 
 def test_minmax_does_not_mutate_input():

@@ -1,4 +1,5 @@
 import math
+import signal
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,12 +19,14 @@ from fsel_ids.tree import (
     MIN_GAIN,
     Tree,
     TreeNode,
+    _numeric_split,
     depth,
     grow,
     node_count,
     pessimistic_errors,
     predict,
     prune,
+    xlog2x_table,
 )
 
 from conftest import make_dataset, random_mixed_dataset
@@ -531,3 +534,37 @@ def test_tree_document_rejects_malformed_trees(doc, match):
     with pytest.raises(DatasetError, match=match):
         tree_mod.from_doc(doc, 1)
 
+
+
+# Neighbouring values whose midpoint is not below the upper one: it rounds to
+# the upper value, or the sum overflows to inf.
+MIDPOINT_REPROS = [(1.0000000000000002, 1.0000000000000004), (1e308, 1.7e308)]
+
+
+@pytest.mark.parametrize("lower, upper", [(1.0, 2.0), *MIDPOINT_REPROS, (-1.7e308, -1e308)])
+def test_numeric_split_threshold_lies_in_lower_upper(lower, upper):
+    values = np.array([lower, upper] * 5)
+    y = np.array([0, 1] * 5)
+    _, threshold = _numeric_split(values, y, 5, 1.0, xlog2x_table(10))
+    mid = (lower + upper) / 2.0
+    assert threshold == (mid if lower <= mid < upper else lower)
+    assert lower <= threshold < upper
+
+
+def _alarm(signum, frame):
+    raise TimeoutError("grow did not finish")
+
+
+@pytest.mark.parametrize("lower, upper", MIDPOINT_REPROS)
+def test_grow_splits_neighbouring_values_whose_midpoint_rounds_up(lower, upper):
+    ds = make_dataset([("x", "numeric", [lower, upper] * 5)], [0, 1] * 5)
+    previous = signal.signal(signal.SIGALRM, _alarm)
+    signal.alarm(10)
+    try:
+        tree = grow(ds, min_leaf=1)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert node_count(tree) == 3
+    assert tree[0].threshold == lower
+    np.testing.assert_array_equal(predict(tree, ds), ds.labels)
