@@ -36,6 +36,10 @@ from .wrapper import subset_names, trace_to_jsonl
 
 SELECTION_FORMAT = "fsel-ids/selection"
 BENCH_ONLY_KEYS = ("fs_methods", "algorithms")
+# The flags whose settings a saved model and plan fix, by dest.
+SAVED_RUN_FLAGS = {"fs": "--fs", "k": "--k", "algorithm": "--algo", "seed": "--seed",
+                   "subsample": "--subsample", "bins": "--bins",
+                   "relief_sample": "--relief-sample", "overrides": "--set"}
 
 
 def _parse_override(text: str) -> tuple[str, object]:
@@ -195,6 +199,11 @@ def _write_report(report, out: Path) -> None:
 def cmd_evaluate(args) -> int:
     if (args.model is None) != (args.plan is None):
         raise ValueError("--model and --plan must be given together")
+    ignored = [flag for dest, flag in SAVED_RUN_FLAGS.items()
+               if getattr(args, dest) not in (None, [])]
+    if args.model and ignored:
+        raise ValueError(f"evaluate --model takes its settings from the saved model and plan;"
+                         f" drop {', '.join(ignored)}")
     # A saved model reads only --test; --train, if given, names the report.
     config, _ = _load_config(args, needs_train=args.model is None)
     out = Path(args.out)

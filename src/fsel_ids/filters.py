@@ -4,9 +4,10 @@ Three scorers share one interface: each maps a dataset to a per-feature
 score vector, higher is better. The scorers reuse the learners' kernels.
 Information gain and gain ratio are the gain and split info of
 ``tree.partition_gain``, the measure the tree evaluates at a nominal node;
-numeric features are seen through an equal-frequency binning. The relief
-weigher works on raw values with range-normalized differences and picks
-its neighbours with ``models.nearest``, kNN's rule.
+numeric features are seen through an equal-frequency binning whose cuts
+fall where a tree split's would. The relief weigher works on raw values
+with range-normalized differences and picks its neighbours with
+``models.nearest``, kNN's rule.
 """
 
 from __future__ import annotations
@@ -17,8 +18,7 @@ import numpy as np
 
 from .dataset import Column, Dataset, DatasetError
 from .models import nearest
-from .preprocess import bin_codes, equal_frequency_edges
-from .tree import partition_gain, xlog2x_table
+from .tree import cut_threshold, partition_gain, xlog2x_table
 
 FILTER_METHODS = ("infogain", "gainratio", "relief")
 
@@ -26,14 +26,25 @@ FILTER_METHODS = ("infogain", "gainratio", "relief")
 def feature_codes(ds: Dataset, index: int, bins: int = 10) -> np.ndarray:
     """Integer view of one feature for the entropy scorers.
 
-    Nominal columns use their dictionary ids; numeric columns are binned
-    with equal-frequency edges fitted on the column itself.
+    Nominal columns use their dictionary ids. A numeric column is cut into
+    ``bins`` near-equal bins fitted on itself: cut b falls between sorted
+    positions round(b*n/bins)-1 and round(b*n/bins), at ``cut_threshold``
+    of those two values, and a value at or below a cut goes to the lower
+    bin, as it goes left at a tree split. A cut inside a run of equal values
+    is dropped, so a constant column has one bin.
     """
     col = ds.columns[index]
     if col.kind == "nominal":
         return col.values.astype(np.int64)
-    edges = equal_frequency_edges(col.values, bins)
-    return bin_codes(col.values, edges).astype(np.int64)
+    if bins < 2:
+        raise DatasetError(f"bins must be >= 2, got {bins}")
+    v = np.sort(col.values)
+    n = v.size
+    # two cuts at one position give one edge
+    edges = [cut_threshold(float(v[k - 1]), float(v[k]))
+             for k in sorted({round(b * n / bins) for b in range(1, bins)})
+             if 0 < k < n and v[k - 1] < v[k]]
+    return np.searchsorted(np.asarray(edges, np.float64), col.values, side="left").astype(np.int64)
 
 
 def _differences(col: Column, span: float, i: int, rows) -> np.ndarray:

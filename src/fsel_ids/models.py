@@ -29,8 +29,9 @@ model needs. A document is read against the model's feature count and
 ``params``: naive Bayes needs one stat per feature, a kNN matrix one row
 per label and one column per feature, an MLP a (width x ``hidden_units``)
 ``w1``, ``hidden_units``-long ``b1`` and ``w2`` and a one-long ``b2``, an
-SVM a width-long ``w``, and a tree split a feature index below that
-count. Every number a model computes with must be finite.
+SVM a width-long ``w`` and an ``svm_epochs`` + 1 long ``objective_trace``,
+and a tree split a feature index below that count. Every number a model
+computes with must be finite.
 
 kNN, MLP and SVM read rows through ``Dataset.as_matrix``, which for the
 plan's output is its one C-order array, so a fit holds no second copy of
@@ -484,7 +485,7 @@ def _svm_from_doc(doc: dict, width: int, params: TrainParams) -> dict:
     if not math.isfinite(b):
         raise ModelError(f"b is {b}, not finite")
     return {**_arrays_from_doc(doc, w=(width,)), "b": b,
-            "objective_trace": tuple(doc.get("objective_trace", ()))}
+            **_arrays_from_doc(doc, objective_trace=(params.svm_epochs + 1,))}
 
 
 @dataclass(frozen=True)

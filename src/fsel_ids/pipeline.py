@@ -67,14 +67,14 @@ class RunConfig:
         if self.fs not in FS_METHODS + REFERENCE_FS:
             raise ValueError(
                 f"unknown fs method {self.fs!r}; pick from {FS_METHODS + REFERENCE_FS}")
-        if self.k < 1:
-            raise ValueError(f"k must be >= 1, got {self.k}")
-        if self.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if not (0.0 < self.subsample <= 1.0):
             raise ValueError(f"subsample must be in (0, 1], got {self.subsample}")
-        if self.relief_sample is not None and self.relief_sample < 1:
-            raise ValueError(f"relief_sample must be >= 1, got {self.relief_sample}")
+        for name, least in (("k", 1), ("seed", 0), ("bins", 2), ("relief_neighbors", 1),
+                            ("relief_sample", 1), ("folds", 2), ("stop_after", 1),
+                            ("epsilon", 0)):
+            value = getattr(self, name)
+            if value is not None and not value >= least:  # NaN fails too
+                raise ValueError(f"{name} must be >= {least}, got {value}")
         self.train_params  # noqa: B018 -- checks algorithm and params
 
     @property

@@ -1,4 +1,4 @@
-"""Replayable feature preprocessing, and equal-frequency binning.
+"""Replayable feature preprocessing.
 
 A ``PreprocessPlan`` is fitted on training data only and replayed on any
 split: keep the selected features, min-max scale the numeric ones, one-hot
@@ -10,8 +10,7 @@ the only bridge between files: a nominal value is encoded by its
 category's name, so each file may number its categories in its own order.
 Out-of-range numeric values clamp into [0, 1], a constant fitted range maps
 to 0, and a category never seen during fitting encodes as an all-zero
-block. The entropy filters bin numeric columns with
-``equal_frequency_edges`` and ``bin_codes``.
+block.
 """
 
 from __future__ import annotations
@@ -26,36 +25,6 @@ from .dataset import Dataset, DatasetError
 
 PLAN_FORMAT = "fsel-ids/preprocess-plan"
 PLAN_VERSION = 1
-
-
-def equal_frequency_edges(values: np.ndarray, bins: int) -> np.ndarray:
-    """Interior cut points splitting a numeric column into near-equal bins.
-
-    Cut b falls between sorted positions round(b*n/bins)-1 and
-    round(b*n/bins); the edge is the midpoint of those two values. Cuts
-    landing inside a run of duplicates are dropped, so heavily repeated
-    values yield fewer effective bins (a constant column yields one).
-    """
-    if bins < 2:
-        raise DatasetError(f"bins must be >= 2, got {bins}")
-    v = np.sort(np.asarray(values, dtype=np.float64))
-    n = v.size
-    edges: list[float] = []
-    for b in range(1, bins):
-        k = int(round(b * n / bins))
-        if k <= 0 or k >= n:
-            continue
-        lo, hi = float(v[k - 1]), float(v[k])
-        if hi > lo:
-            e = (lo + hi) / 2.0
-            if not edges or e > edges[-1]:
-                edges.append(e)
-    return np.asarray(edges, dtype=np.float64)
-
-
-def bin_codes(values: np.ndarray, edges: np.ndarray) -> np.ndarray:
-    """Bin ids in 0..len(edges); values beyond the fitted range hit the end bins."""
-    return np.searchsorted(edges, values, side="right").astype(np.int32)
 
 
 @dataclass(frozen=True)

@@ -167,13 +167,23 @@ def xlog2x_table(n: int) -> np.ndarray:
     return out
 
 
+def cut_threshold(lower: float, upper: float) -> float:
+    """Where a numeric cut between neighbouring values ``lower < upper`` falls.
+
+    The midpoint, or ``lower`` where rounding or overflow puts the midpoint
+    outside [lower, upper). A value at or below it goes to the lower side,
+    so both sides keep rows. Tree splits and the filters' bins share it.
+    """
+    mid = (lower + upper) / 2.0
+    return mid if lower <= mid < upper else lower
+
+
 def _numeric_split(values, y, attack, parent_entropy, xl):
     """Best (gain ratio, threshold) of a cut on ``values``; (-inf, nan) if none.
 
     ``xl[k]`` is k*log2(k). Cuts fall between neighbouring distinct sorted
-    values and are admissible where the gain is positive. The threshold is
-    the midpoint of the two values, or the lower one where rounding or
-    overflow puts the midpoint outside [lower, upper): both sides keep rows.
+    values and are admissible where the gain is positive; ``cut_threshold``
+    places the chosen one.
     """
     m = values.size
     order = np.argsort(values, kind="stable")
@@ -196,9 +206,7 @@ def _numeric_split(values, y, attack, parent_entropy, xl):
     best = int(ratios.argmax())  # the lowest threshold wins ties
     if ratios[best] == -np.inf:
         return -math.inf, math.nan
-    lower, upper = float(vs[cuts[best]]), float(vs[cuts[best] + 1])
-    mid = (lower + upper) / 2.0
-    return float(ratios[best]), mid if lower <= mid < upper else lower
+    return float(ratios[best]), cut_threshold(float(vs[cuts[best]]), float(vs[cuts[best] + 1]))
 
 
 def partition_gain(codes, y, parent_entropy, xl) -> tuple[float, float, int]:

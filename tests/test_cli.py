@@ -306,11 +306,19 @@ def _drop_hidden_unit(model, plan):
      "malformed model document (ModelError: w1 has shape (5, 31), the model needs (5, 32)"),
     ("linear_svm", lambda model, plan: model["payload"]["w"].pop(),
      "malformed model document (ModelError: w has shape (4,), the model needs (5,)"),
+    ("linear_svm", lambda model, plan: model["payload"].update(objective_trace="abc"),
+     "malformed model document (ValueError: could not convert string to float: 'abc'"),
+    ("linear_svm", lambda model, plan: model["payload"].update(objective_trace=[float("nan")]),
+     "malformed model document (ModelError: objective_trace has shape (1,), the model needs"
+     " (21,)"),
+    ("linear_svm", lambda model, plan: model["payload"]["objective_trace"].__setitem__(
+        3, float("nan")), "malformed model document (ModelError: objective_trace[3] is nan"),
 ], ids=["tree-node-without-counts", "unknown-param", "plan-without-selected", "minmax-not-a-list",
         "knn-matrix-without-a-row", "knn-matrix-with-a-short-row", "knn-label-300",
         "knn-label-2", "nb-stat-dropped", "nb-negative-var", "tree-nan-threshold",
         "mlp-inf-weight", "svm-nan-bias", "mlp-w1-row-dropped", "mlp-b2-two-long",
-        "mlp-hidden-unit-dropped", "svm-w-entry-dropped"])
+        "mlp-hidden-unit-dropped", "svm-w-entry-dropped", "svm-trace-a-string",
+        "svm-trace-one-nan", "svm-trace-nan-entry"])
 def test_evaluate_rejects_malformed_saved_documents(toy_split, tmp_path, capsys, algorithm, edit,
                                                     names):
     run_dir = tmp_path / "run"
@@ -353,6 +361,43 @@ def test_evaluate_rejects_an_unsupported_document_version(toy_split, tmp_path, c
     assert not (tmp_path / "saved" / "report.json").exists()
 
 
+@pytest.mark.parametrize("flags, named", [
+    (["--fs", "relief"], "--fs"),
+    (["--k", "3"], "--k"),
+    (["--algo", "knn"], "--algo"),
+    (["--seed", "0"], "--seed"),
+    (["--subsample", "0.5"], "--subsample"),
+    (["--bins", "4"], "--bins"),
+    (["--relief-sample", "5"], "--relief-sample"),
+    (["--set", "k=3"], "--set"),
+    (["--algo", "knn", "--fs", "relief", "--k", "3", "--set", "k=3", "--subsample", "0.5",
+      "--bins", "4"], "--fs, --k, --algo, --subsample, --bins, --set"),
+])
+def test_evaluate_model_rejects_the_flags_it_would_ignore(toy_split, tmp_path, monkeypatch,
+                                                         capsys, flags, named):
+    run_dir = tmp_path / "run"
+    assert main(["train", "--algo", "linear_svm", *common_flags(toy_split, run_dir)]) == 0
+    reads = []
+    load = pipeline.load_csv
+    monkeypatch.setattr(pipeline, "load_csv", lambda *a, **kw: reads.append(a) or load(*a, **kw))
+    capsys.readouterr()
+    out = tmp_path / "saved"
+    saved = ["evaluate", "--model", str(run_dir / "model.json"),
+             "--plan", str(run_dir / "plan.json"), *common_flags(toy_split, out)]
+    assert main([*saved, *flags]) == 1
+    err = capsys.readouterr().err
+    assert err == ("error: evaluate --model takes its settings from the saved model and plan;"
+                   f" drop {named}\n")
+    assert reads == [] and not out.exists()
+    # The same settings as config-file fields are accepted: a config may serve train too.
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"fs": "relief", "k": 3, "algorithm": "knn", "seed": 0,
+                                  "subsample": 0.5, "bins": 4, "relief_sample": 5,
+                                  "params": {"k": 3}}))
+    assert main([*saved, "--config", str(config)]) == 0
+    assert json.loads((out / "report.json").read_text())["algorithm"] == "linear_svm"
+
+
 def test_evaluate_model_without_plan_fails(toy_split, tmp_path, capsys):
     code = main([
         "evaluate", "--model", "whatever.json",
@@ -362,9 +407,10 @@ def test_evaluate_model_without_plan_fails(toy_split, tmp_path, capsys):
     assert "together" in capsys.readouterr().err
 
 
-def bench_config(toy_split, tmp_path, fs_methods, algorithms, params=None):
+def bench_config(toy_split, tmp_path, fs_methods, algorithms, params=None,
+                 name="bench_config.json"):
     train, test, schema = toy_split
-    path = tmp_path / "bench_config.json"
+    path = tmp_path / name
     path.write_text(json.dumps({
         "train_path": str(train),
         "test_path": str(test),
@@ -734,20 +780,30 @@ def test_bench_clears_the_task_on_every_path(toy_split, tmp_path, monkeypatch, j
     def interrupt(*args, **kwargs):
         raise KeyboardInterrupt
 
-    clean = bench_config(toy_split, tmp_path, ["none", "infogain"], ["tree", "naive_bayes"])
+    clean = bench_config(toy_split, tmp_path, ["none", "infogain"], ["tree", "naive_bayes"],
+                         name="clean.json")
     assert main(["bench", "--config", str(clean), "--jobs", jobs,
                  "--out", str(tmp_path / "clean")]) == 0
     assert cli._TASK is None
-    failed = bench_config(toy_split, tmp_path, ["none"], ["tree", "knn"], FAILING_KNN)
+    failed = bench_config(toy_split, tmp_path, ["none"], ["tree", "knn"], FAILING_KNN,
+                          name="failed.json")
     assert main(["bench", "--config", str(failed), "--jobs", jobs,
                  "--out", str(tmp_path / "failed")]) == 1
     assert cli._TASK is None
+    loaded = []
+    load_config = cli._load_config
+    monkeypatch.setattr(cli, "_load_config",
+                        lambda *a, **kw: loaded.append(load_config(*a, **kw)) or loaded[-1])
     monkeypatch.setattr(pipeline, "fit_model", interrupt)
     with pytest.raises(KeyboardInterrupt):
         main(["bench", "--config", str(clean), "--jobs", jobs,
               "--out", str(tmp_path / "interrupted")])
     assert cli._TASK is None
     assert not multiprocessing.active_children()
+    # The interrupted run is the clean grid, not the failing config's.
+    [(base, grid)] = loaded
+    assert grid == {"fs_methods": ["none", "infogain"], "algorithms": ["tree", "naive_bayes"]}
+    assert base.params == {}
 
 
 def test_bench_splits_never_cross_the_pipe(toy_split, tmp_path, monkeypatch):
@@ -860,6 +916,42 @@ def test_bench_rejects_a_misspelled_grid_algorithm_before_loading(toy_split, tmp
     assert main(["bench", "--config", str(config), "--jobs", jobs, "--out", str(out)]) == 1
     assert "error: unknown algorithm 'tre'" in capsys.readouterr().err
     assert loaded == [] and not out.exists()
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_bench_rejects_a_one_bin_grid_before_loading(toy_split, tmp_path, monkeypatch, capsys,
+                                                    jobs):
+    loaded = []
+    monkeypatch.setattr(cli, "load_splits", loaded.append)
+    config = bench_config(toy_split, tmp_path, ["infogain", "gainratio"], ["naive_bayes"])
+    config.write_text(json.dumps({**json.loads(config.read_text()), "bins": 1}))
+    out = tmp_path / "grid"
+    assert main(["bench", "--config", str(config), "--jobs", jobs, "--out", str(out)]) == 1
+    assert capsys.readouterr().err == "error: bins must be >= 2, got 1\n"
+    assert loaded == [] and not out.exists()
+
+
+@pytest.mark.parametrize("command", ["select", "train", "evaluate", "bench"])
+@pytest.mark.parametrize("field, value, message", [
+    ("bins", 1, "bins must be >= 2, got 1"),
+    ("folds", 1, "folds must be >= 2, got 1"),
+    ("relief_neighbors", 0, "relief_neighbors must be >= 1, got 0"),
+    ("stop_after", -2, "stop_after must be >= 1, got -2"),
+    ("epsilon", -1, "epsilon must be >= 0, got -1"),
+])
+def test_a_bad_selection_setting_fails_before_any_file_is_read(toy_split, tmp_path, monkeypatch,
+                                                               capsys, command, field, value,
+                                                               message):
+    reads = []
+    load = pipeline.load_csv
+    monkeypatch.setattr(pipeline, "load_csv", lambda *a, **kw: reads.append(a) or load(*a, **kw))
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({field: value}))
+    out = tmp_path / "out"
+    assert main([command, "--fs", "wrapper", "--config", str(config),
+                 *common_flags(toy_split, out)]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert reads == [] and not out.exists()
 
 
 @pytest.mark.parametrize("command", [["select"], ["train"], ["evaluate"], ["bench"],

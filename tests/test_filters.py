@@ -14,6 +14,7 @@ from fsel_ids.filters import (
     relief_weights,
     score_features,
 )
+from fsel_ids.tree import cut_threshold
 
 from conftest import make_dataset, random_mixed_dataset
 
@@ -142,6 +143,85 @@ def test_feature_codes_nominal_passthrough_and_numeric_binning():
     )
     binned = feature_codes(ds2, 0, bins=10)
     assert np.bincount(binned).tolist() == [10] * 10
+
+
+def numeric_column(values):
+    return make_dataset([("x", "numeric", list(values))], [i % 2 for i in range(len(values))])
+
+
+def test_feature_codes_constant_column_single_bin():
+    assert set(feature_codes(numeric_column([7.0] * 12), 0).tolist()) == {0}
+
+
+def test_feature_codes_occupancy_within_one_on_distinct_values():
+    rng = np.random.default_rng(3)
+    values = rng.permutation(np.linspace(-5, 5, 97))
+    counts = np.bincount(feature_codes(numeric_column(values), 0), minlength=10)
+    assert len(counts) == 10
+    assert all(abs(c - 97 / 10) <= 1.0 for c in counts)
+
+
+def oracle_bins(values, bins):
+    """The documented binning in plain Python: cut b between sorted positions
+    round(b*n/bins)-1 and round(b*n/bins) unless they hold equal values,
+    placed by ``cut_threshold``; a value at or below a cut goes below it."""
+    v = sorted(values)
+    n = len(v)
+    cuts = []
+    for b in range(1, bins):
+        k = round(b * n / bins)
+        if 0 < k < n and v[k - 1] < v[k]:
+            cut = cut_threshold(v[k - 1], v[k])
+            if cut not in cuts:
+                cuts.append(cut)
+    return [sum(1 for cut in cuts if value > cut) for value in values]
+
+
+@pytest.mark.parametrize("bins", range(2, 13))
+def test_feature_codes_matches_sort_and_split_oracle(bins):
+    rng = np.random.default_rng(11 + bins)
+    for n in (1, 2, 7, 40, 121):
+        for values in (rng.normal(0, 2, n), np.round(rng.normal(0, 1, n), 1),
+                       rng.integers(0, 4, n).astype(np.float64)):
+            got = feature_codes(numeric_column(values), 0, bins=bins)
+            assert got.tolist() == oracle_bins(values.tolist(), bins)
+
+
+def test_feature_codes_are_monotone_without_empty_bins():
+    rng = np.random.default_rng(5)
+    values = np.round(rng.normal(0, 1, 200), 1)  # many duplicates
+    codes = feature_codes(numeric_column(values), 0)
+    by_value = codes[np.argsort(values, kind="stable")]
+    assert np.all(np.diff(by_value) >= 0)
+    assert set(codes.tolist()) == set(range(codes.max() + 1))
+
+
+def test_feature_codes_rejects_small_bins():
+    with pytest.raises(DatasetError, match="bins"):
+        feature_codes(numeric_column([1.0, 2.0]), 0, bins=1)
+
+
+# Two values that split the classes, where the cut's midpoint rounds down to
+# the lower value or overflows to inf or -inf.
+FLOAT_LIMIT_PAIRS = [(1.0, 1.0000000000000002), (1e308, 1.7e308), (-1.7e308, -1e308)]
+
+
+def split_pair(lower, upper):
+    return make_dataset([("x", "numeric", [lower] * 5 + [upper] * 5)], [0] * 5 + [1] * 5)
+
+
+@pytest.mark.parametrize("lower, upper", FLOAT_LIMIT_PAIRS)
+def test_feature_codes_split_neighbours_at_the_float_limits(lower, upper):
+    np.testing.assert_array_equal(feature_codes(split_pair(lower, upper), 0, bins=2),
+                                  [0] * 5 + [1] * 5)
+
+
+@pytest.mark.parametrize("method", ["infogain", "gainratio"])
+@pytest.mark.parametrize("lower, upper", FLOAT_LIMIT_PAIRS)
+def test_entropy_filters_score_a_separating_column_at_the_float_limits(lower, upper, method):
+    # both classes' entropy, 1 bit, within float rounding
+    scores = score_features(split_pair(lower, upper), method, bins=2).scores
+    assert scores.tolist() == pytest.approx([1.0], abs=1e-12)
 
 
 def naive_relief(ds, neighbors, sample_count=None, seed=0):

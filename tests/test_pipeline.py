@@ -53,6 +53,26 @@ def test_config_validation_and_name(toy_split):
     assert toy_config(toy_split, dataset_name="toy").name == "toy"
 
 
+@pytest.mark.parametrize("field, value, message", [
+    ("bins", 1, "bins must be >= 2, got 1"),
+    ("relief_neighbors", 0, "relief_neighbors must be >= 1, got 0"),
+    ("folds", 1, "folds must be >= 2, got 1"),
+    ("stop_after", 0, "stop_after must be >= 1, got 0"),
+    ("stop_after", -2, "stop_after must be >= 1, got -2"),
+    ("epsilon", -1, "epsilon must be >= 0, got -1"),
+    ("epsilon", float("nan"), "epsilon must be >= 0, got nan"),
+])
+def test_selection_settings_fail_when_the_config_is_built(toy_split, field, value, message):
+    with pytest.raises(ValueError, match=message):
+        toy_config(toy_split, **{field: value})
+
+
+def test_selection_settings_accept_their_bounds(toy_split):
+    config = toy_config(toy_split, bins=2, relief_neighbors=1, folds=2, stop_after=1, epsilon=0)
+    assert (config.bins, config.folds, config.epsilon) == (2, 2, 0)
+    assert toy_config(toy_split, stop_after=None).stop_after is None
+
+
 def test_baseline_tree_learns_toy_data(toy_split):
     result = run_pipeline(toy_config(toy_split))
     report = result.report

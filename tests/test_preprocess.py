@@ -13,8 +13,6 @@ from fsel_ids.preprocess import (
     PLAN_VERSION,
     PreprocessPlan,
     apply_preprocess,
-    bin_codes,
-    equal_frequency_edges,
     fit_preprocess,
     plan_from_json,
     plan_to_json,
@@ -179,61 +177,6 @@ def test_select_and_take_rows_of_the_plan_output_are_plain_datasets():
         assert part.matrix is None
         np.testing.assert_array_equal(part.as_matrix(),
                                       np.column_stack([c.values for c in part.columns]))
-
-
-def test_equal_frequency_even_occupancy():
-    values = np.arange(1.0, 101.0)
-    edges = equal_frequency_edges(values, 10)
-    assert len(edges) == 9
-    codes = bin_codes(values, edges)
-    counts = np.bincount(codes)
-    assert counts.tolist() == [10] * 10
-
-
-def test_discretizer_constant_column_single_bin():
-    values = np.full(12, 7.0)
-    edges = equal_frequency_edges(values, 10)
-    assert edges.size == 0
-    assert set(bin_codes(values, edges).tolist()) == {0}
-
-
-def test_discretizer_occupancy_within_one_on_distinct_values():
-    rng = np.random.default_rng(3)
-    values = rng.permutation(np.linspace(-5, 5, 97))
-    codes = bin_codes(values, equal_frequency_edges(values, 10))
-    counts = np.bincount(codes, minlength=10)
-    target = 97 / 10
-    assert all(abs(c - target) <= 1.0 for c in counts)
-
-
-def test_discretizer_matches_sort_and_split_oracle():
-    rng = np.random.default_rng(11)
-    values = rng.normal(0, 2, 120)
-    edges = equal_frequency_edges(values, 8)
-    codes = bin_codes(values, edges)
-    # oracle: count how many edges each value strictly exceeds... edges are
-    # midpoints so equality cannot occur for observed values
-    for v, c in zip(values, codes):
-        assert c == sum(1 for e in edges if v > e)
-
-
-def test_discretizer_out_of_range_hits_end_bins():
-    edges = np.asarray([0.0, 1.0, 2.0])
-    np.testing.assert_array_equal(
-        bin_codes(np.asarray([-5.0, 9.0]), edges), [0, 3]
-    )
-
-
-def test_discretizer_edges_strictly_increasing():
-    rng = np.random.default_rng(5)
-    values = np.round(rng.normal(0, 1, 200), 1)  # many duplicates
-    edges = equal_frequency_edges(values, 10)
-    assert all(b > a for a, b in zip(edges, edges[1:]))
-
-
-def test_equal_frequency_edges_rejects_small_bins():
-    with pytest.raises(DatasetError, match="bins"):
-        equal_frequency_edges(np.asarray([1.0, 2.0]), 1)
 
 
 def test_apply_preprocess_rejects_kind_mismatch():

@@ -20,6 +20,7 @@ from fsel_ids.tree import (
     Tree,
     TreeNode,
     _numeric_split,
+    cut_threshold,
     depth,
     grow,
     node_count,
@@ -547,7 +548,7 @@ def test_numeric_split_threshold_lies_in_lower_upper(lower, upper):
     y = np.array([0, 1] * 5)
     _, threshold = _numeric_split(values, y, 5, 1.0, xlog2x_table(10))
     mid = (lower + upper) / 2.0
-    assert threshold == (mid if lower <= mid < upper else lower)
+    assert threshold == cut_threshold(lower, upper) == (mid if lower <= mid < upper else lower)
     assert lower <= threshold < upper
 
 
