@@ -11,10 +11,9 @@ import argparse
 import dataclasses
 import json
 import multiprocessing
+import multiprocessing.connection
 import signal
 import sys
-from concurrent.futures import Future, ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
 
 from .metrics import markdown_table, report_to_json
@@ -95,7 +94,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench = sub.add_parser("bench", help="run an FS-method x algorithm grid")
     add_common(p_bench)
     p_bench.add_argument("--jobs", type=int, default=1,
-                         help="forked worker processes that run the selections and cells")
+                         help="most forked children alive at once, one per selection or cell")
 
     return parser
 
@@ -223,75 +222,77 @@ def cmd_evaluate(args) -> int:
     return 0
 
 
-# The running map's task. Workers are forked while it is set, so they
-# inherit it, and all it closes over, copy-on-write: only task numbers and
-# (result, error) pairs cross the pipe.
-_TASK = None
-
-
-def _guarded(i: int):
+def _guarded(task, i: int):
     try:
-        return _TASK(i), None
+        return task(i), None
     except Exception as exc:  # noqa: BLE001 -- a failure must not kill the batch
         return None, f"{type(exc).__name__}: {exc}"
-
-
-def _submit(pool: ProcessPoolExecutor, i: int) -> Future:
-    """``pool.submit(_guarded, i)``, or a failed future once a worker has died."""
-    try:
-        return pool.submit(_guarded, i)
-    except BrokenProcessPool as exc:
-        future = Future()
-        future.set_exception(exc)
-        return future
-
-
-def _outcome(future: Future):
-    """A task's ``(result, error)``; a dead worker fails the tasks it had not returned."""
-    try:
-        return future.result()
-    except BrokenProcessPool as exc:
-        return None, f"BrokenProcessPool: {exc}"
 
 
 def _map(task, count: int, jobs: int) -> list:
     """``(task(i), None)``, or ``(None, error)`` if it raised, for each ``i < count``.
 
-    At most ``jobs`` forked workers run the tasks, and no more than there are
-    tasks; one task or ``jobs`` of 1 runs here. A worker that dies fails only
-    the tasks it had not returned. An interrupt stops the workers at once;
+    Each task runs in its own forked child, at most ``jobs`` at once, which
+    inherits ``task`` and all it closes over copy-on-write, so only its
+    outcome crosses a pipe; one task or ``jobs`` of 1 runs here. A child that
+    dies fails its own task alone. An interrupt stops the children at once;
     none outlives the call.
     """
-    global _TASK
-    _TASK = task
-    try:
-        workers = min(jobs, count)
-        if workers < 2:
-            return [_guarded(i) for i in range(count)]
-        # Workers ignore Ctrl-C, which the terminal sends to the whole process
-        # group: this process gets it and stops them.
-        pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"),
-                                   initializer=signal.signal,
-                                   initargs=(signal.SIGINT, signal.SIG_IGN))
+    if min(jobs, count) < 2:
+        return [_guarded(task, i) for i in range(count)]
+    fork = multiprocessing.get_context("fork")
+    outcomes, pending = [None] * count, list(range(count))
+    running = {}  # the parent's receive end -> (task number, child)
+
+    def run(i, send):
+        signal.signal(signal.SIGINT, signal.SIG_IGN)  # on Ctrl-C the parent stops the children
         try:
-            return [_outcome(f) for f in [_submit(pool, i) for i in range(count)]]
-        except KeyboardInterrupt:
-            for worker in pool._processes.values():  # no public handle before Python 3.14
-                worker.terminate()
-            raise
-        finally:
-            pool.shutdown(cancel_futures=True)
+            send.send(_guarded(task, i))
+        except KeyboardInterrupt as exc:  # raised by the task: the parent re-raises it
+            send.send(exc)
+
+    try:
+        while pending or running:
+            while pending and len(running) < jobs:
+                i = pending.pop(0)
+                recv, send = fork.Pipe(duplex=False)
+                child = fork.Process(target=run, args=(i, send))
+                running[recv] = i, child  # registered before it starts: no interrupt orphans it
+                with send:  # the parent's copy closed, the child's death reads as end of file
+                    child.start()
+            for recv in multiprocessing.connection.wait(list(running)):
+                i, child = running[recv]
+                try:
+                    outcome = recv.recv()
+                except (EOFError, OSError):  # the child died before its outcome was sent
+                    outcome = None
+                recv.close()
+                child.join()
+                del running[recv]
+                code = child.exitcode
+                child.close()
+                if isinstance(outcome, KeyboardInterrupt):
+                    raise outcome
+                outcomes[i] = outcome or (None, "ChildProcessError: the task's process " + (
+                    f"was killed by signal {-code}" if code < 0 else f"exited with code {code}"))
+        return outcomes
     finally:
-        _TASK = None
+        for recv, (_, child) in running.items():
+            recv.close()
+            if child.pid is not None:  # started
+                child.terminate()
+                child.join()
+            child.close()
 
 
 def cmd_bench(args) -> int:
     """Run the fs-method x algorithm grid on one loaded (train, test) pair.
 
     Each fs row selects once on its subsample, and its cells share that
-    selection. With ``--jobs`` above 1 both phases run in forked workers
-    (``_map``) as closures over the splits and selections, so only task
-    numbers, selections and reports cross the pipe. A cell fails alone.
+    selection. With ``--jobs`` above 1 both phases run through ``_map``, one
+    forked child per task, as closures over the splits and selections, so
+    only selections and reports cross the pipe. A cell fails alone, even
+    when its child dies.
     """
     base, grid = _load_config(args, allow_grid=True)
     if args.jobs < 1:

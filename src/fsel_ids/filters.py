@@ -183,8 +183,8 @@ def score_features(
             # One observed value is no split; with no split info it scores 0.
             if branches < 2:
                 values.append(0.0)
-            elif method == "infogain":
-                values.append(max(gain, 0.0))
+            elif method == "infogain":  # at most the class entropy, whose rounding can pass 1 bit
+                values.append(min(max(gain, 0.0), h_class, 1.0))
             else:
                 values.append(min(max(gain / split_info, 0.0), 1.0))
         scores = np.asarray(values, dtype=np.float64)

@@ -25,7 +25,9 @@ def stratified_folds(labels: np.ndarray, folds: int, seed: int) -> list[np.ndarr
     """Deal each class's shuffled rows round-robin into ``folds`` buckets.
 
     Both classes deal from bucket 0, so every bucket gets a row exactly when
-    ``folds`` is at most the larger class's row count; otherwise this raises.
+    ``folds`` is at most the larger class's row count, and every bucket's
+    complement holds both classes exactly when each class has 2 rows or more;
+    otherwise this raises.
     """
     if folds < 2:
         raise DatasetError(f"folds must be >= 2, got {folds}")
@@ -33,6 +35,9 @@ def stratified_folds(labels: np.ndarray, folds: int, seed: int) -> list[np.ndarr
     if folds > max(counts):
         raise DatasetError(f"folds={folds} would leave folds empty: the classes have "
                            f"{counts[0]} and {counts[1]} rows")
+    if min(counts) < 2:
+        raise DatasetError(f"degenerate folds: the classes have {counts[0]} and {counts[1]} "
+                           f"rows, so a fold's training part would be single-class")
     rng = np.random.default_rng(seed)
     buckets: list[list[int]] = [[] for _ in range(folds)]
     for cls in (0, 1):
@@ -49,20 +54,12 @@ def _merit_on_folds(
     fold_rows: list[np.ndarray],
     min_leaf: int,
 ) -> float:
-    """Mean accuracy of an unpruned tree on ``subset``, each of ``fold_rows``
-    held out in turn; the merit the search ranks subsets by."""
+    """Mean accuracy of an unpruned tree on ``subset``, each of ``stratified_folds``'s
+    ``fold_rows`` held out in turn; the merit the search ranks subsets by."""
     sub = train.select(subset)
-    all_rows = np.arange(sub.row_count)
     accuracies = []
     for held_out in fold_rows:
-        mask = np.ones(sub.row_count, dtype=bool)
-        mask[held_out] = False
-        fit_rows = all_rows[mask]
-        fit_labels = sub.labels[fit_rows]
-        if fit_rows.size == 0 or fit_labels.min() == fit_labels.max():
-            raise DatasetError(
-                "degenerate fold: training part is single-class; use fewer folds"
-            )
+        fit_rows = np.delete(np.arange(sub.row_count), held_out)
         tree = tree_mod.grow(sub.take_rows(fit_rows), min_leaf=min_leaf)
         predicted = tree_mod.predict(tree, sub.take_rows(held_out))
         accuracies.append(float(np.mean(predicted == sub.labels[held_out])))

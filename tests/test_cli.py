@@ -4,7 +4,6 @@ import os
 import pickle
 import signal
 import time
-from concurrent.futures import Future
 
 import numpy as np
 import pytest
@@ -658,36 +657,57 @@ def test_bench_selects_once_per_fs_row(toy_split, tmp_path, monkeypatch, jobs):
     assert timings[0]["fs_seconds"] == timings[1]["fs_seconds"] > 0
 
 
+def log_spans(patch, module, name, log):
+    """Patch ``module.name`` to append the caller's pid and the call's
+    monotonic start and end to ``log``, after a 0.2 s pause that makes
+    concurrent calls overlap."""
+    call = getattr(module, name)
+
+    def logged(*args, **kwargs):
+        start = time.monotonic()
+        time.sleep(0.2)
+        result = call(*args, **kwargs)
+        with open(log, "a", encoding="utf-8") as f:
+            f.write(f"{os.getpid()} {start} {time.monotonic()}\n")
+        return result
+
+    patch.setattr(module, name, logged)
+
+
+def most_at_once(spans):
+    """The most spans that overlap at one moment."""
+    edges = sorted([(start, 1) for _, start, _ in spans] + [(end, -1) for _, _, end in spans])
+    alive = peak = 0
+    for _, step in edges:  # at a tie an end sorts first
+        alive += step
+        peak = max(peak, alive)
+    return peak
+
+
 def test_bench_starts_no_more_workers_than_tasks(toy_split, tmp_path, monkeypatch):
-    started = []
-
-    class RecordingPool:
-        """Runs the tasks in this process and records the requested pool size."""
-
-        def __init__(self, max_workers, mp_context, **kwargs):
-            assert mp_context.get_start_method() == "fork"
-            started.append(max_workers)
-
-        def submit(self, fn, *args):
-            future = Future()
-            future.set_result(fn(*args))
-            return future
-
-        def shutdown(self, cancel_futures=False):
-            pass
-
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
-    config = bench_config(toy_split, tmp_path, ["none", "infogain", "gainratio"],
-                          ["tree", "naive_bayes", "knn", "mlp"])
-    assert main(["bench", "--config", str(config), "--jobs", "64",
-                 "--out", str(tmp_path / "grid")]) == 0
-    assert started == [3, 12]  # 3 fs rows, then 12 cells
-    # One task per phase runs in this process: no pool at all.
-    started.clear()
-    config = bench_config(toy_split, tmp_path, ["infogain"], ["naive_bayes"])
-    assert main(["bench", "--config", str(config), "--jobs", "64",
-                 "--out", str(tmp_path / "one")]) == 0
-    assert started == []
+    for fs_methods, algorithms, jobs in ((["none", "infogain", "gainratio"],
+                                          ["tree", "naive_bayes"], "2"),
+                                         (["none", "infogain"], ["tree"], "64"),
+                                         (["infogain"], ["naive_bayes"], "64")):
+        rows, cells = tmp_path / f"rows_{jobs}.log", tmp_path / f"cells_{jobs}.log"
+        with monkeypatch.context() as patch:
+            log_spans(patch, cli, "subsample_and_select", rows)
+            log_spans(patch, cli, "run_pipeline", cells)
+            config = bench_config(toy_split, tmp_path, fs_methods, algorithms)
+            assert main(["bench", "--config", str(config), "--jobs", jobs,
+                         "--out", str(tmp_path / f"grid_{jobs}")]) == 0
+        for log, count in ((rows, len(fs_methods)), (cells, len(fs_methods) * len(algorithms))):
+            spans = [(int(pid), float(start), float(end))
+                     for pid, start, end in map(str.split, log.read_text().splitlines())]
+            pids = {pid for pid, _, _ in spans}
+            assert len(spans) == count
+            if count == 1:  # one task runs in this process: no fork at all
+                assert pids == {os.getpid()}
+            else:  # one child per task, and no more at once than jobs or tasks
+                assert len(pids) == count and os.getpid() not in pids
+                assert most_at_once(spans) <= min(int(jobs), count)
+        rows.unlink()
+        cells.unlink()
 
 
 @pytest.mark.parametrize("algorithms, code", [(["tree", "naive_bayes"], 0),
@@ -700,79 +720,119 @@ def test_bench_leaves_no_worker_running(toy_split, tmp_path, algorithms, code):
     assert not multiprocessing.active_children()
 
 
-def wait_then_kill(returned, parent):
-    """SIGKILL this worker once another task marked ``returned``, and its result
-    has had a second to reach the parent."""
+KILLED = "ChildProcessError: the task's process was killed by signal 9"
+
+
+def kill_this_child(dying, parent):
+    """Mark ``dying``, then SIGKILL this forked child."""
     assert os.getpid() != parent, "the task would kill the test process"
-    deadline = time.monotonic() + 60
-    while not returned.exists() and time.monotonic() < deadline:
-        time.sleep(0.01)
-    time.sleep(1.0)
+    dying.touch()
     os.kill(os.getpid(), signal.SIGKILL)
 
 
-def test_map_fails_only_the_tasks_a_killed_worker_had_not_returned(tmp_path):
-    returned, parent = tmp_path / "returned", os.getpid()
+def wait_for(dying):
+    """Wait until another task marked ``dying``, then a second for its death to land."""
+    deadline = time.monotonic() + 60
+    while not dying.exists() and time.monotonic() < deadline:
+        time.sleep(0.01)
+    time.sleep(1.0)
+
+
+def test_map_fails_only_the_task_whose_child_was_killed(tmp_path):
+    dying, parent = tmp_path / "dying", os.getpid()
 
     def task(i):
         if i == 1:
-            wait_then_kill(returned, parent)
-        if i == 2:  # still running, or never started, when the pool breaks
-            time.sleep(60)
-        returned.touch()
+            kill_this_child(dying, parent)
+        if i == 0:  # still running in its own child when task 1's child dies
+            wait_for(dying)
         return f"task {i}"
 
-    outcomes = cli._map(task, 3, 2)
-    assert outcomes[0] == ("task 0", None)
-    for result, error in outcomes[1:]:
-        assert result is None and error.startswith("BrokenProcessPool: ")
+    outcomes = cli._map(task, 4, 2)
+    assert outcomes == [("task 0", None), (None, KILLED), ("task 2", None), ("task 3", None)]
     assert not multiprocessing.active_children()
-    assert cli._TASK is None
 
 
-def test_map_fails_every_task_when_the_workers_die_before_all_are_submitted():
+def test_map_fails_every_task_when_every_child_dies():
     parent = os.getpid()
 
     def die(i):
         assert os.getpid() != parent, "the task would kill the test process"
+        if i % 2:
+            os._exit(3)
         os.kill(os.getpid(), signal.SIGKILL)
 
-    # Enough tasks that the pool breaks while they are still being submitted.
-    outcomes = cli._map(die, 1000, 2)
-    assert len(outcomes) == 1000
-    for result, error in outcomes:
-        assert result is None and error.startswith("BrokenProcessPool: ")
+    outcomes = cli._map(die, 20, 2)
+    assert outcomes == [(None, KILLED),
+                        (None, "ChildProcessError: the task's process exited with code 3")] * 10
     assert not multiprocessing.active_children()
-    assert cli._TASK is None
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="counts open files in /proc")
+def test_map_leaks_nothing():
+    parent = os.getpid()
+
+    def task(i):
+        if i == 1:
+            raise ValueError("no")
+        if i == 2:
+            assert os.getpid() != parent, "the task would kill the test process"
+            os.kill(os.getpid(), signal.SIGKILL)
+        return i
+
+    def interrupted(i):
+        if i == 1:
+            raise KeyboardInterrupt
+        time.sleep(60)
+
+    def ctrl_c(i):  # the terminal's Ctrl-C, which the children ignore
+        if i == 1:
+            time.sleep(0.2)
+            os.kill(parent, signal.SIGINT)
+        time.sleep(60)
+
+    def open_files():
+        return len(os.listdir("/proc/self/fd"))
+
+    before = open_files()
+    assert cli._map(task, 4, 2) == [(0, None), (None, "ValueError: no"), (None, KILLED),
+                                    (3, None)]
+    assert open_files() == before and not multiprocessing.active_children()
+    # A runner may start this process with SIGINT ignored; Ctrl-C must raise here.
+    handler = signal.signal(signal.SIGINT, signal.default_int_handler)
+    try:
+        for stopped in (interrupted, ctrl_c):
+            started = time.monotonic()
+            with pytest.raises(KeyboardInterrupt):
+                cli._map(stopped, 4, 2)
+            assert time.monotonic() - started < 30
+            assert open_files() == before and not multiprocessing.active_children()
+    finally:
+        signal.signal(signal.SIGINT, handler)
 
 
 def test_bench_with_a_killed_worker_keeps_the_finished_cells(toy_split, tmp_path, monkeypatch):
-    returned, parent = tmp_path / "returned", os.getpid()
+    dying, parent = tmp_path / "dying", os.getpid()
     run = cli.run_pipeline
 
     def run_or_die(config, *args):
         if config.algorithm == "naive_bayes":
-            wait_then_kill(returned, parent)
-        result = run(config, *args)
-        returned.touch()
-        return result
+            kill_this_child(dying, parent)
+        wait_for(dying)
+        return run(config, *args)
 
     monkeypatch.setattr(cli, "run_pipeline", run_or_die)
     config = bench_config(toy_split, tmp_path, ["none", "infogain"], ["tree", "naive_bayes"])
     out = tmp_path / "grid"
     assert main(["bench", "--config", str(config), "--jobs", "2", "--out", str(out)]) == 1
     summary = json.loads((out / "summary.json").read_text())
-    cells = sorted(out.glob("cell_*"))
-    assert len(cells) == 4
-    for cell in cells:
-        assert (cell / "report.json").exists() != (cell / "error.txt").exists()
-    assert summary["reports"] + len(summary["failures"]) == 4
-    assert (out / "cell_none_tree" / "report.json").exists()
-    assert summary["failures"]
-    for failure in summary["failures"]:
-        assert failure["error"].startswith("BrokenProcessPool: ")
+    assert summary["reports"] == 2
+    assert summary["failures"] == [{"fs": fs, "algorithm": "naive_bayes", "error": KILLED}
+                                   for fs in ("none", "infogain")]
+    for fs in ("none", "infogain"):
+        assert (out / f"cell_{fs}_tree" / "report.json").exists()
+        assert (out / f"cell_{fs}_naive_bayes" / "error.txt").read_text() == KILLED + "\n"
     assert not multiprocessing.active_children()
-    assert cli._TASK is None
 
 
 @pytest.mark.parametrize("jobs", ["1", "2"])
@@ -784,12 +844,10 @@ def test_bench_clears_the_task_on_every_path(toy_split, tmp_path, monkeypatch, j
                          name="clean.json")
     assert main(["bench", "--config", str(clean), "--jobs", jobs,
                  "--out", str(tmp_path / "clean")]) == 0
-    assert cli._TASK is None
     failed = bench_config(toy_split, tmp_path, ["none"], ["tree", "knn"], FAILING_KNN,
                           name="failed.json")
     assert main(["bench", "--config", str(failed), "--jobs", jobs,
                  "--out", str(tmp_path / "failed")]) == 1
-    assert cli._TASK is None
     loaded = []
     load_config = cli._load_config
     monkeypatch.setattr(cli, "_load_config",
@@ -798,7 +856,6 @@ def test_bench_clears_the_task_on_every_path(toy_split, tmp_path, monkeypatch, j
     with pytest.raises(KeyboardInterrupt):
         main(["bench", "--config", str(clean), "--jobs", jobs,
               "--out", str(tmp_path / "interrupted")])
-    assert cli._TASK is None
     assert not multiprocessing.active_children()
     # The interrupted run is the clean grid, not the failing config's.
     [(base, grid)] = loaded

@@ -217,11 +217,12 @@ def test_feature_codes_split_neighbours_at_the_float_limits(lower, upper):
 
 
 @pytest.mark.parametrize("method", ["infogain", "gainratio"])
-@pytest.mark.parametrize("lower, upper", FLOAT_LIMIT_PAIRS)
-def test_entropy_filters_score_a_separating_column_at_the_float_limits(lower, upper, method):
-    # both classes' entropy, 1 bit, within float rounding
-    scores = score_features(split_pair(lower, upper), method, bins=2).scores
-    assert scores.tolist() == pytest.approx([1.0], abs=1e-12)
+@pytest.mark.parametrize("values", [[lower] * 5 + [upper] * 5 for lower, upper in FLOAT_LIMIT_PAIRS]
+                         + [list(range(10))])
+def test_entropy_filters_score_a_separating_column_at_the_float_limits(values, method):
+    # both classes' entropy, 1 bit, which float rounding must not exceed
+    ds = make_dataset([("x", "numeric", values)], [0] * 5 + [1] * 5)
+    assert score_features(ds, method, bins=2).scores.tolist() == [1.0]
 
 
 def naive_relief(ds, neighbors, sample_count=None, seed=0):

@@ -58,6 +58,22 @@ def test_folds_reject_an_empty_fold():
         stratified_folds(labels, 7, seed=0)
 
 
+@pytest.mark.parametrize("counts", [(19, 1), (1, 19), (20, 0), (0, 20)])
+def test_folds_reject_a_class_of_fewer_than_two_rows(counts):
+    labels = np.asarray([0] * counts[0] + [1] * counts[1], dtype=np.uint8)
+    with pytest.raises(DatasetError, match=f"degenerate folds: the classes have "
+                                           f"{counts[0]} and {counts[1]} rows"):
+        stratified_folds(labels, 2, seed=0)
+
+
+@pytest.mark.parametrize("counts", [(18, 2), (2, 18)])
+def test_folds_of_two_rows_a_class_train_on_both_classes(counts):
+    labels = np.asarray([0] * counts[0] + [1] * counts[1], dtype=np.uint8)
+    for folds in range(2, 19):
+        for held_out in stratified_folds(labels, folds, seed=folds):
+            assert set(np.delete(labels, held_out).tolist()) == {0, 1}
+
+
 def test_merit_of_perfect_feature_is_one():
     rng = np.random.default_rng(4)
     labels = rng.integers(0, 2, 60)
