@@ -235,7 +235,8 @@ def _map(task, count: int, jobs: int) -> list:
     Each task runs in its own forked child, at most ``jobs`` at once, which
     inherits ``task`` and all it closes over copy-on-write, so only its
     outcome crosses a pipe; one task or ``jobs`` of 1 runs here. A child that
-    dies fails its own task alone. An interrupt stops the children at once;
+    dies fails its own task alone, as does a result that cannot be pickled,
+    with the pickling error. An interrupt stops the children at once;
     none outlives the call.
     """
     if min(jobs, count) < 2:
@@ -247,9 +248,13 @@ def _map(task, count: int, jobs: int) -> list:
     def run(i, send):
         signal.signal(signal.SIGINT, signal.SIG_IGN)  # on Ctrl-C the parent stops the children
         try:
-            send.send(_guarded(task, i))
+            outcome = _guarded(task, i)
         except KeyboardInterrupt as exc:  # raised by the task: the parent re-raises it
-            send.send(exc)
+            outcome = exc
+        try:
+            send.send(outcome)
+        except Exception as exc:  # noqa: BLE001 -- a result that cannot be pickled
+            send.send((None, f"{type(exc).__name__}: {exc}"))
 
     try:
         while pending or running:

@@ -83,6 +83,8 @@ class Dataset:
     def from_matrix(cls, names, matrix: np.ndarray, labels) -> "Dataset":
         """Numeric dataset over an (n, d) float64 array: column j is the view
         ``matrix[:, j]``, and ``as_matrix`` returns ``matrix`` itself."""
+        if matrix.shape[1:] != (len(names),):
+            raise DatasetError(f"{len(names)} column names for a matrix of shape {matrix.shape}")
         _frozen(matrix)
         return cls(tuple(Column(name, "numeric", matrix[:, j]) for j, name in enumerate(names)),
                    labels, matrix)
@@ -114,10 +116,8 @@ class Dataset:
         return Dataset(tuple(self.columns[i] for i in idx), self.labels)
 
     def take_rows(self, rows: np.ndarray) -> "Dataset":
-        cols = tuple(
-            Column(c.name, c.kind, c.values[rows].copy(), c.categories) for c in self.columns
-        )
-        return Dataset(cols, self.labels[rows].copy())
+        cols = tuple(Column(c.name, c.kind, c.values[rows], c.categories) for c in self.columns)
+        return Dataset(cols, self.labels[rows])
 
     def as_matrix(self) -> np.ndarray:
         """The (n, d) float64 matrix of all columns.

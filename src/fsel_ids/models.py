@@ -219,19 +219,10 @@ def _fit_forest(train: Dataset, params: TrainParams) -> dict:
     trees = []
     for t in range(params.n_trees):
         rng = np.random.default_rng(params.seed + t)
-        if params.bootstrap:
-            rows = rng.integers(0, train.row_count, size=train.row_count)
-            sampled = train.take_rows(rows)
-        else:
-            sampled = train
-        trees.append(
-            tree_mod.grow(
-                sampled,
-                min_leaf=params.min_leaf,
-                rng=rng,
-                feature_sample=sample if sample < d else None,
-            )
-        )
+        rows = (rng.integers(0, train.row_count, size=train.row_count)
+                if params.bootstrap else None)
+        trees.append(tree_mod.grow(train, rows, min_leaf=params.min_leaf, rng=rng,
+                                   feature_sample=sample))
     return {"feature_sample": sample, "roots": tuple(trees)}
 
 

@@ -32,8 +32,8 @@ class PreprocessPlan:
     """Fitted chain: keep ``selected`` features, scale, then encode.
 
     ``minmax`` holds ``(name, lo, hi)`` per numeric feature and ``onehot``
-    ``(name, categories)`` per nominal one; every selected name is fitted
-    exactly once.
+    ``(name, categories)`` per nominal one. A name is selected once and
+    fitted once, and no column lists a category twice.
     """
 
     selected: tuple[str, ...]
@@ -47,6 +47,12 @@ class PreprocessPlan:
         for name, cats in self.onehot:
             if not cats:
                 raise DatasetError(f"column {name!r}: empty category list")
+            twice = [cat for cat, k in Counter(cats).items() if k > 1]
+            if twice:
+                raise DatasetError(f"column {name!r}: category {twice[0]!r} is listed twice")
+        twice = [name for name, k in Counter(self.selected).items() if k > 1]
+        if twice:
+            raise DatasetError(f"column {twice[0]!r} is selected twice")
         fitted = Counter(entry[0] for entry in self.minmax + self.onehot)
         fitted.subtract(self.selected)
         if any(fitted.values()):

@@ -22,6 +22,8 @@ wrapper's merit trees on raw columns. Nodes are grown from an explicit work
 stack in that order, which is also the order in which a forest's per-node
 feature draws consume its rng. Nothing in this module recurses, so tree
 depth is bounded by memory, not by the interpreter's recursion limit.
+``grow`` and ``predict`` take row indices into one dataset, and ``_route``
+sends them down a split for both.
 
 Every count that enters an entropy or split-info term is an integer from 0
 to the row count n, so ``grow`` computes ``k * log2(k)`` for k = 0..n once
@@ -74,10 +76,6 @@ class TreeNode:
         return not self.children
 
     @property
-    def is_numeric_split(self) -> bool:
-        return bool(self.children) and not self.codes
-
-    @property
     def prediction(self) -> int:
         normal, attack = self.counts
         return 1 if attack >= normal else 0
@@ -118,7 +116,11 @@ def from_doc(doc: dict, width: int) -> Tree:
     has_parent = [False] * len(nodes)
     tree: list[TreeNode] = []
     for i, entry in enumerate(nodes):
-        counts = (int(entry["counts"][0]), int(entry["counts"][1]))
+        counts = entry["counts"]
+        if len(counts) != 2 or not all(type(c) is int and c >= 0 for c in counts):
+            raise DatasetError(f"tree document: node {i} has counts {counts!r},"
+                               " not two non-negative integers")
+        counts = tuple(counts)
         if "children" not in entry:
             tree.append(TreeNode(counts))
             continue
@@ -234,19 +236,35 @@ def _nominal_ratio(codes, y, parent_entropy, xl) -> float:
     return gain / split_info if gain > MIN_GAIN else -math.inf
 
 
+def _route(values, items, threshold, codes=(), default=0) -> list[np.ndarray]:
+    """``items`` (one per value) split by branch, each kept in order: at or
+    below ``threshold``, then above; or with ``codes``, one branch per code,
+    a code not in ``codes`` going to branch ``default``."""
+    if not codes:
+        low = values <= threshold
+        return [items[low], items[~low]]
+    branch_of = np.full(max(int(values.max(initial=0)), max(codes)) + 1, default)
+    branch_of[list(codes)] = np.arange(len(codes))
+    branch = branch_of[values]
+    return [items[branch == b] for b in range(len(codes))]
+
+
 def grow(
     ds: Dataset,
+    rows: np.ndarray | None = None,
     *,
     min_leaf: int = 2,
     rng: np.random.Generator | None = None,
     feature_sample: int | None = None,
 ) -> Tree:
-    """Induce an unpruned tree on every row of ``ds``.
+    """Induce an unpruned tree on ``rows`` of ``ds``, every row by default.
 
+    A row listed twice counts twice: the tree is ``grow(ds.take_rows(rows))``.
     ``feature_sample`` restricts each node to a random feature subset drawn
     from ``rng``; both default to using all features deterministically.
     """
-    if ds.row_count == 0:
+    rows = np.arange(ds.row_count) if rows is None else np.asarray(rows)
+    if rows.size == 0:
         raise DatasetError("cannot grow a tree on an empty dataset")
     if not ds.columns:
         raise DatasetError("cannot grow a tree with no features")
@@ -254,14 +272,14 @@ def grow(
         raise DatasetError(f"min_leaf must be >= 1, got {min_leaf}")
     if feature_sample is not None and rng is None:
         raise DatasetError("feature sampling needs an rng")
-    n, d = ds.row_count, len(ds.columns)
+    d = len(ds.columns)
     labels = ds.labels.astype(np.int64)
-    xl = xlog2x_table(n)
+    xl = xlog2x_table(rows.size)
     sampling = feature_sample is not None and feature_sample < d
 
     # Pre-order node records for ``_link``; the stack holds (rows, parent).
     records: list[tuple] = []
-    stack = [(np.arange(n), -1)]
+    stack = [(rows, -1)]
     while stack:
         rows, parent = stack.pop()
         here = len(records)
@@ -290,17 +308,11 @@ def grow(
             records.append((parent, node_counts, -1, math.nan, (), 0))
             continue
         values = ds.columns[feature].values[rows]
-        if ds.columns[feature].kind == "numeric":
-            mask = values <= threshold
-            records.append((parent, node_counts, feature, threshold, (), 0))
-            stack.append((rows[~mask], here))
-            stack.append((rows[mask], here))
-            continue
-        present = np.flatnonzero(np.bincount(values))
-        branches = [rows[values == code] for code in present]
-        default = int(np.argmax([b.size for b in branches]))
-        records.append((parent, node_counts, feature, math.nan,
-                        tuple(int(c) for c in present), default))
+        codes = (tuple(np.flatnonzero(np.bincount(values)).tolist())
+                 if ds.columns[feature].kind == "nominal" else ())
+        branches = _route(values, rows, threshold, codes)
+        default = int(np.argmax([b.size for b in branches])) if codes else 0
+        records.append((parent, node_counts, feature, threshold, codes, default))
         stack.extend((b, here) for b in reversed(branches))
     return _link(records)
 
@@ -362,30 +374,25 @@ def prune(tree: Tree, confidence: float = 0.25) -> Tree:
     return _link(records)
 
 
-def predict(tree: Tree, ds: Dataset) -> np.ndarray:
-    """Route every row to a leaf and return its majority class.
+def predict(tree: Tree, ds: Dataset, rows: np.ndarray | None = None) -> np.ndarray:
+    """The majority class of the leaf each of ``rows`` reaches, in ``rows``
+    order; every row of ``ds`` by default.
 
     The tree must split only on features of ``ds``: ``grow`` fits its
     dataset, and ``from_doc`` checks a saved tree against the model's width.
     """
-    out = np.empty(ds.row_count, dtype=np.uint8)
-    stack = [(0, np.arange(ds.row_count))]
+    rows = np.arange(ds.row_count) if rows is None else np.asarray(rows)
+    out = np.empty(rows.size, dtype=np.uint8)
+    stack = [(0, np.arange(rows.size))]  # (node, positions in rows)
     while stack:
-        i, rows = stack.pop()
-        if rows.size == 0:
+        i, at = stack.pop()
+        if at.size == 0:
             continue
         node = tree[i]
         if node.is_leaf:
-            out[rows] = node.prediction
+            out[at] = node.prediction
             continue
-        values = ds.columns[node.feature].values[rows]
-        if node.is_numeric_split:
-            mask = values <= node.threshold
-            stack.append((node.children[0], rows[mask]))
-            stack.append((node.children[1], rows[~mask]))
-            continue
-        assigned = np.full(rows.size, node.default_child, dtype=np.int64)
-        for pos, code in enumerate(node.codes):
-            assigned[values == code] = pos
-        stack.extend((child, rows[assigned == pos]) for pos, child in enumerate(node.children))
+        values = ds.columns[node.feature].values[rows[at]]
+        branches = _route(values, at, node.threshold, node.codes, node.default_child)
+        stack.extend(zip(node.children, branches))
     return out

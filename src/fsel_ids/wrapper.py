@@ -60,8 +60,8 @@ def _merit_on_folds(
     accuracies = []
     for held_out in fold_rows:
         fit_rows = np.delete(np.arange(sub.row_count), held_out)
-        tree = tree_mod.grow(sub.take_rows(fit_rows), min_leaf=min_leaf)
-        predicted = tree_mod.predict(tree, sub.take_rows(held_out))
+        tree = tree_mod.grow(sub, fit_rows, min_leaf=min_leaf)
+        predicted = tree_mod.predict(tree, sub, held_out)
         accuracies.append(float(np.mean(predicted == sub.labels[held_out])))
     return float(np.mean(accuracies))
 

@@ -273,8 +273,24 @@ def _drop_hidden_unit(model, plan):
     payload["w2"].pop()
 
 
+def _root_counts(counts, algorithm="tree"):
+    """An edit that sets the root's counts of the tree, or of the forest's first tree."""
+    def edit(model, plan):
+        payload = model["payload"]
+        tree = payload if algorithm == "tree" else payload["roots"][0]
+        tree["nodes"][0]["counts"] = counts
+    return edit
+
+
 @pytest.mark.parametrize("algorithm, edit, names", [
     ("tree", _drop_counts, "malformed model document (KeyError"),
+    *[(algorithm, _root_counts(counts, algorithm), "malformed model document (DatasetError: tree"
+       f" document: node 0 has counts {counts!r}, not two non-negative integers")
+      for algorithm, counts in (("tree", [-5, 1]), ("tree", [2.7, 1]), ("tree", ["3", 1]),
+                                ("tree", [1, 2, 3]), ("forest", [True, 1]),
+                                ("forest", [-1, 4]))],
+    ("naive_bayes", lambda model, plan: plan["onehot"][0][1].append(plan["onehot"][0][1][0]),
+     "malformed preprocess plan document (DatasetError: column 'proto': category"),
     ("tree", lambda model, plan: model["params"].update(depth=3),
      "malformed model document (TypeError"),
     ("tree", lambda model, plan: plan.pop("selected"),
@@ -312,9 +328,11 @@ def _drop_hidden_unit(model, plan):
      " (21,)"),
     ("linear_svm", lambda model, plan: model["payload"]["objective_trace"].__setitem__(
         3, float("nan")), "malformed model document (ModelError: objective_trace[3] is nan"),
-], ids=["tree-node-without-counts", "unknown-param", "plan-without-selected", "minmax-not-a-list",
-        "knn-matrix-without-a-row", "knn-matrix-with-a-short-row", "knn-label-300",
-        "knn-label-2", "nb-stat-dropped", "nb-negative-var", "tree-nan-threshold",
+], ids=["tree-node-without-counts", "tree-counts-negative", "tree-counts-a-float",
+        "tree-counts-a-string", "tree-counts-three", "forest-counts-a-bool",
+        "forest-counts-negative", "plan-category-twice", "unknown-param",
+        "plan-without-selected", "minmax-not-a-list", "knn-matrix-without-a-row",
+        "knn-matrix-with-a-short-row", "knn-label-300", "knn-label-2", "nb-stat-dropped", "nb-negative-var", "tree-nan-threshold",
         "mlp-inf-weight", "svm-nan-bias", "mlp-w1-row-dropped", "mlp-b2-two-long",
         "mlp-hidden-unit-dropped", "svm-w-entry-dropped", "svm-trace-a-string",
         "svm-trace-one-nan", "svm-trace-nan-entry"])
@@ -336,7 +354,7 @@ def test_evaluate_rejects_malformed_saved_documents(toy_split, tmp_path, capsys,
     ])
     assert code == 1
     err = capsys.readouterr().err
-    assert err.startswith("error:") and names in err
+    assert err.startswith("error:") and err.count("\n") == 1 and names in err
     assert not (tmp_path / "saved" / "report.json").exists()
 
 
@@ -765,6 +783,16 @@ def test_map_fails_every_task_when_every_child_dies():
     outcomes = cli._map(die, 20, 2)
     assert outcomes == [(None, KILLED),
                         (None, "ChildProcessError: the task's process exited with code 3")] * 10
+    assert not multiprocessing.active_children()
+
+
+def test_map_fails_only_the_task_whose_result_cannot_be_pickled(capfd):
+    outcomes = cli._map(lambda i: (lambda: i) if i == 1 else i, 3, 2)
+    assert outcomes[0] == (0, None) and outcomes[2] == (2, None)
+    result, error = outcomes[1]
+    assert result is None and "pickle" in error and ": " in error
+    assert not error.startswith("ChildProcessError")
+    assert "Traceback" not in capfd.readouterr().err
     assert not multiprocessing.active_children()
 
 

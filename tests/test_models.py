@@ -1,8 +1,10 @@
+import importlib.util
 import json
 import math
 import tracemalloc
 import warnings
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -26,9 +28,10 @@ from fsel_ids.models import (
     svm_objective,
 )
 from fsel_ids import models
-from fsel_ids.dataset import Column, Dataset
+from fsel_ids.dataset import Column, Dataset, load_csv
 from fsel_ids.preprocess import apply_preprocess, fit_preprocess
 from fsel_ids.tree import TreeNode
+from fsel_ids.unsw import UNSW_SCHEMA
 
 from conftest import make_dataset, random_mixed_dataset, separable_dataset
 
@@ -558,6 +561,26 @@ def test_svm_fit_on_the_plan_output_makes_no_copy_of_it():
     tracemalloc.start()
     try:
         fit_model(train, params_from_dict("linear_svm", {"svm_epochs": 1}))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < size / 2
+
+
+def test_forest_fit_holds_no_copy_of_the_training_matrix(tmp_path):
+    # The benchmark's grid-scale training file for seed 1: 10,000 rows that
+    # the plan encodes into 194 columns.
+    path = Path(__file__).parents[1] / "perfbench" / "gen.py"
+    spec = importlib.util.spec_from_file_location("perfbench_gen", path)
+    gen = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(gen)
+    raw = load_csv(gen.generate(tmp_path, 1, "grid")[0], UNSW_SCHEMA)
+    train = apply_preprocess(fit_preprocess(raw), raw)
+    size = train.as_matrix().nbytes
+    assert size == 10_000 * 194 * 8
+    tracemalloc.start()
+    try:
+        fit_model(train, params_from_dict("forest", {"n_trees": 2}, seed=1))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

@@ -171,12 +171,22 @@ def test_plan_output_is_one_c_order_matrix():
     np.testing.assert_array_equal(x[:, 1:4], np.eye(3)[[0, 1, 2, 1, 0, 2, 2]])
 
 
+def test_from_matrix_needs_one_name_per_column():
+    for names in (["a", "b"], ["a", "b", "c", "d"]):
+        with pytest.raises(DatasetError, match="column names for a matrix of shape"):
+            Dataset.from_matrix(names, np.zeros((4, 3)), np.zeros(4, np.uint8))
+
+
 def test_select_and_take_rows_of_the_plan_output_are_plain_datasets():
     out = encode(mixed_ds())
     for part in (out.select([0, 3]), out.take_rows(np.array([4, 0, 6]))):
         assert part.matrix is None
         np.testing.assert_array_equal(part.as_matrix(),
                                       np.column_stack([c.values for c in part.columns]))
+    taken = out.take_rows(np.array([4, 0, 6]))
+    pairs = [(c.values, out.matrix) for c in taken.columns] + [(taken.labels, out.labels)]
+    for got, source in pairs:  # taken rows are read-only copies
+        assert not got.flags.writeable and not np.shares_memory(got, source)
 
 
 def test_apply_preprocess_rejects_kind_mismatch():
@@ -248,6 +258,10 @@ MALFORMED = "malformed preprocess plan document"
     # a hand-written plan that leaves a selected column unfitted; such a
     # plan used to pass the column through unscaled
     (lambda doc: doc.update(onehot=[]), r"exactly once: \['proto'\]"),
+    # a repeated category or selected name would shift the encoding
+    (lambda doc: doc["onehot"][0][1].append("tcp"), "category 'tcp' is listed twice"),
+    (lambda doc: doc.update(selected=["keep", "keep", "proto"],
+                            minmax=doc["minmax"] * 2), "column 'keep' is selected twice"),
 ])
 def test_plan_from_json_rejects_malformed_documents(edit, match):
     ds = make_dataset([("keep", "numeric", [1.0, 5.0]),

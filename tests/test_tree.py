@@ -144,7 +144,7 @@ def test_root_split_attains_best_gain_ratio(seed):
     assert candidates, "oracle found no admissible split"
     best_ratio = max(r for _, _, r in candidates)
     assert not root.is_leaf
-    if root.is_numeric_split:
+    if not root.codes:
         mine = [
             r
             for f, thr, r in candidates
@@ -182,6 +182,46 @@ def test_unseen_category_routes_to_largest_child():
     assert tree[0].default_child == 0  # six rows went down the first branch
     probe = make_dataset([("proto", "nominal", [3, 1], cats)], [0, 0])
     np.testing.assert_array_equal(predict(tree, probe), [0, 1])
+
+
+@pytest.mark.parametrize("seed", [301, 302, 304, 306])
+def test_grow_and_predict_on_rows_match_the_taken_rows(seed):
+    rng = np.random.default_rng(seed)
+    ds = random_mixed_dataset(rng, 160, 6)
+    n = ds.row_count
+    subset = np.sort(rng.choice(n, size=n // 2, replace=False))
+    draw = rng.integers(0, n, size=n)
+    assert np.unique(draw).size < n  # a bootstrap draw repeats rows
+    for rows in (subset, draw):
+        taken = ds.take_rows(rows)
+        for min_leaf, sample in ((2, None), (1, 3)):
+            mine_rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+            tree = grow(ds, rows, min_leaf=min_leaf, rng=mine_rng, feature_sample=sample)
+            assert tree == grow(taken, min_leaf=min_leaf, rng=ref_rng, feature_sample=sample)
+            assert mine_rng.bit_generator.state == ref_rng.bit_generator.state
+            assert {bool(node.codes) for node in tree if not node.is_leaf} == {True, False}
+            for probe in (rows, draw, np.arange(n)[::-1]):
+                np.testing.assert_array_equal(predict(tree, ds, probe),
+                                              predict(tree, ds.take_rows(probe)))
+
+
+def test_rows_of_a_category_unseen_at_a_node_take_its_default_child():
+    # Rows 0-9 fall at x <= 0.5 and are normal; above it proto decides,
+    # and the tree is grown without proto "d" (rows 20-22).
+    codes = [0, 1] * 5 + [0] * 3 + [1] * 4 + [2] * 3 + [3] * 3
+    labels = [0] * 10 + [0] * 3 + [1] * 4 + [1] * 3 + [0] * 3
+    x = [0.0] * 10 + [1.0] * 13
+    ds = make_dataset([("x", "numeric", x), ("proto", "nominal", codes, "abcd")], labels)
+    fit_rows = np.arange(20)
+    tree = grow(ds, fit_rows, min_leaf=1)
+    assert tree == grow(ds.take_rows(fit_rows), min_leaf=1)
+    nominal = [node for node in tree if node.codes]
+    assert tree[0].codes == () and len(nominal) == 1
+    assert nominal[0].codes == (0, 1, 2) and nominal[0].default_child == 1
+    probe = np.array([22, 15, 20, 3, 12, 22])
+    np.testing.assert_array_equal(predict(tree, ds, probe), predict(tree, ds.take_rows(probe)))
+    # "d" goes to the largest branch, proto "b"'s four attack rows
+    np.testing.assert_array_equal(predict(tree, ds, probe), [1, 1, 1, 0, 0, 1])
 
 
 def test_grow_argument_errors():
@@ -453,7 +493,11 @@ def test_forest_roots_match_recursive_reference(seed, monkeypatch):
     params = params_from_dict("forest", {"n_trees": 4, "min_leaf": 1}, seed=seed)
     datasets = [apply_preprocess(fit_preprocess(ds), ds) for ds in (raw, _all_nominal(raw))]
     mine = [fit_model(ds, params).payload["roots"] for ds in datasets]
-    monkeypatch.setattr(tree_mod, "grow", lambda *a, **kw: _flatten(_reference_grow(*a, **kw)))
+
+    def reference(ds, rows=None, **kw):
+        return _flatten(_reference_grow(ds if rows is None else ds.take_rows(rows), **kw))
+
+    monkeypatch.setattr(tree_mod, "grow", reference)
     assert mine == [fit_model(ds, params).payload["roots"] for ds in datasets]
 
 
