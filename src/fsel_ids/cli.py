@@ -14,6 +14,7 @@ import multiprocessing
 import multiprocessing.connection
 import signal
 import sys
+from multiprocessing.reduction import ForkingPickler
 from pathlib import Path
 
 from .metrics import markdown_table, report_to_json
@@ -39,6 +40,8 @@ BENCH_ONLY_KEYS = ("fs_methods", "algorithms")
 SAVED_RUN_FLAGS = {"fs": "--fs", "k": "--k", "algorithm": "--algo", "seed": "--seed",
                    "subsample": "--subsample", "bins": "--bins",
                    "relief_sample": "--relief-sample", "overrides": "--set"}
+# The RunConfig fields a saved model's replay reads; its model and plan fix the rest.
+REPLAY_FIELDS = {"train_path", "test_path", "schema_path", "positive_label", "dataset_name"}
 
 
 def _parse_override(text: str) -> tuple[str, object]:
@@ -99,14 +102,25 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load_config(args, allow_grid: bool = False,
-                 needs_train: bool = True) -> tuple[RunConfig, dict]:
-    """Merge config-file fields with flag overrides (flags win) into a checked RunConfig."""
+def _load_config(args, allow_grid: bool = False, replay: bool = False) -> tuple[RunConfig, dict]:
+    """Merge config-file fields with flag overrides (flags win) into a checked RunConfig.
+
+    A ``replay`` of a saved model needs no --train, and takes no flag or
+    config field that sets what its model and plan fix.
+    """
     doc: dict = {}
     if args.config:
         doc = json.loads(Path(args.config).read_text(encoding="utf-8"))
         if not isinstance(doc, dict):
             raise ValueError(f"{args.config}: config must be a JSON object")
+    known = {f.name for f in dataclasses.fields(RunConfig)}
+    if replay:
+        fixed = [flag for dest, flag in SAVED_RUN_FLAGS.items()
+                 if getattr(args, dest) not in (None, [])]
+        fixed += [f"config field {name!r}" for name in sorted(doc.keys() & (known - REPLAY_FIELDS))]
+        if fixed:
+            raise ValueError("evaluate --model takes its settings from the saved model and"
+                             f" plan; drop {', '.join(fixed)}")
     grid = {key: doc.pop(key) for key in BENCH_ONLY_KEYS if key in doc}
     if grid and not allow_grid:
         raise ValueError(f"grid fields {sorted(grid)} are only valid for bench")
@@ -116,7 +130,6 @@ def _load_config(args, allow_grid: bool = False,
         twice = [v for i, v in enumerate(value) if v in value[:i]]
         if twice:
             raise ValueError(f"config field {key!r} lists {twice[0]!r} more than once")
-    known = {f.name for f in dataclasses.fields(RunConfig)}
     doc.update((name, value) for name, value in vars(args).items()
                if name in known and value is not None)
     params = doc.get("params") or {}
@@ -126,7 +139,7 @@ def _load_config(args, allow_grid: bool = False,
     unknown = sorted(set(doc) - known)
     if unknown:
         raise ValueError(f"unknown config fields: {unknown}")
-    if needs_train and "train_path" not in doc:
+    if not replay and "train_path" not in doc:
         needs = "--train" if args.command in ("select", "train") else "--train and --test"
         raise ValueError(f"a run needs {needs} (or config fields)")
     if "stop_after" in doc and doc["stop_after"] == 0:
@@ -198,13 +211,8 @@ def _write_report(report, out: Path) -> None:
 def cmd_evaluate(args) -> int:
     if (args.model is None) != (args.plan is None):
         raise ValueError("--model and --plan must be given together")
-    ignored = [flag for dest, flag in SAVED_RUN_FLAGS.items()
-               if getattr(args, dest) not in (None, [])]
-    if args.model and ignored:
-        raise ValueError(f"evaluate --model takes its settings from the saved model and plan;"
-                         f" drop {', '.join(ignored)}")
     # A saved model reads only --test; --train, if given, names the report.
-    config, _ = _load_config(args, needs_train=args.model is None)
+    config, _ = _load_config(args, replay=args.model is not None)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     if args.model:
@@ -222,11 +230,13 @@ def cmd_evaluate(args) -> int:
     return 0
 
 
-def _guarded(task, i: int):
+def _guarded(task, i: int) -> memoryview:
+    """The pickled outcome of ``task(i)``: ``(result, None)``, or ``(None, error)``
+    if it raised or its result cannot be pickled."""
     try:
-        return task(i), None
+        return ForkingPickler.dumps((task(i), None))
     except Exception as exc:  # noqa: BLE001 -- a failure must not kill the batch
-        return None, f"{type(exc).__name__}: {exc}"
+        return ForkingPickler.dumps((None, f"{type(exc).__name__}: {exc}"))
 
 
 def _map(task, count: int, jobs: int) -> list:
@@ -234,13 +244,14 @@ def _map(task, count: int, jobs: int) -> list:
 
     Each task runs in its own forked child, at most ``jobs`` at once, which
     inherits ``task`` and all it closes over copy-on-write, so only its
-    outcome crosses a pipe; one task or ``jobs`` of 1 runs here. A child that
-    dies fails its own task alone, as does a result that cannot be pickled,
-    with the pickling error. An interrupt stops the children at once;
-    none outlives the call.
+    outcome crosses a pipe; one task or ``jobs`` of 1 runs here, and its
+    outcome makes the same round trip through pickle. A child that dies
+    fails its own task alone, as does a result that cannot be pickled, with
+    the pickling error. An interrupt stops the children at once; none
+    outlives the call.
     """
     if min(jobs, count) < 2:
-        return [_guarded(task, i) for i in range(count)]
+        return [ForkingPickler.loads(_guarded(task, i)) for i in range(count)]
     fork = multiprocessing.get_context("fork")
     outcomes, pending = [None] * count, list(range(count))
     running = {}  # the parent's receive end -> (task number, child)
@@ -250,11 +261,8 @@ def _map(task, count: int, jobs: int) -> list:
         try:
             outcome = _guarded(task, i)
         except KeyboardInterrupt as exc:  # raised by the task: the parent re-raises it
-            outcome = exc
-        try:
-            send.send(outcome)
-        except Exception as exc:  # noqa: BLE001 -- a result that cannot be pickled
-            send.send((None, f"{type(exc).__name__}: {exc}"))
+            outcome = ForkingPickler.dumps(exc)
+        send.send_bytes(outcome)
 
     try:
         while pending or running:

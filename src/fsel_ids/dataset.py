@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import csv
 import itertools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -34,6 +35,12 @@ NORMAL = 0
 
 class DatasetError(ValueError):
     """Raised for malformed data files or invalid dataset operations."""
+
+
+def is_finite_number(value) -> bool:
+    """Whether a document's ``value`` is a finite int or float, not a bool
+    (an int too large for a float raises OverflowError)."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value)
 
 
 def _frozen(arr: np.ndarray) -> np.ndarray:

@@ -16,22 +16,25 @@ A payload is its ``model.json`` document, with the same keys in the same
 order:
 
 - tree: a ``tree.Tree``, written as ``{"nodes": [...]}``;
-- forest: ``{"feature_sample", "roots"}``, one ``Tree`` per root;
-- naive_bayes: ``{"log_prior", "feature_stats"}``, one
-  ``{"kind": "numeric", "mean", "var"}`` per feature;
+- forest: a tuple of ``Tree``s, written as a list of tree documents;
+- naive_bayes: ``{"log_prior", "mean", "var"}``: two log priors, and a
+  (feature x class) mean and variance;
 - knn: ``{"matrix", "labels"}``;
 - mlp: ``{"w1", "b1", "w2", "b2"}``;
 - linear_svm: ``{"w", "b", "objective_trace"}``.
 
-Numpy values are written by one ``json.dumps`` hook, and the array entries
-are read back by ``_arrays_from_doc`` as read-only arrays of the shapes the
-model needs. A document is read against the model's feature count and
-``params``: naive Bayes needs one stat per feature, a kNN matrix one row
-per label and one column per feature, an MLP a (width x ``hidden_units``)
-``w1``, ``hidden_units``-long ``b1`` and ``w2`` and a one-long ``b2``, an
-SVM a width-long ``w`` and an ``svm_epochs`` + 1 long ``objective_trace``,
-and a tree split a feature index below that count. Every number a model
-computes with must be finite.
+Numpy values are written by one ``json.dumps`` hook, and every payload
+number but a tree's is read back by ``_arrays_from_doc`` as a read-only
+array of the shape the model needs. A document is read against the
+model's feature count and ``params``: naive Bayes needs a mean and a
+positive variance per feature and class, a kNN matrix one row per label
+and one column per feature, an MLP a (width x ``hidden_units``) ``w1``,
+``hidden_units``-long ``b1`` and ``w2`` and a one-long ``b2``, an SVM a
+width-long ``w``, a scalar ``b`` and an ``svm_epochs`` + 1 long
+``objective_trace``, and a tree split a feature index below that count.
+Every number a model computes with must be finite. The document states
+each fact once: the algorithm only in ``params``, and no forest feature
+sample, which ``params`` and the feature count fix.
 
 kNN, MLP and SVM read rows through ``Dataset.as_matrix``, which for the
 plan's output is its one C-order array, so a fit holds no second copy of
@@ -49,11 +52,11 @@ from dataclasses import asdict, dataclass, fields, replace
 import numpy as np
 
 from . import tree as tree_mod
-from .dataset import Dataset
+from .dataset import Dataset, is_finite_number
 from .tree import Tree
 
 MODEL_FORMAT = "fsel-ids/model"
-MODEL_VERSION = 2  # 2: trees are flat pre-order node lists
+MODEL_VERSION = 3  # 3: one algorithm tag, forests are tree lists, naive Bayes arrays
 
 NB_VAR_FLOOR = 1e-9
 
@@ -186,7 +189,7 @@ def _arrays_from_doc(doc: dict, dtype=np.float64, **shapes) -> dict:
             raise ModelError(f"{key} has shape {array.shape}, the model needs {shape}")
         if not np.isfinite(array).all():
             where = np.argwhere(~np.isfinite(array))[0].tolist()
-            raise ModelError(f"{key}{where} is {array[tuple(where)]}, not finite")
+            raise ModelError(f"{key}{where or ''} is {array[tuple(where)]}, not finite")
         array.flags.writeable = False
         payload[key] = array
     return payload
@@ -210,7 +213,7 @@ def _predict_tree(tree: Tree, ds: Dataset, params: TrainParams) -> np.ndarray:
     return tree_mod.predict(tree, ds)
 
 
-def _fit_forest(train: Dataset, params: TrainParams) -> dict:
+def _fit_forest(train: Dataset, params: TrainParams) -> tuple[Tree, ...]:
     d = len(train.columns)
     sample = params.feature_sample
     if sample is None:
@@ -223,25 +226,14 @@ def _fit_forest(train: Dataset, params: TrainParams) -> dict:
                 if params.bootstrap else None)
         trees.append(tree_mod.grow(train, rows, min_leaf=params.min_leaf, rng=rng,
                                    feature_sample=sample))
-    return {"feature_sample": sample, "roots": tuple(trees)}
+    return tuple(trees)
 
 
-def _predict_forest(p: dict, ds: Dataset, params: TrainParams) -> np.ndarray:
+def _predict_forest(trees: tuple[Tree, ...], ds: Dataset, params: TrainParams) -> np.ndarray:
     votes = np.zeros(ds.row_count, dtype=np.int64)
-    for tree in p["roots"]:
+    for tree in trees:
         votes += tree_mod.predict(tree, ds)
-    return (2 * votes >= len(p["roots"])).astype(np.uint8)
-
-
-def _forest_to_doc(p: dict) -> dict:
-    return {**p, "roots": [tree_mod.to_doc(t) for t in p["roots"]]}
-
-
-def _forest_from_doc(doc: dict, width: int, params: TrainParams) -> dict:
-    return {
-        "feature_sample": int(doc["feature_sample"]),
-        "roots": tuple(tree_mod.from_doc(t, width) for t in doc["roots"]),
-    }
+    return (2 * votes >= len(trees)).astype(np.uint8)
 
 
 def _fit_naive_bayes(train: Dataset, params: TrainParams) -> dict:
@@ -251,16 +243,14 @@ def _fit_naive_bayes(train: Dataset, params: TrainParams) -> dict:
     for c, have in enumerate(counts):
         if have == 0:
             raise ModelError(f"class {c} has no training rows")
-    log_prior = tuple(math.log(have / n) for have in counts)
-    stats: list[dict] = []
+    log_prior = [math.log(have / n) for have in counts]
+    means, variances = [], []
     for col in train.columns:
-        means, variances = [], []
-        for c in (0, 1):
-            v = col.values[y == c]
-            means.append(float(v.mean()))
-            variances.append(max(float(v.var()), NB_VAR_FLOOR))
-        stats.append({"kind": "numeric", "mean": tuple(means), "var": tuple(variances)})
-    return {"log_prior": log_prior, "feature_stats": tuple(stats)}
+        v = [col.values[y == c] for c in (0, 1)]
+        means.append([float(vc.mean()) for vc in v])
+        variances.append([max(float(vc.var()), NB_VAR_FLOOR) for vc in v])
+    return _nb_from_doc({"log_prior": log_prior, "mean": means, "var": variances},
+                        len(train.columns), params)
 
 
 def nb_log_joint(payload: dict, ds: Dataset) -> np.ndarray:
@@ -269,11 +259,10 @@ def nb_log_joint(payload: dict, ds: Dataset) -> np.ndarray:
     out = np.zeros((n, 2), dtype=np.float64)
     out[:, 0] = payload["log_prior"][0]
     out[:, 1] = payload["log_prior"][1]
-    for col, stat in zip(ds.columns, payload["feature_stats"]):
+    for col, mean, var in zip(ds.columns, payload["mean"], payload["var"]):
         x = col.values
         for c in (0, 1):
-            mean, var = stat["mean"][c], stat["var"][c]
-            out[:, c] += -0.5 * np.log(2.0 * math.pi * var) - (x - mean) ** 2 / (2.0 * var)
+            out[:, c] += -0.5 * np.log(2.0 * math.pi * var[c]) - (x - mean[c]) ** 2 / (2.0 * var[c])
     return out
 
 
@@ -283,20 +272,12 @@ def _predict_naive_bayes(p: dict, ds: Dataset, params: TrainParams) -> np.ndarra
 
 
 def _nb_from_doc(doc: dict, width: int, params: TrainParams) -> dict:
-    """Two log priors and, per feature, a numeric stat of two means and two
-    positive variances; every number finite."""
-    stats = doc["feature_stats"]
-    if len(stats) != width:
-        raise ModelError(f"naive Bayes has {len(stats)} feature stats for {width} features")
-    log_prior = tuple(doc["log_prior"])
-    for i, s in enumerate(stats):
-        numbers = np.array([log_prior, s["mean"], s["var"]] if s["kind"] == "numeric" else [],
-                           dtype=np.float64)
-        if numbers.shape != (3, 2) or not np.isfinite(numbers).all() or numbers[2].min() <= 0:
-            raise ModelError(f"naive Bayes feature stat {i} is not numeric with, per class, a"
-                             " finite log prior, a finite mean and a finite positive variance")
-    return {"log_prior": log_prior, "feature_stats": tuple(
-        {"kind": "numeric", "mean": tuple(s["mean"]), "var": tuple(s["var"])} for s in stats)}
+    """Two log priors and, per feature and class, a mean and a positive variance."""
+    payload = _arrays_from_doc(doc, log_prior=(2,), mean=(width, 2), var=(width, 2))
+    bad = np.argwhere(payload["var"] <= 0)
+    if len(bad):
+        raise ModelError(f"var{bad[0].tolist()} is {payload['var'][tuple(bad[0])]}, not positive")
+    return payload
 
 
 def _fit_knn(train: Dataset, params: TrainParams) -> dict:
@@ -424,7 +405,7 @@ def _fit_mlp(train: Dataset, params: TrainParams) -> dict[str, np.ndarray]:
             loss = mlp_loss(weights, x, y)
         if not math.isfinite(loss):
             raise ModelError(f"mlp training diverged at epoch {epoch} (loss {loss})")
-    return weights
+    return _mlp_from_doc(weights, x.shape[1], params)
 
 
 def _mlp_from_doc(doc: dict, width: int, params: TrainParams) -> dict[str, np.ndarray]:
@@ -464,7 +445,7 @@ def _fit_svm(train: Dataset, params: TrainParams) -> dict:
         if not math.isfinite(value):
             raise ModelError(f"svm training diverged at epoch {epoch} (objective {value})")
         trace.append(value)
-    return {"w": w, "b": b, "objective_trace": tuple(trace)}
+    return _svm_from_doc({"w": w, "b": b, "objective_trace": trace}, d, params)
 
 
 def _predict_svm(p: dict, ds: Dataset, params: TrainParams) -> np.ndarray:
@@ -472,11 +453,7 @@ def _predict_svm(p: dict, ds: Dataset, params: TrainParams) -> np.ndarray:
 
 
 def _svm_from_doc(doc: dict, width: int, params: TrainParams) -> dict:
-    b = float(doc["b"])
-    if not math.isfinite(b):
-        raise ModelError(f"b is {b}, not finite")
-    return {**_arrays_from_doc(doc, w=(width,)), "b": b,
-            **_arrays_from_doc(doc, objective_trace=(params.svm_epochs + 1,))}
+    return _arrays_from_doc(doc, w=(width,), b=(), objective_trace=(params.svm_epochs + 1,))
 
 
 @dataclass(frozen=True)
@@ -487,19 +464,22 @@ class Algorithm:
     params)`` the uint8 class ids; ``from_doc(doc, width, params)`` reads the
     payload of a model over ``width`` features back from its JSON document, and
     ``to_doc`` writes it as one. A payload that is its own document needs no
-    ``to_doc``.
+    ``to_doc``, and its fit returns it through ``from_doc``, so a fitted
+    payload is the one its document loads as.
     """
 
     fit: Callable[[Dataset, TrainParams], object]
     predict: Callable[[object, Dataset, TrainParams], np.ndarray]
     from_doc: Callable[[dict, int, TrainParams], object]
-    to_doc: Callable[[object], dict] | None = None
+    to_doc: Callable[[object], object] | None = None
 
 
 ALGORITHM_TABLE = {
     "tree": Algorithm(_fit_tree, _predict_tree,
                       lambda doc, width, params: tree_mod.from_doc(doc, width), tree_mod.to_doc),
-    "forest": Algorithm(_fit_forest, _predict_forest, _forest_from_doc, _forest_to_doc),
+    "forest": Algorithm(_fit_forest, _predict_forest,
+                        lambda doc, width, params: tuple(tree_mod.from_doc(t, width) for t in doc),
+                        lambda trees: [tree_mod.to_doc(t) for t in trees]),
     "naive_bayes": Algorithm(_fit_naive_bayes, _predict_naive_bayes, _nb_from_doc),
     "knn": Algorithm(_fit_knn, _predict_knn, _knn_from_doc),
     "mlp": Algorithm(_fit_mlp, _predict_mlp, _mlp_from_doc),
@@ -539,7 +519,6 @@ def model_to_json(model: TrainedModel) -> str:
     doc = {
         "format": MODEL_FORMAT,
         "version": MODEL_VERSION,
-        "algorithm": model.algorithm,
         "params": asdict(model.params),
         "feature_names": list(model.feature_names),
         "train_seconds": model.train_seconds,
@@ -556,13 +535,19 @@ def model_from_json(text: str) -> TrainedModel:
     if doc.get("version") != MODEL_VERSION:
         raise ModelError(f"unsupported model version {doc.get('version')!r}")
     try:
+        missing = sorted({f.name for f in fields(TrainParams)} - set(doc["params"]))
+        if missing:
+            raise ModelError(f"params lacks {missing}")
         params = TrainParams(**doc["params"])
         names = tuple(doc["feature_names"])
+        seconds = doc["train_seconds"]
+        if not (is_finite_number(seconds) and seconds >= 0):
+            raise ModelError(f"train_seconds is {seconds!r}, not a finite number >= 0")
         return TrainedModel(
             params,
             names,
             ALGORITHM_TABLE[params.algorithm].from_doc(doc["payload"], len(names), params),
-            float(doc["train_seconds"]),
+            float(seconds),
         )
-    except (LookupError, TypeError, ValueError, AttributeError) as exc:
+    except (LookupError, TypeError, ValueError, AttributeError, OverflowError) as exc:
         raise ModelError(f"malformed model document ({type(exc).__name__}: {exc})") from exc

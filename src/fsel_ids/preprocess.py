@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import Dataset, DatasetError
+from .dataset import Dataset, DatasetError, is_finite_number
 
 PLAN_FORMAT = "fsel-ids/preprocess-plan"
 PLAN_VERSION = 1
@@ -32,8 +32,9 @@ class PreprocessPlan:
     """Fitted chain: keep ``selected`` features, scale, then encode.
 
     ``minmax`` holds ``(name, lo, hi)`` per numeric feature and ``onehot``
-    ``(name, categories)`` per nominal one. A name is selected once and
-    fitted once, and no column lists a category twice.
+    ``(name, categories)`` per nominal one. Names and categories are
+    strings and ranges finite numbers. A name is selected once and fitted
+    once, and no column lists a category twice.
     """
 
     selected: tuple[str, ...]
@@ -42,14 +43,20 @@ class PreprocessPlan:
 
     def __post_init__(self):
         for name, lo, hi in self.minmax:
-            if not lo <= hi:  # also rejects NaN
-                raise DatasetError(f"column {name!r}: fitted min {lo} > max {hi}")
+            if not (is_finite_number(lo) and is_finite_number(hi) and lo <= hi):
+                raise DatasetError(f"column {name!r}: fitted min {lo!r} and max {hi!r} are not"
+                                   " finite numbers with min <= max")
         for name, cats in self.onehot:
             if not cats:
                 raise DatasetError(f"column {name!r}: empty category list")
+            if not all(isinstance(cat, str) for cat in cats):
+                raise DatasetError(f"column {name!r}: categories {list(cats)!r} are not all"
+                                   " strings")
             twice = [cat for cat, k in Counter(cats).items() if k > 1]
             if twice:
                 raise DatasetError(f"column {name!r}: category {twice[0]!r} is listed twice")
+        if not all(isinstance(name, str) for name in self.selected):
+            raise DatasetError(f"selected names {list(self.selected)!r} are not all strings")
         twice = [name for name, k in Counter(self.selected).items() if k > 1]
         if twice:
             raise DatasetError(f"column {twice[0]!r} is selected twice")
@@ -145,9 +152,9 @@ def plan_from_json(text: str) -> PreprocessPlan:
     try:
         return PreprocessPlan(
             selected=tuple(doc["selected"]),
-            minmax=tuple((n, float(lo), float(hi)) for n, lo, hi in doc["minmax"]),
+            minmax=tuple((n, lo, hi) for n, lo, hi in doc["minmax"]),
             onehot=tuple((n, tuple(cats)) for n, cats in doc["onehot"]),
         )
-    except (LookupError, TypeError, ValueError) as exc:
+    except (LookupError, TypeError, ValueError, OverflowError) as exc:
         raise DatasetError(
             f"malformed preprocess plan document ({type(exc).__name__}: {exc})") from exc

@@ -42,7 +42,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import Dataset, DatasetError
+from .dataset import Dataset, DatasetError, is_finite_number
 
 # Gains at or below this are treated as zero; keeps float noise from
 # splitting on useless features.
@@ -124,25 +124,25 @@ def from_doc(doc: dict, width: int) -> Tree:
         if "children" not in entry:
             tree.append(TreeNode(counts))
             continue
-        children = tuple(int(c) for c in entry["children"])
+        children = tuple(entry["children"])
         for c in children:
-            if not i < c < len(nodes) or has_parent[c]:
-                raise DatasetError(f"tree document: node {i} has child index {c}")
+            if type(c) is not int or not i < c < len(nodes) or has_parent[c]:
+                raise DatasetError(f"tree document: node {i} has child index {c!r}")
             has_parent[c] = True
-        feature = int(entry["feature"])
-        if not 0 <= feature < width:
+        feature = entry["feature"]
+        if type(feature) is not int or not 0 <= feature < width:
             raise DatasetError(
-                f"tree node {i} splits on feature {feature}, but the model has {width} features")
+                f"tree node {i} splits on feature {feature!r}, but the model has {width} features")
         if "codes" in entry or "threshold" not in entry:
             raise DatasetError(f"tree document: node {i} has codes or no threshold;"
                                " a saved tree splits on numeric thresholds only")
-        threshold = float(entry["threshold"])
-        if not math.isfinite(threshold):
-            raise DatasetError(f"tree document: node {i} has threshold {threshold}")
+        threshold = entry["threshold"]
+        if not is_finite_number(threshold):
+            raise DatasetError(f"tree document: node {i} has threshold {threshold!r}")
         if len(children) != 2:
             raise DatasetError(
                 f"tree document: numeric node {i} has {len(children)} children, not 2")
-        tree.append(TreeNode(counts, feature, threshold, (), children))
+        tree.append(TreeNode(counts, feature, float(threshold), (), children))
     if not all(has_parent[1:]):
         raise DatasetError(f"tree document: node {has_parent.index(False, 1)} has no parent")
     return tuple(tree)

@@ -273,19 +273,26 @@ def _drop_hidden_unit(model, plan):
     payload["w2"].pop()
 
 
-def _root_counts(counts, algorithm="tree"):
-    """An edit that sets the root's counts of the tree, or of the forest's first tree."""
+def _set_root(key, value, algorithm="tree"):
+    """An edit that sets ``key`` of the root of the tree, or of the forest's first tree."""
     def edit(model, plan):
         payload = model["payload"]
-        tree = payload if algorithm == "tree" else payload["roots"][0]
-        tree["nodes"][0]["counts"] = counts
+        tree = payload if algorithm == "tree" else payload[0]
+        assert key in tree["nodes"][0]  # the root splits when a split's key is set
+        tree["nodes"][0][key] = value
     return edit
+
+
+def _float_child(model, plan):
+    children = model["payload"]["nodes"][0]["children"]
+    children[0] = float(children[0])
 
 
 @pytest.mark.parametrize("algorithm, edit, names", [
     ("tree", _drop_counts, "malformed model document (KeyError"),
-    *[(algorithm, _root_counts(counts, algorithm), "malformed model document (DatasetError: tree"
-       f" document: node 0 has counts {counts!r}, not two non-negative integers")
+    *[(algorithm, _set_root("counts", counts, algorithm), "malformed model document"
+       f" (DatasetError: tree document: node 0 has counts {counts!r}, not two non-negative"
+       " integers")
       for algorithm, counts in (("tree", [-5, 1]), ("tree", [2.7, 1]), ("tree", ["3", 1]),
                                 ("tree", [1, 2, 3]), ("forest", [True, 1]),
                                 ("forest", [-1, 4]))],
@@ -303,10 +310,10 @@ def _root_counts(counts, algorithm="tree"):
      "malformed model document (ModelError: knn labels must be 0 or 1"),
     ("knn", lambda model, plan: model["payload"]["labels"].__setitem__(0, 2),
      "malformed model document (ModelError: knn labels must be 0 or 1"),
-    ("naive_bayes", lambda model, plan: model["payload"]["feature_stats"].pop(),
-     "malformed model document (ModelError: naive Bayes has 4 feature stats for 5 features"),
-    ("naive_bayes", lambda model, plan: model["payload"]["feature_stats"][1]["var"].__setitem__(
-        0, -1.0), "malformed model document (ModelError: naive Bayes feature stat 1 is not numeric"),
+    ("naive_bayes", lambda model, plan: model["payload"]["mean"].pop(),
+     "malformed model document (ModelError: mean has shape (4, 2), the model needs (5, 2)"),
+    ("naive_bayes", lambda model, plan: model["payload"]["var"][1].__setitem__(0, -1.0),
+     "malformed model document (ModelError: var[1, 0] is -1.0, not positive"),
     ("tree", _nan_threshold, "malformed model document (DatasetError: tree document: node 0"
      " has threshold nan"),
     ("mlp", lambda model, plan: model["payload"]["w2"].__setitem__(0, float("inf")),
@@ -328,6 +335,32 @@ def _root_counts(counts, algorithm="tree"):
      " (21,)"),
     ("linear_svm", lambda model, plan: model["payload"]["objective_trace"].__setitem__(
         3, float("nan")), "malformed model document (ModelError: objective_trace[3] is nan"),
+    ("linear_svm", lambda model, plan: model["payload"].update(b=[0.5]),
+     "malformed model document (ModelError: b has shape (1,), the model needs ()"),
+    *[("tree", _set_root("feature", feature), "malformed model document (DatasetError: tree"
+       f" node 0 splits on feature {feature!r}") for feature in (0.5, True)],
+    ("tree", _float_child, "malformed model document (DatasetError: tree document: node 0 has"
+     " child index 1.0"),
+    *[("tree", _set_root("threshold", threshold), "malformed model document (DatasetError:"
+       f" tree document: node 0 has threshold {threshold!r}") for threshold in ("0.5", True)],
+    *[("naive_bayes", lambda model, plan, seconds=seconds: model.update(train_seconds=seconds),
+       f"malformed model document (ModelError: train_seconds is {seconds!r}, not a finite"
+       " number >= 0") for seconds in (float("nan"), "7", True, -1)],
+    ("knn", lambda model, plan: model["params"].pop("k"),
+     "malformed model document (ModelError: params lacks ['k']"),
+    ("knn", lambda model, plan: model["payload"]["matrix"][0].__setitem__(0, 10 ** 400),
+     "malformed model document (OverflowError"),
+    ("naive_bayes", lambda model, plan: plan["onehot"][0].__setitem__(1, [1, 2, 3]),
+     "malformed preprocess plan document (DatasetError: column 'proto': categories [1, 2, 3]"
+     " are not all strings"),
+    *[("naive_bayes", lambda model, plan, lo=lo: plan["minmax"][0].__setitem__(1, lo),
+       f"malformed preprocess plan document (DatasetError: column 'f1': fitted min {lo!r} and"
+       " max") for lo in ("0", True, float("inf"))],
+    ("naive_bayes", lambda model, plan: plan["minmax"][0].__setitem__(1, 10 ** 400),
+     "malformed preprocess plan document (OverflowError"),
+    ("naive_bayes", lambda model, plan: plan["selected"].__setitem__(0, 0),
+     "malformed preprocess plan document (DatasetError: selected names [0, 'f2', 'proto'] are"
+     " not all strings"),
 ], ids=["tree-node-without-counts", "tree-counts-negative", "tree-counts-a-float",
         "tree-counts-a-string", "tree-counts-three", "forest-counts-a-bool",
         "forest-counts-negative", "plan-category-twice", "unknown-param",
@@ -335,7 +368,12 @@ def _root_counts(counts, algorithm="tree"):
         "knn-matrix-with-a-short-row", "knn-label-300", "knn-label-2", "nb-stat-dropped", "nb-negative-var", "tree-nan-threshold",
         "mlp-inf-weight", "svm-nan-bias", "mlp-w1-row-dropped", "mlp-b2-two-long",
         "mlp-hidden-unit-dropped", "svm-w-entry-dropped", "svm-trace-a-string",
-        "svm-trace-one-nan", "svm-trace-nan-entry"])
+        "svm-trace-one-nan", "svm-trace-nan-entry", "svm-bias-a-list", "tree-feature-a-float",
+        "tree-feature-a-bool", "tree-child-a-float", "tree-threshold-a-string",
+        "tree-threshold-a-bool", "train-seconds-nan", "train-seconds-a-string",
+        "train-seconds-a-bool", "train-seconds-negative", "params-without-k",
+        "knn-matrix-overflow", "plan-categories-numbers", "plan-min-a-string",
+        "plan-min-a-bool", "plan-min-infinite", "plan-min-overflow", "plan-name-a-number"])
 def test_evaluate_rejects_malformed_saved_documents(toy_split, tmp_path, capsys, algorithm, edit,
                                                     names):
     run_dir = tmp_path / "run"
@@ -360,6 +398,7 @@ def test_evaluate_rejects_malformed_saved_documents(toy_split, tmp_path, capsys,
 
 @pytest.mark.parametrize("document, version, message", [
     ("model.json", 1, "unsupported model version 1"),
+    ("model.json", 2, "unsupported model version 2"),
     ("plan.json", 2, "unsupported plan version 2"),
 ])
 def test_evaluate_rejects_an_unsupported_document_version(toy_split, tmp_path, capsys, document,
@@ -406,13 +445,29 @@ def test_evaluate_model_rejects_the_flags_it_would_ignore(toy_split, tmp_path, m
     assert err == ("error: evaluate --model takes its settings from the saved model and plan;"
                    f" drop {named}\n")
     assert reads == [] and not out.exists()
-    # The same settings as config-file fields are accepted: a config may serve train too.
+
+
+
+def test_evaluate_model_rejects_the_config_fields_it_would_ignore(toy_split, tmp_path, capsys):
+    run_dir = tmp_path / "run"
+    assert main(["train", "--algo", "linear_svm", *common_flags(toy_split, run_dir)]) == 0
+    out = tmp_path / "saved"
+    saved = ["evaluate", "--model", str(run_dir / "model.json"),
+             "--plan", str(run_dir / "plan.json"), *common_flags(toy_split, out)]
     config = tmp_path / "config.json"
-    config.write_text(json.dumps({"fs": "relief", "k": 3, "algorithm": "knn", "seed": 0,
-                                  "subsample": 0.5, "bins": 4, "relief_sample": 5,
-                                  "params": {"k": 3}}))
+    config.write_text(json.dumps({"fs": "relief", "k": 2, "algorithm": "knn", "params": {"k": 3},
+                                  "test_path": "elsewhere.csv", "dataset_name": "named"}))
+    capsys.readouterr()
+    assert main([*saved, "--config", str(config), "--bins", "4"]) == 1
+    assert capsys.readouterr().err == (
+        "error: evaluate --model takes its settings from the saved model and plan; drop --bins,"
+        " config field 'algorithm', config field 'fs', config field 'k', config field 'params'\n")
+    assert not out.exists()
+    # A config of the fields the replay reads serves it; flags win as elsewhere.
+    config.write_text(json.dumps({"test_path": "elsewhere.csv", "dataset_name": "named"}))
     assert main([*saved, "--config", str(config)]) == 0
-    assert json.loads((out / "report.json").read_text())["algorithm"] == "linear_svm"
+    report = json.loads((out / "report.json").read_text())
+    assert (report["algorithm"], report["dataset"]) == ("linear_svm", "named")
 
 
 def test_evaluate_model_without_plan_fails(toy_split, tmp_path, capsys):
@@ -794,6 +849,21 @@ def test_map_fails_only_the_task_whose_result_cannot_be_pickled(capfd):
     assert not error.startswith("ChildProcessError")
     assert "Traceback" not in capfd.readouterr().err
     assert not multiprocessing.active_children()
+
+
+def test_map_outcomes_do_not_depend_on_jobs():
+    def task(i):
+        if i == 2:
+            raise ValueError("no")
+        return (lambda: i) if i == 1 else [i]
+
+    outcomes = cli._map(task, 4, 1)
+    assert outcomes == cli._map(task, 4, 2)
+    assert outcomes[0] == ([0], None) and outcomes[2] == (None, "ValueError: no")
+    assert outcomes[1][0] is None and "pickle" in outcomes[1][1]
+    # In process, as in a child, a result comes back a copy.
+    shared = [0]
+    assert cli._map(lambda i: shared, 1, 1)[0][0] is not shared
 
 
 @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="counts open files in /proc")

@@ -134,7 +134,7 @@ def test_forest_with_one_full_tree_degenerates_to_tree():
             "forest", {"n_trees": 1, "bootstrap": False, "feature_sample": len(ds.columns)}
         ),
     )
-    assert forest.payload["roots"][0] == tree.payload
+    assert forest.payload == (tree.payload,)
     np.testing.assert_array_equal(
         predict_model(forest, ds), predict_model(tree, ds)
     )
@@ -146,20 +146,27 @@ def test_forest_vote_tie_goes_to_attack():
     model = TrainedModel(
         TrainParams("forest", n_trees=2),
         ("x0",),
-        {"feature_sample": 1, "roots": (always_normal, always_attack)},
+        (always_normal, always_attack),
     )
     ds = numeric_ds([[0.0], [1.0]], [0, 0])
     np.testing.assert_array_equal(predict_model(model, ds), [1, 1])
 
 
-def test_forest_default_feature_sample_is_sqrt():
+def test_forest_default_feature_sample_is_sqrt(monkeypatch):
+    grow, samples = models.tree_mod.grow, []
+
+    def spy(*args, feature_sample, **kw):
+        samples.append(feature_sample)
+        return grow(*args, feature_sample=feature_sample, **kw)
+
+    monkeypatch.setattr(models.tree_mod, "grow", spy)
     rng = np.random.default_rng(6)
     ds = separable_dataset(rng, 40, noise_features=8)
-    model = fit_model(ds, params_from_dict("forest", {"n_trees": 2}))
-    assert model.payload["feature_sample"] == 3
+    fit_model(ds, params_from_dict("forest", {"n_trees": 2}))
+    assert len(ds.columns) == 9 and samples == [3, 3]
     ds10 = separable_dataset(rng, 40, noise_features=9)
-    model10 = fit_model(ds10, params_from_dict("forest", {"n_trees": 2}))
-    assert model10.payload["feature_sample"] == 4
+    fit_model(ds10, params_from_dict("forest", {"n_trees": 2}))
+    assert len(ds10.columns) == 10 and samples == [3, 3, 4, 4]
 
 
 def test_forest_tracks_tree_accuracy():

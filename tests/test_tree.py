@@ -492,13 +492,13 @@ def test_forest_roots_match_recursive_reference(seed, monkeypatch):
     raw = random_mixed_dataset(np.random.default_rng(200 + seed), 120, 7)
     params = params_from_dict("forest", {"n_trees": 4, "min_leaf": 1}, seed=seed)
     datasets = [apply_preprocess(fit_preprocess(ds), ds) for ds in (raw, _all_nominal(raw))]
-    mine = [fit_model(ds, params).payload["roots"] for ds in datasets]
+    mine = [fit_model(ds, params).payload for ds in datasets]
 
     def reference(ds, rows=None, **kw):
         return _flatten(_reference_grow(ds if rows is None else ds.take_rows(rows), **kw))
 
     monkeypatch.setattr(tree_mod, "grow", reference)
-    assert mine == [fit_model(ds, params).payload["roots"] for ds in datasets]
+    assert mine == [fit_model(ds, params).payload for ds in datasets]
 
 
 def test_deep_chain_tree_needs_no_recursion():
