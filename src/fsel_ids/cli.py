@@ -31,16 +31,15 @@ from .pipeline import (
     run_pipeline,
     subsample_and_select,
 )
-from .preprocess import plan_from_json, plan_to_json
 from .wrapper import subset_names, trace_to_jsonl
 
 SELECTION_FORMAT = "fsel-ids/selection"
 BENCH_ONLY_KEYS = ("fs_methods", "algorithms")
-# The flags whose settings a saved model and plan fix, by dest.
+# The flags whose settings a saved model fixes, by dest.
 SAVED_RUN_FLAGS = {"fs": "--fs", "k": "--k", "algorithm": "--algo", "seed": "--seed",
                    "subsample": "--subsample", "bins": "--bins",
                    "relief_sample": "--relief-sample", "overrides": "--set"}
-# The RunConfig fields a saved model's replay reads; its model and plan fix the rest.
+# The RunConfig fields a saved model's replay reads; the model fixes the rest.
 REPLAY_FIELDS = {"train_path", "test_path", "schema_path", "positive_label", "dataset_name"}
 
 
@@ -91,8 +90,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_eval = sub.add_parser("evaluate", help="evaluate a config or a saved model")
     add_common(p_eval)
-    p_eval.add_argument("--model", help="saved model JSON (with --plan, skips training)")
-    p_eval.add_argument("--plan", help="saved preprocess plan JSON")
+    p_eval.add_argument("--model", help="saved model JSON (skips training)")
 
     p_bench = sub.add_parser("bench", help="run an FS-method x algorithm grid")
     add_common(p_bench)
@@ -106,11 +104,15 @@ def _load_config(args, allow_grid: bool = False, replay: bool = False) -> tuple[
     """Merge config-file fields with flag overrides (flags win) into a checked RunConfig.
 
     A ``replay`` of a saved model needs no --train, and takes no flag or
-    config field that sets what its model and plan fix.
+    config field that sets what its model fixes.
     """
     doc: dict = {}
     if args.config:
-        doc = json.loads(Path(args.config).read_text(encoding="utf-8"))
+        try:
+            doc = json.loads(Path(args.config).read_text(encoding="utf-8"))
+        except (ValueError, RecursionError) as exc:
+            raise ValueError(f"{args.config}: config is not JSON"
+                             f" ({type(exc).__name__}: {exc})") from exc
         if not isinstance(doc, dict):
             raise ValueError(f"{args.config}: config must be a JSON object")
     known = {f.name for f in dataclasses.fields(RunConfig)}
@@ -119,8 +121,8 @@ def _load_config(args, allow_grid: bool = False, replay: bool = False) -> tuple[
                  if getattr(args, dest) not in (None, [])]
         fixed += [f"config field {name!r}" for name in sorted(doc.keys() & (known - REPLAY_FIELDS))]
         if fixed:
-            raise ValueError("evaluate --model takes its settings from the saved model and"
-                             f" plan; drop {', '.join(fixed)}")
+            raise ValueError("evaluate --model takes its settings from the saved model;"
+                             f" drop {', '.join(fixed)}")
     grid = {key: doc.pop(key) for key in BENCH_ONLY_KEYS if key in doc}
     if grid and not allow_grid:
         raise ValueError(f"grid fields {sorted(grid)} are only valid for bench")
@@ -194,8 +196,7 @@ def cmd_train(args) -> int:
     train, (subset, _, scores, trace) = subsample_and_select(
         load_file(config, config.train_path), config)
     plan, model, train_seconds = fit_for_config(train, subset, config)
-    (out / "model.json").write_text(model_to_json(model), encoding="utf-8")
-    (out / "plan.json").write_text(plan_to_json(plan), encoding="utf-8")
+    (out / "model.json").write_text(model_to_json(plan, model), encoding="utf-8")
     _write_selection(out, config, train.feature_names, subset_names(train, subset),
                      scores, trace)
     print(f"trained {config.algorithm} on {len(plan.selected)} features "
@@ -209,15 +210,12 @@ def _write_report(report, out: Path) -> None:
 
 
 def cmd_evaluate(args) -> int:
-    if (args.model is None) != (args.plan is None):
-        raise ValueError("--model and --plan must be given together")
     # A saved model reads only --test; --train, if given, names the report.
     config, _ = _load_config(args, replay=args.model is not None)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     if args.model:
-        model = model_from_json(Path(args.model).read_text(encoding="utf-8"))
-        plan = plan_from_json(Path(args.plan).read_text(encoding="utf-8"))
+        plan, model = model_from_json(Path(args.model).read_text(encoding="utf-8"))
         test = load_file(config, config.test_path)
         _, report = evaluate_model(plan, model, test, dataset=config.name, fs_method="saved",
                                    fs_seconds=0.0, train_seconds=model.train_seconds)

@@ -12,8 +12,11 @@ functions, plus a to-doc function for the two tree families. ``fit_model``,
 ``predict_model``, ``model_to_json`` and ``model_from_json`` look the tag
 up there, and ``ALGORITHMS`` lists the table's tags in order.
 
-A payload is its ``model.json`` document, with the same keys in the same
-order:
+``model_to_json`` saves a model with the plan it was fitted on as one
+``model.json`` document of ``format``, ``version``, ``params``, ``plan``,
+``train_seconds`` and ``payload``, and the model that ``model_from_json``
+reads back takes the plan's ``output_names`` as its feature signature. A
+payload is its document, with the same keys in the same order:
 
 - tree: a ``tree.Tree``, written as ``{"nodes": [...]}``;
 - forest: a tuple of ``Tree``s, written as a list of tree documents;
@@ -25,8 +28,9 @@ order:
 
 Numpy values are written by one ``json.dumps`` hook, and every payload
 number but a tree's is read back by ``_arrays_from_doc`` as a read-only
-array of the shape the model needs. A document is read against the
-model's feature count and ``params``: naive Bayes needs a mean and a
+array of the shape the model needs; a string or bool in it is refused,
+not converted. A document is read against the model's feature count and
+``params``: a forest needs ``n_trees`` trees, naive Bayes needs a mean and a
 positive variance per feature and class, a kNN matrix one row per label
 and one column per feature, an MLP a (width x ``hidden_units``) ``w1``,
 ``hidden_units``-long ``b1`` and ``w2`` and a one-long ``b2``, an SVM a
@@ -48,15 +52,17 @@ import math
 import time
 from collections.abc import Callable
 from dataclasses import asdict, dataclass, fields, replace
+from itertools import chain
 
 import numpy as np
 
 from . import tree as tree_mod
 from .dataset import Dataset, is_finite_number
+from .preprocess import PreprocessPlan, plan_from_doc, plan_to_doc
 from .tree import Tree
 
 MODEL_FORMAT = "fsel-ids/model"
-MODEL_VERSION = 3  # 3: one algorithm tag, forests are tree lists, naive Bayes arrays
+MODEL_VERSION = 4  # 4: the preprocessing plan is the document's plan field
 
 NB_VAR_FLOOR = 1e-9
 
@@ -179,11 +185,28 @@ def _check_encoded(ds: Dataset):
                              " preprocessing plan's encoded output")
 
 
+def _check_numbers(key: str, value, ndim: int) -> None:
+    """Refuse a string, a bool or any other non-number in ``value``, lists
+    nested ``ndim`` deep; the types are gathered row by row at C level."""
+    if isinstance(value, np.ndarray):  # a fit's own array
+        return
+    leaves = [value]
+    for _ in range(ndim):
+        leaves = chain.from_iterable(leaves)
+    kinds = set(map(type, leaves))
+    # a list left here is the shape check's to report
+    bad = sorted(t.__name__ for t in kinds
+                 if t is bool or not issubclass(t, (int, float, np.number, list)))
+    if bad:
+        raise ModelError(f"{key} holds {' and '.join(bad)} values, not only numbers")
+
+
 def _arrays_from_doc(doc: dict, dtype=np.float64, **shapes) -> dict:
     """The entries of ``doc`` that ``shapes`` names, in that order, as
     read-only arrays of ``dtype`` with those shapes; every number finite."""
     payload = {}
     for key, shape in shapes.items():
+        _check_numbers(key, doc[key], len(shape))
         array = np.asarray(doc[key], dtype=dtype)
         if array.shape != shape:
             raise ModelError(f"{key} has shape {array.shape}, the model needs {shape}")
@@ -227,6 +250,12 @@ def _fit_forest(train: Dataset, params: TrainParams) -> tuple[Tree, ...]:
         trees.append(tree_mod.grow(train, rows, min_leaf=params.min_leaf, rng=rng,
                                    feature_sample=sample))
     return tuple(trees)
+
+
+def _forest_from_doc(doc: list, width: int, params: TrainParams) -> tuple[Tree, ...]:
+    if len(doc) != params.n_trees:
+        raise ModelError(f"forest has {len(doc)} trees, params.n_trees is {params.n_trees}")
+    return tuple(tree_mod.from_doc(t, width) for t in doc)
 
 
 def _predict_forest(trees: tuple[Tree, ...], ds: Dataset, params: TrainParams) -> np.ndarray:
@@ -477,8 +506,7 @@ class Algorithm:
 ALGORITHM_TABLE = {
     "tree": Algorithm(_fit_tree, _predict_tree,
                       lambda doc, width, params: tree_mod.from_doc(doc, width), tree_mod.to_doc),
-    "forest": Algorithm(_fit_forest, _predict_forest,
-                        lambda doc, width, params: tuple(tree_mod.from_doc(t, width) for t in doc),
+    "forest": Algorithm(_fit_forest, _predict_forest, _forest_from_doc,
                         lambda trees: [tree_mod.to_doc(t) for t in trees]),
     "naive_bayes": Algorithm(_fit_naive_bayes, _predict_naive_bayes, _nb_from_doc),
     "knn": Algorithm(_fit_knn, _predict_knn, _knn_from_doc),
@@ -514,21 +542,28 @@ def predict_model(model: TrainedModel, ds: Dataset) -> np.ndarray:
     return ALGORITHM_TABLE[model.algorithm].predict(model.payload, ds, model.params)
 
 
-def model_to_json(model: TrainedModel) -> str:
+def model_to_json(plan: PreprocessPlan, model: TrainedModel) -> str:
+    """The ``model.json`` document of ``model``, fitted on ``plan``'s output."""
+    if model.feature_names != plan.output_names:
+        raise ModelError("the model was not fitted on the plan's output")
     to_doc = ALGORITHM_TABLE[model.algorithm].to_doc
     doc = {
         "format": MODEL_FORMAT,
         "version": MODEL_VERSION,
         "params": asdict(model.params),
-        "feature_names": list(model.feature_names),
+        "plan": plan_to_doc(plan),
         "train_seconds": model.train_seconds,
         "payload": model.payload if to_doc is None else to_doc(model.payload),
     }
     return json.dumps(doc, default=_to_builtin)
 
 
-def model_from_json(text: str) -> TrainedModel:
-    doc = json.loads(text)
+def model_from_json(text: str) -> tuple[PreprocessPlan, TrainedModel]:
+    """The plan and the model of a ``model.json`` document."""
+    try:
+        doc = json.loads(text)
+    except RecursionError as exc:  # nested deeper than the parser goes
+        raise ModelError(f"malformed model document (RecursionError: {exc})") from None
     fmt = doc.get("format") if isinstance(doc, dict) else None
     if fmt != MODEL_FORMAT:
         raise ModelError(f"not a model document: {fmt!r}")
@@ -539,11 +574,12 @@ def model_from_json(text: str) -> TrainedModel:
         if missing:
             raise ModelError(f"params lacks {missing}")
         params = TrainParams(**doc["params"])
-        names = tuple(doc["feature_names"])
+        plan = plan_from_doc(doc["plan"])
+        names = plan.output_names
         seconds = doc["train_seconds"]
         if not (is_finite_number(seconds) and seconds >= 0):
             raise ModelError(f"train_seconds is {seconds!r}, not a finite number >= 0")
-        return TrainedModel(
+        return plan, TrainedModel(
             params,
             names,
             ALGORITHM_TABLE[params.algorithm].from_doc(doc["payload"], len(names), params),

@@ -15,16 +15,12 @@ block.
 
 from __future__ import annotations
 
-import json
 from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
 
 from .dataset import Dataset, DatasetError, is_finite_number
-
-PLAN_FORMAT = "fsel-ids/preprocess-plan"
-PLAN_VERSION = 1
 
 
 @dataclass(frozen=True)
@@ -67,8 +63,16 @@ class PreprocessPlan:
             raise DatasetError(f"plan must fit each selected column exactly once: {wrong}")
 
     @property
+    def output_names(self) -> tuple[str, ...]:
+        """The encoded columns in selected order: a numeric feature's own name,
+        and ``feature=category`` for each fitted category of a nominal one."""
+        cats = dict(self.onehot)
+        return tuple(out for name in self.selected for out in (
+            [f"{name}={cat}" for cat in cats[name]] if name in cats else [name]))
+
+    @property
     def output_width(self) -> int:
-        return len(self.minmax) + sum(len(cats) for _, cats in self.onehot)
+        return len(self.output_names)
 
 
 def fit_preprocess(train: Dataset, selected=None) -> PreprocessPlan:
@@ -91,10 +95,10 @@ def apply_preprocess(plan: PreprocessPlan, ds: Dataset) -> Dataset:
     """Replay a fitted plan on ``ds``, finding its columns by name.
 
     The output is ``Dataset.from_matrix`` over one zeroed C-order
-    (rows x ``plan.output_width``) float64 array: each scaled numeric
-    feature is written into its column, and the one-hot ones in one
-    scatter. A nominal feature becomes indicator columns named
-    ``feature=category``, one per fitted category. Each value is looked up
+    (rows x ``plan.output_width``) float64 array with the columns
+    ``plan.output_names``: each scaled numeric feature is written into its
+    column, and the one-hot ones in one scatter. A nominal feature becomes
+    one indicator column per fitted category. Each value is looked up
     by its category's name in the fitted dictionary, whatever id ``ds``
     gives it; a name the plan never saw leaves the block zero.
     """
@@ -103,8 +107,9 @@ def apply_preprocess(plan: PreprocessPlan, ds: Dataset) -> Dataset:
         raise DatasetError("selected features are not in dataset column order")
     ranges = {name: (lo, hi) for name, lo, hi in plan.minmax}
     positions = {name: {cat: j for j, cat in enumerate(cats)} for name, cats in plan.onehot}
-    x = np.zeros((ds.row_count, plan.output_width))
-    names: list[str] = []
+    names = plan.output_names
+    x = np.zeros((ds.row_count, len(names)))
+    at = 0  # the output column of ds's next feature
     hot_rows, hot_cols = [], []
     for col in (ds.columns[i] for i in idx):
         want = "numeric" if col.name in ranges else "nominal"
@@ -117,44 +122,34 @@ def apply_preprocess(plan: PreprocessPlan, ds: Dataset) -> Dataset:
                 # a range wider than the largest float is scaled in halves
                 scaled = ((v - lo) / (hi - lo) if np.isfinite(hi - lo)
                           else (v / 2 - lo / 2) / (hi / 2 - lo / 2))
-                x[:, len(names)] = np.clip(scaled, 0.0, 1.0)
-            names.append(col.name)
+                x[:, at] = np.clip(scaled, 0.0, 1.0)
+            at += 1
             continue
         fitted = positions[col.name]
         # the fitted position of each of ds's category ids, -1 for unseen names
         slots = np.array([fitted.get(cat, -1) for cat in col.categories], np.intp)[col.values]
         seen = np.flatnonzero(slots >= 0)
         hot_rows.append(seen)
-        hot_cols.append(len(names) + slots[seen])
-        names.extend(f"{col.name}={cat}" for cat in fitted)
+        hot_cols.append(at + slots[seen])
+        at += len(fitted)
     if hot_rows:
         x[np.concatenate(hot_rows), np.concatenate(hot_cols)] = 1.0
     return Dataset.from_matrix(names, x, ds.labels)
 
 
-def plan_to_json(plan: PreprocessPlan) -> str:
-    return json.dumps({
-        "format": PLAN_FORMAT,
-        "version": PLAN_VERSION,
+def plan_to_doc(plan: PreprocessPlan) -> dict:
+    """The ``plan`` field of a model document."""
+    return {
         "selected": list(plan.selected),
         "minmax": [[name, lo, hi] for name, lo, hi in plan.minmax],
         "onehot": [[name, list(cats)] for name, cats in plan.onehot],
-    }, indent=2)
+    }
 
 
-def plan_from_json(text: str) -> PreprocessPlan:
-    doc = json.loads(text)
-    fmt = doc.get("format") if isinstance(doc, dict) else None
-    if fmt != PLAN_FORMAT:
-        raise DatasetError(f"not a preprocess plan document: {fmt!r}")
-    if doc.get("version") != PLAN_VERSION:
-        raise DatasetError(f"unsupported plan version {doc.get('version')!r}")
-    try:
-        return PreprocessPlan(
-            selected=tuple(doc["selected"]),
-            minmax=tuple((n, lo, hi) for n, lo, hi in doc["minmax"]),
-            onehot=tuple((n, tuple(cats)) for n, cats in doc["onehot"]),
-        )
-    except (LookupError, TypeError, ValueError, OverflowError) as exc:
-        raise DatasetError(
-            f"malformed preprocess plan document ({type(exc).__name__}: {exc})") from exc
+def plan_from_doc(doc: dict) -> PreprocessPlan:
+    """Read a ``plan`` field back, with every check of ``PreprocessPlan``."""
+    return PreprocessPlan(
+        selected=tuple(doc["selected"]),
+        minmax=tuple((n, lo, hi) for n, lo, hi in doc["minmax"]),
+        onehot=tuple((n, tuple(cats)) for n, cats in doc["onehot"]),
+    )

@@ -12,8 +12,9 @@ from fsel_ids import cli, models, pipeline, unsw
 from fsel_ids.cli import main
 from fsel_ids.dataset import Dataset
 from fsel_ids.metrics import report_to_json
-from fsel_ids.models import model_from_json
+from fsel_ids.models import MODEL_VERSION, model_from_json
 from fsel_ids.pipeline import REFERENCE_FS, RunConfig, run_pipeline
+from fsel_ids.preprocess import plan_from_doc
 
 from conftest import write_csv
 
@@ -121,13 +122,29 @@ def test_train_writes_model_plan_and_selection(toy_split, tmp_path):
         "--set", "min_leaf=4", *common_flags(toy_split, out),
     ])
     assert code == 0
-    model = model_from_json((out / "model.json").read_text())
+    plan, model = model_from_json((out / "model.json").read_text())
     assert model.algorithm == "tree"
     assert model.params.min_leaf == 4
-    plan = json.loads((out / "plan.json").read_text())
-    assert plan["format"] == "fsel-ids/preprocess-plan"
+    assert model.feature_names == plan.output_names
+    doc = json.loads((out / "model.json").read_text())
+    assert list(doc) == ["format", "version", "params", "plan", "train_seconds", "payload"]
+    assert doc["version"] == MODEL_VERSION == 4
+    assert list(doc["plan"]) == ["selected", "minmax", "onehot"]
     selected = json.loads((out / "selected.json").read_text())
     assert len(selected["selected"]) == 2
+    assert sorted(doc["plan"]["selected"]) == sorted(selected["selected"])
+    # the plan is a field of model.json, and no other file holds it
+    assert sorted(p.name for p in out.iterdir()) == ["model.json", "selected.json"]
+
+
+def test_evaluate_has_no_plan_flag(toy_split, tmp_path, capsys):
+    run_dir = tmp_path / "run"
+    assert main(["train", "--algo", "tree", *common_flags(toy_split, run_dir)]) == 0
+    with pytest.raises(SystemExit) as info:
+        main(["evaluate", "--model", str(run_dir / "model.json"), "--plan",
+              str(run_dir / "model.json"), *common_flags(toy_split, tmp_path / "saved")])
+    assert info.value.code == 2
+    assert "unrecognized arguments: --plan" in capsys.readouterr().err
 
 
 def test_train_never_scores_the_test_split(toy_split, tmp_path, monkeypatch):
@@ -139,8 +156,8 @@ def test_train_never_scores_the_test_split(toy_split, tmp_path, monkeypatch):
     out = tmp_path / "run"
     assert main(["train", "--fs", "infogain", "--k", "2", "--algo", "tree",
                  *common_flags(toy_split, out)]) == 0
-    assert model_from_json((out / "model.json").read_text()).algorithm == "tree"
-    assert (out / "plan.json").exists() and (out / "selected.json").exists()
+    assert model_from_json((out / "model.json").read_text())[1].algorithm == "tree"
+    assert (out / "selected.json").exists()
 
 
 def test_select_and_train_never_read_the_test_split(toy_split, tmp_path, capsys):
@@ -190,7 +207,6 @@ def test_evaluate_saved_model_matches_fresh_run(toy_split, tmp_path):
     code = main([
         "evaluate",
         "--model", str(run_dir / "model.json"),
-        "--plan", str(run_dir / "plan.json"),
         *common_flags(toy_split, saved_dir),
     ])
     assert code == 0
@@ -204,8 +220,7 @@ def test_evaluate_saved_model_never_opens_train(toy_split, tmp_path, capsys):
     train, test, schema = toy_split
     run_dir = tmp_path / "run"
     assert main(["train", "--algo", "knn", *common_flags(toy_split, run_dir)]) == 0
-    saved = ["evaluate", "--model", str(run_dir / "model.json"),
-             "--plan", str(run_dir / "plan.json"), "--schema", str(schema)]
+    saved = ["evaluate", "--model", str(run_dir / "model.json"), "--schema", str(schema)]
     reports = []
     # same stem, so the report's dataset name is the same
     for tag, train_path in (("real", train), ("missing", tmp_path / "gone" / train.name)):
@@ -226,8 +241,8 @@ def test_evaluate_saved_model_needs_no_train(toy_split, tmp_path):
     train, test, schema = toy_split
     run_dir = tmp_path / "run"
     assert main(["train", "--algo", "naive_bayes", *common_flags(toy_split, run_dir)]) == 0
-    saved = ["evaluate", "--model", str(run_dir / "model.json"),
-             "--plan", str(run_dir / "plan.json"), "--schema", str(schema), "--test", str(test)]
+    saved = ["evaluate", "--model", str(run_dir / "model.json"), "--schema", str(schema),
+             "--test", str(test)]
     assert main([*saved, "--train", str(train), "--out", str(tmp_path / "with")]) == 0
     assert main([*saved, "--out", str(tmp_path / "without")]) == 0
     with_train, without = (json.loads((tmp_path / tag / "report.json").read_text())
@@ -242,12 +257,11 @@ def test_evaluate_rejects_a_tree_split_beyond_the_features(toy_split, tmp_path, 
     doc = json.loads((run_dir / "model.json").read_text())
     nodes = doc["payload"]["nodes"]
     split = next(i for i, node in enumerate(nodes) if "feature" in node)
-    nodes[split]["feature"] = len(doc["feature_names"])
+    nodes[split]["feature"] = plan_from_doc(doc["plan"]).output_width
     (run_dir / "model.json").write_text(json.dumps(doc))
     code = main([
         "evaluate",
         "--model", str(run_dir / "model.json"),
-        "--plan", str(run_dir / "plan.json"),
         *common_flags(toy_split, tmp_path / "saved"),
     ])
     assert code == 1
@@ -297,13 +311,13 @@ def _float_child(model, plan):
                                 ("tree", [1, 2, 3]), ("forest", [True, 1]),
                                 ("forest", [-1, 4]))],
     ("naive_bayes", lambda model, plan: plan["onehot"][0][1].append(plan["onehot"][0][1][0]),
-     "malformed preprocess plan document (DatasetError: column 'proto': category"),
+     "malformed model document (DatasetError: column 'proto': category"),
     ("tree", lambda model, plan: model["params"].update(depth=3),
      "malformed model document (TypeError"),
     ("tree", lambda model, plan: plan.pop("selected"),
-     "malformed preprocess plan document (KeyError"),
+     "malformed model document (KeyError"),
     ("tree", lambda model, plan: plan.update(minmax=5),
-     "malformed preprocess plan document (TypeError"),
+     "malformed model document (TypeError"),
     ("knn", lambda model, plan: model["payload"]["matrix"].pop(), "malformed model document"),
     ("knn", lambda model, plan: model["payload"]["matrix"][0].pop(), "malformed model document"),
     ("knn", lambda model, plan: model["payload"]["labels"].__setitem__(0, 300),
@@ -329,7 +343,8 @@ def _float_child(model, plan):
     ("linear_svm", lambda model, plan: model["payload"]["w"].pop(),
      "malformed model document (ModelError: w has shape (4,), the model needs (5,)"),
     ("linear_svm", lambda model, plan: model["payload"].update(objective_trace="abc"),
-     "malformed model document (ValueError: could not convert string to float: 'abc'"),
+     "malformed model document (ModelError: objective_trace holds str values, not only"
+     " numbers"),
     ("linear_svm", lambda model, plan: model["payload"].update(objective_trace=[float("nan")]),
      "malformed model document (ModelError: objective_trace has shape (1,), the model needs"
      " (21,)"),
@@ -351,16 +366,34 @@ def _float_child(model, plan):
     ("knn", lambda model, plan: model["payload"]["matrix"][0].__setitem__(0, 10 ** 400),
      "malformed model document (OverflowError"),
     ("naive_bayes", lambda model, plan: plan["onehot"][0].__setitem__(1, [1, 2, 3]),
-     "malformed preprocess plan document (DatasetError: column 'proto': categories [1, 2, 3]"
+     "malformed model document (DatasetError: column 'proto': categories [1, 2, 3]"
      " are not all strings"),
     *[("naive_bayes", lambda model, plan, lo=lo: plan["minmax"][0].__setitem__(1, lo),
-       f"malformed preprocess plan document (DatasetError: column 'f1': fitted min {lo!r} and"
+       f"malformed model document (DatasetError: column 'f1': fitted min {lo!r} and"
        " max") for lo in ("0", True, float("inf"))],
     ("naive_bayes", lambda model, plan: plan["minmax"][0].__setitem__(1, 10 ** 400),
-     "malformed preprocess plan document (OverflowError"),
+     "malformed model document (OverflowError"),
     ("naive_bayes", lambda model, plan: plan["selected"].__setitem__(0, 0),
-     "malformed preprocess plan document (DatasetError: selected names [0, 'f2', 'proto'] are"
+     "malformed model document (DatasetError: selected names [0, 'f2', 'proto'] are"
      " not all strings"),
+    *[("tree", lambda model, plan, value=value: model.update(plan=value),
+       "malformed model document (TypeError") for value in ([1, 2], "plan", None)],
+    ("forest", lambda model, plan: model.update(payload=[]),
+     "malformed model document (ModelError: forest has 0 trees, params.n_trees is 100"),
+    ("forest", lambda model, plan: model["payload"].pop(),
+     "malformed model document (ModelError: forest has 99 trees, params.n_trees is 100"),
+    *[("knn", lambda model, plan, value=value: model["payload"]["matrix"][0].__setitem__(0, value),
+       f"malformed model document (ModelError: matrix holds {kind} values, not only numbers")
+      for value, kind in (("0.5", "str"), (True, "bool"), (None, "NoneType"))],
+    ("knn", lambda model, plan: model["payload"]["matrix"][0].extend(["0.5", True]),
+     "malformed model document (ModelError: matrix holds bool and str values, not only"
+     " numbers"),
+    ("knn", lambda model, plan: model["payload"]["labels"].__setitem__(0, True),
+     "malformed model document (ModelError: labels holds bool values, not only numbers"),
+    ("naive_bayes", lambda model, plan: model["payload"]["log_prior"].__setitem__(0, True),
+     "malformed model document (ModelError: log_prior holds bool values, not only numbers"),
+    ("linear_svm", lambda model, plan: model["payload"].update(b="0.5"),
+     "malformed model document (ModelError: b holds str values, not only numbers"),
 ], ids=["tree-node-without-counts", "tree-counts-negative", "tree-counts-a-float",
         "tree-counts-a-string", "tree-counts-three", "forest-counts-a-bool",
         "forest-counts-negative", "plan-category-twice", "unknown-param",
@@ -373,21 +406,22 @@ def _float_child(model, plan):
         "tree-threshold-a-bool", "train-seconds-nan", "train-seconds-a-string",
         "train-seconds-a-bool", "train-seconds-negative", "params-without-k",
         "knn-matrix-overflow", "plan-categories-numbers", "plan-min-a-string",
-        "plan-min-a-bool", "plan-min-infinite", "plan-min-overflow", "plan-name-a-number"])
+        "plan-min-a-bool", "plan-min-infinite", "plan-min-overflow", "plan-name-a-number",
+        "plan-a-list", "plan-a-string", "plan-null", "forest-without-trees",
+        "forest-tree-dropped", "knn-matrix-a-string", "knn-matrix-a-bool", "knn-matrix-null",
+        "knn-matrix-a-string-and-a-bool", "knn-label-a-bool", "nb-log-prior-a-bool",
+        "svm-bias-a-string"])
 def test_evaluate_rejects_malformed_saved_documents(toy_split, tmp_path, capsys, algorithm, edit,
                                                     names):
     run_dir = tmp_path / "run"
     assert main(["train", "--algo", algorithm, *common_flags(toy_split, run_dir)]) == 0
     model = json.loads((run_dir / "model.json").read_text())
-    plan = json.loads((run_dir / "plan.json").read_text())
-    edit(model, plan)
+    edit(model, model["plan"])
     (run_dir / "model.json").write_text(json.dumps(model))
-    (run_dir / "plan.json").write_text(json.dumps(plan))
     capsys.readouterr()
     code = main([
         "evaluate",
         "--model", str(run_dir / "model.json"),
-        "--plan", str(run_dir / "plan.json"),
         *common_flags(toy_split, tmp_path / "saved"),
     ])
     assert code == 1
@@ -396,20 +430,30 @@ def test_evaluate_rejects_malformed_saved_documents(toy_split, tmp_path, capsys,
     assert not (tmp_path / "saved" / "report.json").exists()
 
 
-@pytest.mark.parametrize("document, version, message", [
-    ("model.json", 1, "unsupported model version 1"),
-    ("model.json", 2, "unsupported model version 2"),
-    ("plan.json", 2, "unsupported plan version 2"),
+def test_evaluate_rejects_a_model_file_nested_too_deep(toy_split, tmp_path, capsys):
+    model = tmp_path / "model.json"
+    model.write_text("[" * 200_000)
+    code = main(["evaluate", "--model", str(model), *common_flags(toy_split, tmp_path / "saved")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: malformed model document (RecursionError: maximum recursion")
+    assert err.count("\n") == 1
+    assert not (tmp_path / "saved" / "report.json").exists()
+
+
+@pytest.mark.parametrize("version, message", [
+    (1, "unsupported model version 1"),
+    (2, "unsupported model version 2"),
+    (3, "unsupported model version 3"),
 ])
-def test_evaluate_rejects_an_unsupported_document_version(toy_split, tmp_path, capsys, document,
-                                                          version, message):
+def test_evaluate_rejects_an_unsupported_document_version(toy_split, tmp_path, capsys, version,
+                                                          message):
     run_dir = tmp_path / "run"
     assert main(["train", "--algo", "tree", *common_flags(toy_split, run_dir)]) == 0
-    doc = json.loads((run_dir / document).read_text())
-    (run_dir / document).write_text(json.dumps({**doc, "version": version}))
+    doc = json.loads((run_dir / "model.json").read_text())
+    (run_dir / "model.json").write_text(json.dumps({**doc, "version": version}))
     capsys.readouterr()
     code = main(["evaluate", "--model", str(run_dir / "model.json"),
-                 "--plan", str(run_dir / "plan.json"),
                  *common_flags(toy_split, tmp_path / "saved")])
     assert code == 1
     err = capsys.readouterr().err
@@ -438,12 +482,10 @@ def test_evaluate_model_rejects_the_flags_it_would_ignore(toy_split, tmp_path, m
     monkeypatch.setattr(pipeline, "load_csv", lambda *a, **kw: reads.append(a) or load(*a, **kw))
     capsys.readouterr()
     out = tmp_path / "saved"
-    saved = ["evaluate", "--model", str(run_dir / "model.json"),
-             "--plan", str(run_dir / "plan.json"), *common_flags(toy_split, out)]
+    saved = ["evaluate", "--model", str(run_dir / "model.json"), *common_flags(toy_split, out)]
     assert main([*saved, *flags]) == 1
     err = capsys.readouterr().err
-    assert err == ("error: evaluate --model takes its settings from the saved model and plan;"
-                   f" drop {named}\n")
+    assert err == f"error: evaluate --model takes its settings from the saved model; drop {named}\n"
     assert reads == [] and not out.exists()
 
 
@@ -452,31 +494,21 @@ def test_evaluate_model_rejects_the_config_fields_it_would_ignore(toy_split, tmp
     run_dir = tmp_path / "run"
     assert main(["train", "--algo", "linear_svm", *common_flags(toy_split, run_dir)]) == 0
     out = tmp_path / "saved"
-    saved = ["evaluate", "--model", str(run_dir / "model.json"),
-             "--plan", str(run_dir / "plan.json"), *common_flags(toy_split, out)]
+    saved = ["evaluate", "--model", str(run_dir / "model.json"), *common_flags(toy_split, out)]
     config = tmp_path / "config.json"
     config.write_text(json.dumps({"fs": "relief", "k": 2, "algorithm": "knn", "params": {"k": 3},
                                   "test_path": "elsewhere.csv", "dataset_name": "named"}))
     capsys.readouterr()
     assert main([*saved, "--config", str(config), "--bins", "4"]) == 1
     assert capsys.readouterr().err == (
-        "error: evaluate --model takes its settings from the saved model and plan; drop --bins,"
-        " config field 'algorithm', config field 'fs', config field 'k', config field 'params'\n")
+        "error: evaluate --model takes its settings from the saved model; drop --bins, config"
+        " field 'algorithm', config field 'fs', config field 'k', config field 'params'\n")
     assert not out.exists()
     # A config of the fields the replay reads serves it; flags win as elsewhere.
     config.write_text(json.dumps({"test_path": "elsewhere.csv", "dataset_name": "named"}))
     assert main([*saved, "--config", str(config)]) == 0
     report = json.loads((out / "report.json").read_text())
     assert (report["algorithm"], report["dataset"]) == ("linear_svm", "named")
-
-
-def test_evaluate_model_without_plan_fails(toy_split, tmp_path, capsys):
-    code = main([
-        "evaluate", "--model", "whatever.json",
-        *common_flags(toy_split, tmp_path / "x"),
-    ])
-    assert code == 1
-    assert "together" in capsys.readouterr().err
 
 
 def bench_config(toy_split, tmp_path, fs_methods, algorithms, params=None,
@@ -605,6 +637,21 @@ def test_a_config_file_that_is_not_an_object_is_rejected(toy_split, tmp_path, ca
     code = main(["evaluate", "--config", str(config), *common_flags(toy_split, tmp_path / "x")])
     assert code == 1
     assert "config must be a JSON object" in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
+
+
+@pytest.mark.parametrize("text, error", [
+    ("[" * 200_000, "RecursionError: maximum recursion"),
+    ('{"fs": ', "JSONDecodeError: Expecting value"),
+])
+def test_a_config_file_that_is_not_json_is_rejected(toy_split, tmp_path, capsys, text, error):
+    config = tmp_path / "config.json"
+    config.write_text(text)
+    code = main(["evaluate", "--config", str(config), *common_flags(toy_split, tmp_path / "x")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {config}: config is not JSON ({error}")
+    assert err.count("\n") == 1
     assert not (tmp_path / "x").exists()
 
 

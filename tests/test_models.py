@@ -484,16 +484,20 @@ def test_model_json_round_trip(algorithm):
     train = separable_dataset(rng, 50)
     test = separable_dataset(rng, 30)
     model = fit_model(train, small_params(algorithm))
-    text = model_to_json(model)
+    # an all-numeric plan's output names are the raw names
+    plan = fit_preprocess(train)
+    assert plan.output_names == train.feature_names
+    text = model_to_json(plan, model)
     doc = json.loads(text)
     assert doc["format"] == "fsel-ids/model"
-    again = model_from_json(text)
+    plan_again, again = model_from_json(text)
+    assert plan_again == plan
     assert again.params == model.params
     assert again.feature_names == model.feature_names
     np.testing.assert_array_equal(
         predict_model(again, test), predict_model(model, test)
     )
-    assert model_to_json(again) == text
+    assert model_to_json(plan_again, again) == text
     if algorithm == "knn":
         assert not again.payload["matrix"].flags.writeable
         assert not again.payload["labels"].flags.writeable
@@ -502,6 +506,14 @@ def test_model_json_round_trip(algorithm):
 def test_model_from_json_rejects_other_documents():
     with pytest.raises(ModelError, match="not a model"):
         model_from_json(json.dumps({"format": "something-else"}))
+
+
+def test_model_to_json_needs_the_plan_the_model_was_fitted_on():
+    train = separable_dataset(np.random.default_rng(15), 40)
+    model = fit_model(train, params_from_dict("tree"))
+    for selected in ([0, 1], [1, 2]):
+        with pytest.raises(ModelError, match="not fitted on the plan's output"):
+            model_to_json(fit_preprocess(train, selected), model)
 
 
 def test_predict_rejects_signature_mismatch():
@@ -548,8 +560,9 @@ def test_fit_on_the_plan_output_matches_a_plain_dataset(algorithm):
     assert plain_train.matrix is None and train.matrix is not None
     params = small_params(algorithm)
     on_plan, on_plain = fit_model(train, params), fit_model(plain_train, params)
-    assert (model_to_json(replace(on_plan, train_seconds=0.0))
-            == model_to_json(replace(on_plain, train_seconds=0.0)))
+    plan = fit_preprocess(train)
+    assert (model_to_json(plan, replace(on_plan, train_seconds=0.0))
+            == model_to_json(plan, replace(on_plain, train_seconds=0.0)))
     assert (predict_model(on_plan, test).tobytes()
             == predict_model(on_plain, plain_copy(test)).tobytes())
 

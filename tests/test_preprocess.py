@@ -8,14 +8,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fsel_ids.dataset import Column, Dataset, DatasetError, load_csv
+from fsel_ids.models import ModelError, fit_model, model_from_json, model_to_json, params_from_dict
 from fsel_ids.preprocess import (
-    PLAN_FORMAT,
-    PLAN_VERSION,
     PreprocessPlan,
     apply_preprocess,
     fit_preprocess,
-    plan_from_json,
-    plan_to_json,
+    plan_from_doc,
+    plan_to_doc,
 )
 from fsel_ids.schema import parse_schema
 
@@ -159,6 +158,21 @@ def mixed_ds():
     )
 
 
+def test_output_names_are_the_encoded_column_names():
+    # the test file numbers proto's categories in its own order and adds sctp,
+    # a category the plan never saw
+    test = make_dataset([("a", "numeric", [1.0, 2.0, 6.0]),
+                         ("proto", "nominal", [0, 1, 3], ("sctp", "icmp", "tcp", "udp")),
+                         ("b", "numeric", [3.0, 3.0, 3.0])], [0, 1, 1])
+    for selected, names in ((None, ("a", "proto=tcp", "proto=udp", "proto=icmp", "b")),
+                            ([1, 2], ("proto=tcp", "proto=udp", "proto=icmp", "b")),
+                            ([0, 2], ("a", "b"))):
+        plan = fit_preprocess(mixed_ds(), selected)
+        assert plan.output_names == names
+        assert plan.output_width == len(names)
+        assert apply_preprocess(plan, test).feature_names == names
+
+
 def test_plan_output_is_one_c_order_matrix():
     out = encode(mixed_ds())
     x = out.as_matrix()
@@ -211,7 +225,7 @@ def test_preprocess_chain_and_roundtrip(tmp_path):
     assert plan.selected == ("keep", "proto")
     out = apply_preprocess(plan, ds)
     assert out.feature_names == ("keep", "proto=tcp", "proto=udp")
-    again = plan_from_json(plan_to_json(plan))
+    again = plan_from_doc(json.loads(json.dumps(plan_to_doc(plan))))
     assert again == plan
     out2 = apply_preprocess(again, ds)
     for a, b in zip(out.columns, out2.columns):
@@ -247,7 +261,17 @@ def test_plan_fits_each_selected_column_exactly_once(minmax, onehot, match):
         PreprocessPlan(("a", "b"), minmax, onehot)
 
 
-MALFORMED = "malformed preprocess plan document"
+MALFORMED = "malformed model document"
+
+
+def saved_model_doc() -> dict:
+    """The model.json document of a naive Bayes model over a plan of a numeric
+    ``keep`` and a nominal ``proto``."""
+    ds = make_dataset([("keep", "numeric", [1.0, 5.0]),
+                       ("proto", "nominal", [0, 1], ("tcp", "udp"))], [1, 0])
+    plan = fit_preprocess(ds)
+    model = fit_model(apply_preprocess(plan, ds), params_from_dict("naive_bayes"))
+    return json.loads(model_to_json(plan, model))
 
 
 @pytest.mark.parametrize("edit, match", [
@@ -263,19 +287,20 @@ MALFORMED = "malformed preprocess plan document"
     (lambda doc: doc.update(selected=["keep", "keep", "proto"],
                             minmax=doc["minmax"] * 2), "column 'keep' is selected twice"),
 ])
-def test_plan_from_json_rejects_malformed_documents(edit, match):
-    ds = make_dataset([("keep", "numeric", [1.0, 5.0]),
-                       ("proto", "nominal", [0, 1], ("tcp", "udp"))], [1, 0])
-    doc = json.loads(plan_to_json(fit_preprocess(ds)))
-    edit(doc)
-    with pytest.raises(DatasetError, match=match):
-        plan_from_json(json.dumps(doc))
+def test_model_document_rejects_a_malformed_plan(edit, match):
+    doc = saved_model_doc()
+    edit(doc["plan"])
+    with pytest.raises(ModelError, match=match) as info:
+        model_from_json(json.dumps(doc))
+    assert str(info.value).startswith(MALFORMED)
 
 
-def test_plan_from_json_rejects_other_documents():
-    for text in ('{"format": "fsel-ids/model"}', "[1, 2]", '"plan"'):
-        with pytest.raises(DatasetError, match="not a preprocess plan"):
-            plan_from_json(text)
+@pytest.mark.parametrize("plan", [{"format": "fsel-ids/preprocess-plan"}, [1, 2], "plan"])
+def test_model_document_rejects_a_plan_that_is_not_one(plan):
+    doc = saved_model_doc()
+    doc["plan"] = plan
+    with pytest.raises(ModelError, match=MALFORMED):
+        model_from_json(json.dumps(doc))
 
 
 @settings(max_examples=25)
@@ -418,8 +443,6 @@ def _reference_preprocess(train: Dataset, selected, datasets):
     sub = train.select(selected)
     minmax, onehot = fit_minmax(sub), fit_onehot(sub)
     doc = {
-        "format": PLAN_FORMAT,
-        "version": PLAN_VERSION,
         "selected": list(sub.feature_names),
         "minmax": [[name, lo, hi] for name, lo, hi in minmax.ranges],
         "onehot": [[name, list(cats)] for name, cats in onehot.dictionaries],
@@ -427,7 +450,7 @@ def _reference_preprocess(train: Dataset, selected, datasets):
     encoded = [apply_onehot(apply_minmax(ds.select([ds.index_of(n) for n in sub.feature_names]),
                                          minmax), onehot)
                for ds in datasets]
-    return json.dumps(doc, indent=2), encoded
+    return doc, encoded
 
 
 def random_split_pair(rng):
@@ -463,10 +486,10 @@ def test_apply_preprocess_matches_reference(seed):
     selected = sorted(rng.choice(d, int(rng.integers(0, d + 1)), replace=False).tolist())
     want_doc, want = _reference_preprocess(train, selected, [train, test])
     plan = fit_preprocess(train, selected)
-    assert plan_to_json(plan) == want_doc
+    assert json.dumps(plan_to_doc(plan)) == json.dumps(want_doc)
     for ds, ref in zip((train, test), want):
         got = apply_preprocess(plan, ds)
-        assert got.feature_names == ref.feature_names
+        assert got.feature_names == ref.feature_names == plan.output_names
         assert [c.kind for c in got.columns] == [c.kind for c in ref.columns]
         for a, b in zip(got.columns, ref.columns):
             assert a.values.dtype == b.values.dtype

@@ -520,7 +520,7 @@ def test_deep_chain_tree_needs_no_recursion():
 
     model = fit_model(ds, params_from_dict("tree", {"min_leaf": 1, "prune": False}))
     assert repr(model).startswith("TrainedModel(")
-    again = model_from_json(model_to_json(model))
+    _, again = model_from_json(model_to_json(fit_preprocess(ds), model))
     assert again.payload == model.payload
     np.testing.assert_array_equal(predict_model(again, ds), predict_model(model, ds))
     np.testing.assert_array_equal(predict_model(again, ds), labels)
