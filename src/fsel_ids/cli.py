@@ -17,6 +17,7 @@ import sys
 from multiprocessing.reduction import ForkingPickler
 from pathlib import Path
 
+from .dataset import shown
 from .metrics import markdown_table, report_to_json
 from .models import model_from_json, model_to_json
 from .pipeline import (
@@ -128,15 +129,15 @@ def _load_config(args, allow_grid: bool = False, replay: bool = False) -> tuple[
         raise ValueError(f"grid fields {sorted(grid)} are only valid for bench")
     for key, value in grid.items():
         if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
-            raise ValueError(f"config field {key!r} must be a list of strings, got {value!r}")
+            raise ValueError(f"config field {key!r} must be a list of strings, got {shown(value)}")
         twice = [v for i, v in enumerate(value) if v in value[:i]]
         if twice:
-            raise ValueError(f"config field {key!r} lists {twice[0]!r} more than once")
+            raise ValueError(f"config field {key!r} lists {shown(twice[0])} more than once")
     doc.update((name, value) for name, value in vars(args).items()
                if name in known and value is not None)
     params = doc.get("params") or {}
     if not isinstance(params, dict):
-        raise ValueError(f"config field 'params' must be an object, got {params!r}")
+        raise ValueError(f"config field 'params' must be an object, got {shown(params)}")
     doc["params"] = {**params, **dict(args.overrides)}
     unknown = sorted(set(doc) - known)
     if unknown:
@@ -211,9 +212,9 @@ def _write_report(report, out: Path) -> None:
 
 def cmd_evaluate(args) -> int:
     # A saved model reads only --test; --train, if given, names the report.
+    # --out is made once there is a report, so a rejected input leaves none.
     config, _ = _load_config(args, replay=args.model is not None)
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     if args.model:
         plan, model = model_from_json(Path(args.model).read_text(encoding="utf-8"))
         test = load_file(config, config.test_path)
@@ -221,6 +222,7 @@ def cmd_evaluate(args) -> int:
                                    fs_seconds=0.0, train_seconds=model.train_seconds)
     else:
         report = run_pipeline(config).report
+    out.mkdir(parents=True, exist_ok=True)
     _write_report(report, out)
     print(markdown_table([report]), end="")
     print(f"ACC {report.acc:.2f}  DR {report.dr:.2f}  FAR {report.far:.2f} "

@@ -23,6 +23,7 @@ from __future__ import annotations
 import csv
 import itertools
 import math
+import reprlib
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -35,6 +36,18 @@ NORMAL = 0
 
 class DatasetError(ValueError):
     """Raised for malformed data files or invalid dataset operations."""
+
+
+# Outside input quoted in an error message is shown through this, so that a
+# long string, list or number cannot make the message long.
+_SHOWN = reprlib.Repr()
+_SHOWN.maxlevel, _SHOWN.maxstring, _SHOWN.maxlong, _SHOWN.maxother = 3, 80, 40, 80
+
+
+def shown(value) -> str:
+    """``repr(value)`` for an error message, cut short: a long string, list
+    or number shows its first and last parts only."""
+    return _SHOWN.repr(value)
 
 
 def is_finite_number(value) -> bool:

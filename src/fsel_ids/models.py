@@ -57,7 +57,7 @@ from itertools import chain
 import numpy as np
 
 from . import tree as tree_mod
-from .dataset import Dataset, is_finite_number
+from .dataset import Dataset, is_finite_number, shown
 from .preprocess import PreprocessPlan, plan_from_doc, plan_to_doc
 from .tree import Tree
 
@@ -84,7 +84,7 @@ def check_field_types(obj, noun: str, error: type[Exception]) -> None:
         value, kinds = getattr(obj, f.name), f.type.split(" | ")
         if (isinstance(value, bool) and "bool" not in kinds) or not isinstance(
                 value, tuple(_FIELD_TYPES[k] for k in kinds)):
-            raise error(f"{noun} {f.name!r} must be {f.type}, got {value!r}")
+            raise error(f"{noun} {f.name!r} must be {f.type}, got {shown(value)}")
 
 
 @dataclass(frozen=True)
@@ -148,7 +148,7 @@ def params_from_dict(algorithm: str, overrides: dict | None = None, seed: int = 
     bad = sorted(set(overrides) - known)
     if bad:
         hint = "; set the algorithm with --algo" if "algorithm" in bad else ""
-        raise ModelError(f"unknown hyperparameters: {bad}{hint}")
+        raise ModelError(f"unknown hyperparameters: {shown(bad)}{hint}")
     return replace(base, **overrides)
 
 
@@ -242,13 +242,17 @@ def _fit_forest(train: Dataset, params: TrainParams) -> tuple[Tree, ...]:
     if sample is None:
         sample = max(1, math.isqrt(d) + (0 if math.isqrt(d) ** 2 == d else 1))
     sample = min(sample, d)
-    trees = []
-    for t in range(params.n_trees):
+
+    def task(t: int):  # taken as tree t starts, so its bootstrap is drawn just in time
         rng = np.random.default_rng(params.seed + t)
         rows = (rng.integers(0, train.row_count, size=train.row_count)
                 if params.bootstrap else None)
-        trees.append(tree_mod.grow(train, rows, min_leaf=params.min_leaf, rng=rng,
-                                   feature_sample=sample))
+        return range(d), rows, rng, sample
+
+    trees: list = [None] * params.n_trees
+    for t, tree in tree_mod.grow_many(train, map(task, range(params.n_trees)),
+                                      min_leaf=params.min_leaf):
+        trees[t] = tree
     return tuple(trees)
 
 
@@ -566,9 +570,9 @@ def model_from_json(text: str) -> tuple[PreprocessPlan, TrainedModel]:
         raise ModelError(f"malformed model document (RecursionError: {exc})") from None
     fmt = doc.get("format") if isinstance(doc, dict) else None
     if fmt != MODEL_FORMAT:
-        raise ModelError(f"not a model document: {fmt!r}")
+        raise ModelError(f"not a model document: {shown(fmt)}")
     if doc.get("version") != MODEL_VERSION:
-        raise ModelError(f"unsupported model version {doc.get('version')!r}")
+        raise ModelError(f"unsupported model version {shown(doc.get('version'))}")
     try:
         missing = sorted({f.name for f in fields(TrainParams)} - set(doc["params"]))
         if missing:
@@ -578,7 +582,7 @@ def model_from_json(text: str) -> tuple[PreprocessPlan, TrainedModel]:
         names = plan.output_names
         seconds = doc["train_seconds"]
         if not (is_finite_number(seconds) and seconds >= 0):
-            raise ModelError(f"train_seconds is {seconds!r}, not a finite number >= 0")
+            raise ModelError(f"train_seconds is {shown(seconds)}, not a finite number >= 0")
         return plan, TrainedModel(
             params,
             names,

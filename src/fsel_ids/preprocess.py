@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import Dataset, DatasetError, is_finite_number
+from .dataset import Dataset, DatasetError, is_finite_number, shown
 
 
 @dataclass(frozen=True)
@@ -40,27 +40,28 @@ class PreprocessPlan:
     def __post_init__(self):
         for name, lo, hi in self.minmax:
             if not (is_finite_number(lo) and is_finite_number(hi) and lo <= hi):
-                raise DatasetError(f"column {name!r}: fitted min {lo!r} and max {hi!r} are not"
-                                   " finite numbers with min <= max")
+                raise DatasetError(f"column {shown(name)}: fitted min {shown(lo)} and max"
+                                   f" {shown(hi)} are not finite numbers with min <= max")
         for name, cats in self.onehot:
             if not cats:
-                raise DatasetError(f"column {name!r}: empty category list")
+                raise DatasetError(f"column {shown(name)}: empty category list")
             if not all(isinstance(cat, str) for cat in cats):
-                raise DatasetError(f"column {name!r}: categories {list(cats)!r} are not all"
-                                   " strings")
+                raise DatasetError(f"column {shown(name)}: categories {shown(list(cats))}"
+                                   " are not all strings")
             twice = [cat for cat, k in Counter(cats).items() if k > 1]
             if twice:
-                raise DatasetError(f"column {name!r}: category {twice[0]!r} is listed twice")
+                raise DatasetError(f"column {shown(name)}: category {shown(twice[0])}"
+                                   " is listed twice")
         if not all(isinstance(name, str) for name in self.selected):
-            raise DatasetError(f"selected names {list(self.selected)!r} are not all strings")
+            raise DatasetError(f"selected names {shown(list(self.selected))} are not all strings")
         twice = [name for name, k in Counter(self.selected).items() if k > 1]
         if twice:
-            raise DatasetError(f"column {twice[0]!r} is selected twice")
+            raise DatasetError(f"column {shown(twice[0])} is selected twice")
         fitted = Counter(entry[0] for entry in self.minmax + self.onehot)
         fitted.subtract(self.selected)
         if any(fitted.values()):
             wrong = sorted(name for name, extra in fitted.items() if extra)
-            raise DatasetError(f"plan must fit each selected column exactly once: {wrong}")
+            raise DatasetError(f"plan must fit each selected column exactly once: {shown(wrong)}")
 
     @property
     def output_names(self) -> tuple[str, ...]:

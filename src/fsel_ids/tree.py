@@ -18,35 +18,57 @@ the same list, one entry per node: a leaf holds its ``counts``, a split
 node also its ``feature``, two ``children`` and numeric ``threshold``.
 Models are fitted on the preprocessing plan's all-numeric output, so a
 saved tree has no nominal split; those are grown only in memory, by the
-wrapper's merit trees on raw columns. Nodes are grown from an explicit work
-stack in that order, which is also the order in which a forest's per-node
-feature draws consume its rng. Nothing in this module recurses, so tree
-depth is bounded by memory, not by the interpreter's recursion limit.
-``grow`` and ``predict`` take row indices into one dataset, and ``_route``
+wrapper's merit trees on raw columns. Nothing in this module recurses, so
+tree depth is bounded by memory, not by the interpreter's recursion limit.
+``grow`` and ``predict`` take row indices into one dataset, and ``_branch``
 sends them down a split for both.
 
+``grow_many`` grows many independent trees in lock-step: a wrapper
+expansion's (subset, fold) trees, or a forest's trees. Each tree keeps its
+own pre-order work stack, and a forest tree draws each node's feature
+sample from its own rng as the node comes off that stack, so every tree,
+and every rng's final state, is the one the tree would get grown alone;
+``grow`` is the one-tree case. Each step takes the next node that may
+split from every tree in flight and scores all their (node, numeric
+feature) pairs in one vectorised scan (``_scan``), sorted per pair by one
+float argsort and one stable sort on the pair id; nominal pairs keep
+``partition_gain``. The split nodes' rows then move into their branches by
+one stable sort. Two bounds keep the memory flat however many trees are
+asked for and however wide they are: the trees in flight hold at most
+``MAX_ROWS_IN_FLIGHT`` rows, and one scan covers at most
+``MAX_SCAN_ELEMENTS`` (row, feature) elements; a single tree, or a single
+pair, may exceed its bound alone.
+
 Every count that enters an entropy or split-info term is an integer from 0
-to the row count n, so ``grow`` computes ``k * log2(k)`` for k = 0..n once
-(``xlog2x_table``) and each node gathers its terms from that table; the
-formulas keep their operation order, so the gain ratios are the same floats
-bit for bit as evaluating ``k * log2(k)`` per node. ``partition_gain``, the
-gain and split info of a multiway split, is also what the information-gain
-and gain-ratio filters score a feature with.
+to the row count n, so ``grow_many`` computes ``k * log2(k)`` for k = 0..n
+once (``xlog2x_table``) and each scan gathers its terms from that table;
+the formulas keep their operation order, so the gain ratios are the same
+floats bit for bit as evaluating ``k * log2(k)`` for one node alone.
+``partition_gain``, the gain and split info of a multiway split, is also
+what the information-gain and gain-ratio filters score a feature with.
 """
 
 from __future__ import annotations
 
+import bisect
 import math
 import statistics
+from array import array
 from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import Dataset, DatasetError, is_finite_number
+from .dataset import Dataset, DatasetError, is_finite_number, shown
 
 # Gains at or below this are treated as zero; keeps float noise from
 # splitting on useless features.
 MIN_GAIN = 1e-12
+
+# Lock-step growth bounds: the rows of the trees grown at once, and the
+# (row, feature) elements that one vectorised scan scores. A single tree,
+# or a single (node, feature) pair, may exceed its bound alone.
+MAX_ROWS_IN_FLIGHT = 1 << 15
+MAX_SCAN_ELEMENTS = 1 << 12
 
 
 @dataclass(frozen=True)
@@ -84,14 +106,20 @@ class TreeNode:
 Tree = tuple[TreeNode, ...]
 
 
-def _link(records: list[tuple]) -> Tree:
-    """Tree of pre-order (parent, counts, feature, threshold, codes, default) records."""
-    children: list[list[int]] = [[] for _ in records]
-    for i in range(1, len(records)):
-        children[records[i][0]].append(i)
-    return tuple(TreeNode(counts, feature, threshold, codes, tuple(kids), default)
-                 for (_, counts, feature, threshold, codes, default), kids
-                 in zip(records, children))
+def _link(records: array, codes: dict[int, tuple[int, ...]]) -> Tree:
+    """Tree of the pre-order nodes in ``records``, six numbers each: parent,
+    normal and attack counts, feature (-1 at a leaf), threshold (NaN but at
+    a numeric split) and default child; ``codes`` holds each nominal split's
+    category codes by node index."""
+    table = np.frombuffer(records).reshape(-1, 6)
+    parent, normal, attack, feature, default = (
+        table[:, c].astype(np.int64).tolist() for c in (0, 1, 2, 3, 5))
+    children: list[list[int]] = [[] for _ in parent]
+    for i in range(1, len(parent)):
+        children[parent[i]].append(i)
+    return tuple(TreeNode((normal[i], attack[i]), feature[i], t if t == t else math.nan,
+                          codes.get(i, ()), tuple(children[i]), default[i])
+                 for i, t in enumerate(table[:, 4].tolist()))
 
 
 def to_doc(tree: Tree) -> dict:
@@ -118,7 +146,7 @@ def from_doc(doc: dict, width: int) -> Tree:
     for i, entry in enumerate(nodes):
         counts = entry["counts"]
         if len(counts) != 2 or not all(type(c) is int and c >= 0 for c in counts):
-            raise DatasetError(f"tree document: node {i} has counts {counts!r},"
+            raise DatasetError(f"tree document: node {i} has counts {shown(counts)},"
                                " not two non-negative integers")
         counts = tuple(counts)
         if "children" not in entry:
@@ -127,18 +155,19 @@ def from_doc(doc: dict, width: int) -> Tree:
         children = tuple(entry["children"])
         for c in children:
             if type(c) is not int or not i < c < len(nodes) or has_parent[c]:
-                raise DatasetError(f"tree document: node {i} has child index {c!r}")
+                raise DatasetError(f"tree document: node {i} has child index {shown(c)}")
             has_parent[c] = True
         feature = entry["feature"]
         if type(feature) is not int or not 0 <= feature < width:
             raise DatasetError(
-                f"tree node {i} splits on feature {feature!r}, but the model has {width} features")
+                f"tree node {i} splits on feature {shown(feature)}, but the model has {width}"
+                " features")
         if "codes" in entry or "threshold" not in entry:
             raise DatasetError(f"tree document: node {i} has codes or no threshold;"
                                " a saved tree splits on numeric thresholds only")
         threshold = entry["threshold"]
         if not is_finite_number(threshold):
-            raise DatasetError(f"tree document: node {i} has threshold {threshold!r}")
+            raise DatasetError(f"tree document: node {i} has threshold {shown(threshold)}")
         if len(children) != 2:
             raise DatasetError(
                 f"tree document: numeric node {i} has {len(children)} children, not 2")
@@ -180,37 +209,6 @@ def cut_threshold(lower: float, upper: float) -> float:
     return mid if lower <= mid < upper else lower
 
 
-def _numeric_split(values, y, attack, parent_entropy, xl):
-    """Best (gain ratio, threshold) of a cut on ``values``; (-inf, nan) if none.
-
-    ``xl[k]`` is k*log2(k). Cuts fall between neighbouring distinct sorted
-    values and are admissible where the gain is positive; ``cut_threshold``
-    places the chosen one.
-    """
-    m = values.size
-    order = np.argsort(values, kind="stable")
-    vs = values[order]
-    cuts = np.flatnonzero(vs[:-1] < vs[1:])
-    if cuts.size == 0:
-        return -math.inf, math.nan
-    n_left = cuts + 1
-    n_right = m - n_left
-    a_left = np.cumsum(y[order])[cuts]
-    a_right = attack - a_left
-    f_left = n_left.astype(np.float64)
-    f_right = m - f_left
-    xl_left, xl_right = xl[n_left], xl[n_right]
-    cond = (f_left * ((xl_left - xl[a_left] - xl[n_left - a_left]) / f_left)
-            + f_right * ((xl_right - xl[a_right] - xl[n_right - a_right]) / f_right)) / m
-    gains = parent_entropy - cond
-    split_info = (xl[m] - xl_left - xl_right) / m
-    ratios = np.where(gains > MIN_GAIN, gains / split_info, -np.inf)
-    best = int(ratios.argmax())  # the lowest threshold wins ties
-    if ratios[best] == -np.inf:
-        return -math.inf, math.nan
-    return float(ratios[best]), cut_threshold(float(vs[cuts[best]]), float(vs[cuts[best] + 1]))
-
-
 def partition_gain(codes, y, parent_entropy, xl) -> tuple[float, float, int]:
     """(information gain, split info, branch count) of splitting by ``codes``.
 
@@ -236,17 +234,272 @@ def _nominal_ratio(codes, y, parent_entropy, xl) -> float:
     return gain / split_info if gain > MIN_GAIN else -math.inf
 
 
-def _route(values, items, threshold, codes=(), default=0) -> list[np.ndarray]:
-    """``items`` (one per value) split by branch, each kept in order: at or
-    below ``threshold``, then above; or with ``codes``, one branch per code,
-    a code not in ``codes`` going to branch ``default``."""
+def _first_max(values: np.ndarray, sizes) -> tuple[np.ndarray, np.ndarray]:
+    """``(maximum, index of its first occurrence)`` of each group of
+    ``values``, taken in order, groups of ``sizes`` (each at least 1)."""
+    first = np.cumsum(sizes) - sizes
+    top = np.maximum.reduceat(values, first)
+    hits = np.flatnonzero(values == np.repeat(top, sizes))
+    return top, hits[np.searchsorted(hits, first)]
+
+
+def _ranges(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """The concatenation of ``arange(start, start + length)`` for each pair."""
+    ends = np.cumsum(lengths)
+    return np.repeat(starts + lengths - ends, lengths) + np.arange(ends[-1] if ends.size else 0)
+
+
+def _scan(values, y, m, attack, entropy, xl):
+    """The best cut of each segment of ``values``: ``(ratio, lower, upper)``,
+    one entry per segment, with ratio -inf where no cut is admissible.
+
+    ``values`` and ``y`` (its 0/1 labels) hold segments of ``m`` rows each,
+    one after another; a segment has ``attack`` attack rows and label entropy
+    ``entropy``, and ``xl[k]`` is k*log2(k). Each segment is sorted on its
+    own, by a float argsort and then a stable sort on the segment id (a
+    radix sort on small ids); how equal values are ordered does not matter,
+    since a cut falls only between distinct ones. Cuts
+    fall between neighbouring distinct values of one segment and are
+    admissible where the gain is positive; each cut's gain and split info
+    are computed in one pass, with the operation order of evaluating one
+    segment alone (``f_left * (x / f_left) + f_right * (z / f_right)``,
+    each product commuted). A segment's best cut is its first highest gain
+    ratio, the lowest threshold; ``cut_threshold(lower, upper)`` places it.
+    """
+    seg = np.repeat(np.arange(m.size, dtype=np.min_scalar_type(m.size)), m)
+    order = np.argsort(values)
+    order = order[np.argsort(seg[order], kind="stable")]  # seg[order] is seg again
+    vs = values[order]
+    end = np.cumsum(m)
+    rise = vs[:-1] < vs[1:]
+    rise[end[:-1] - 1] = False  # no cut between two segments
+    cuts = np.flatnonzero(rise)
+    ratio = np.full(m.size, -np.inf)
+    lower, upper = np.zeros(m.size), np.zeros(m.size)
+    if cuts.size == 0:
+        return ratio, lower, upper
+    # Per cut: its segment's values repeated, and the counts left and right
+    # of it. In-place steps keep each formula's operations and their order.
+    prefix = np.cumsum(y[order], dtype=np.intp)
+    per = np.searchsorted(cuts, end)
+    per[1:] -= per[:-1].copy()  # cuts per segment
+    start = end - m
+    n = np.repeat(m, per)
+    n_left = cuts - np.repeat(start - 1, per)
+    a_left = prefix[cuts]
+    a_left -= np.repeat(prefix[start] - y[order[start]], per)
+    n_right = n - n_left
+    a_right = np.repeat(attack, per) - a_left
+    f_left = n_left.astype(np.float64)
+    f_right = n - f_left
+    xl_left, xl_right = xl[n_left], xl[n_right]
+    cond = xl_left - xl[a_left]
+    n_left -= a_left
+    cond -= xl[n_left]
+    cond /= f_left
+    cond *= f_left
+    right = xl_right - xl[a_right]
+    n_right -= a_right
+    right -= xl[n_right]
+    right /= f_right
+    right *= f_right
+    cond += right
+    cond /= n
+    gains = np.repeat(entropy, per)
+    gains -= cond
+    split_info = np.repeat(xl[m], per)
+    split_info -= xl_left
+    split_info -= xl_right
+    split_info /= n
+    ratios = np.divide(gains, split_info, out=split_info)
+    ratios[~(gains > MIN_GAIN)] = -np.inf
+    has = per > 0
+    ratio[has], best = _first_max(ratios, per[has])
+    lower[has], upper[has] = vs[cuts[best]], vs[cuts[best] + 1]
+    return ratio, lower, upper
+
+
+def _branch(values, threshold, codes=(), default=0) -> np.ndarray:
+    """The branch of each of ``values`` at a split: 1 above ``threshold``,
+    else 0; or with ``codes``, the position of its code in ``codes``, a code
+    not in ``codes`` going to branch ``default``."""
     if not codes:
-        low = values <= threshold
-        return [items[low], items[~low]]
+        return values > threshold
     branch_of = np.full(max(int(values.max(initial=0)), max(codes)) + 1, default)
     branch_of[list(codes)] = np.arange(len(codes))
-    branch = branch_of[values]
-    return [items[branch == b] for b in range(len(codes))]
+    return branch_of[values]
+
+
+class _Growing:
+    """A tree in flight: its task's columns, rng and feature sample, a buffer
+    of its rows that each split reorders in place, the pre-order stack of
+    ``(lo, hi, attack, parent)`` buffer ranges still to grow, and its node
+    records for ``_link``."""
+
+    __slots__ = ("index", "columns", "rng", "sample", "rows", "stack", "records", "codes")
+
+    def __init__(self, index, columns, rows, rng, sample, labels):
+        self.index, self.columns, self.rng, self.sample = index, columns, rng, sample
+        self.rows = rows
+        self.stack = [(0, rows.size, int(np.count_nonzero(labels[rows])), -1)]
+        self.records = array("d")
+        self.codes: dict[int, tuple[int, ...]] = {}
+
+
+def grow_many(ds: Dataset, tasks, *, min_leaf: int = 2):
+    """Grow one unpruned tree per task of ``tasks``, many in lock-step, and
+    yield ``(i, tree)`` for the i-th task as soon as its tree is complete.
+
+    A task is ``(features, rows, rng, feature_sample)``, and its tree is
+    ``grow(ds.select(features), rows, min_leaf=min_leaf, rng=rng,
+    feature_sample=feature_sample)``: a node's ``feature`` is its position
+    among the sorted ``features``. ``tasks`` may be any iterable; a task is
+    taken, and checked, when its tree starts, so a lazy one can draw each
+    tree's rows from its rng just in time.
+    """
+    if min_leaf < 1:
+        raise DatasetError(f"min_leaf must be >= 1, got {min_leaf}")
+    labels = ds.labels
+    xl = xlog2x_table(ds.row_count)  # enlarged for a task that lists more rows
+    started = (_start(ds, labels, i, task) for i, task in enumerate(tasks))
+    waiting = next(started, None)
+    growing: list[_Growing] = []
+    in_flight = 0
+    while waiting is not None or growing:
+        while waiting is not None and (
+                not growing or in_flight + waiting.rows.size <= MAX_ROWS_IN_FLIGHT):
+            growing.append(waiting)
+            in_flight += waiting.rows.size
+            if waiting.rows.size >= xl.size:
+                xl = xlog2x_table(waiting.rows.size)
+            waiting = next(started, None)
+        _step(growing, labels, xl, min_leaf)
+        for g in growing:
+            if not g.stack:
+                in_flight -= g.rows.size
+                yield g.index, _link(g.records, g.codes)
+        growing = [g for g in growing if g.stack]
+
+
+def _start(ds: Dataset, labels: np.ndarray, index: int, task) -> _Growing:
+    """The checked task ``index`` as a tree in flight at its root."""
+    features, rows, rng, feature_sample = task
+    features = sorted(set(int(f) for f in features))
+    if not features:
+        raise DatasetError("cannot grow a tree with no features")
+    if features[0] < 0 or features[-1] >= len(ds.columns):
+        raise DatasetError(f"feature index out of range: {features}")
+    rows = np.arange(ds.row_count) if rows is None else np.array(rows, dtype=np.intp)
+    if rows.size == 0:
+        raise DatasetError("cannot grow a tree on an empty dataset")
+    if feature_sample is not None and rng is None:
+        raise DatasetError("feature sampling needs an rng")
+    sampling = feature_sample is not None and feature_sample < len(features)
+    return _Growing(index, tuple(ds.columns[f] for f in features), rows, rng,
+                    feature_sample if sampling else None, labels)
+
+
+def _step(growing: list[_Growing], labels, xl, min_leaf: int) -> None:
+    """Advance each tree to its next node that may split, score every
+    (node, feature) pair of those nodes together, and split them.
+
+    A node's features are drawn from its tree's rng as it comes off its
+    tree's stack, so every tree takes its draws in its own pre-order.
+    Numeric pairs are scanned in runs of at most ``MAX_SCAN_ELEMENTS``
+    (row, feature) elements, a single pair exceeding it alone; nominal
+    pairs are scored one by one with ``partition_gain``. A node splits on
+    its first pair of the highest ratio, so the lowest feature wins ties,
+    and the split nodes' rows are reordered into their branches at once.
+    """
+    nodes, pairs = [], []  # (tree, lo, hi, attack, parent); (node, feature) in node order
+    widths = []  # features per node
+    for g in growing:
+        while g.stack:
+            lo, hi, attack, parent = g.stack.pop()
+            m = hi - lo
+            features = () if attack == 0 or attack == m or m < min_leaf else (
+                np.sort(g.rng.choice(len(g.columns), size=g.sample, replace=False)).tolist()
+                if g.sample is not None else range(len(g.columns)))
+            if not features:
+                g.records.extend((parent, m - attack, attack, -1, math.nan, 0))
+                continue
+            pairs.extend((len(nodes), f) for f in features)
+            widths.append(len(features))
+            nodes.append((g, lo, hi, attack, parent))
+            break
+    if not nodes:
+        return
+    m = np.array([hi - lo for _, lo, hi, _, _ in nodes])
+    attack = np.array([a for _, _, _, a, _ in nodes])
+    entropy = (xl[m] - xl[attack] - xl[m - attack]) / m
+    rows = [g.rows[lo:hi] for g, lo, hi, _, _ in nodes]
+    offset = np.cumsum(m) - m
+    node_rows = np.concatenate(rows)
+    y = labels[node_rows]
+    columns = [nodes[k][0].columns[f] for k, f in pairs]
+    ratio = np.full(len(pairs), -np.inf)
+    lower, upper = np.zeros(len(pairs)), np.zeros(len(pairs))
+    numeric = []
+    for p, (k, _) in enumerate(pairs):
+        if columns[p].kind == "numeric":
+            numeric.append(p)
+        else:
+            ratio[p] = _nominal_ratio(columns[p].values[rows[k]],
+                                      y[offset[k]:offset[k] + m[k]], float(entropy[k]), xl)
+    ends = np.cumsum(m[[pairs[p][0] for p in numeric]]).tolist()
+    i = 0
+    while i < len(numeric):
+        j = max(i + 1, bisect.bisect_right(ends, (ends[i - 1] if i else 0) + MAX_SCAN_ELEMENTS))
+        run = numeric[i:j]
+        k = np.array([pairs[p][0] for p in run])
+        values = np.concatenate([columns[p].values[rows[pairs[p][0]]] for p in run])
+        ratio[run], lower[run], upper[run] = _scan(
+            values, y[_ranges(offset[k], m[k])], m[k], attack[k], entropy[k], xl)
+        i = j
+
+    # Each node's split: (feature, threshold, codes) and the branch of each
+    # of its rows; a node with no admissible split keeps its rows as a leaf.
+    _, best = _first_max(ratio, widths)
+    ratio, lower, upper = ratio.tolist(), lower.tolist(), upper.tolist()
+    splits, branches = [], []
+    for k, p in enumerate(best.tolist()):
+        if ratio[p] == -math.inf:
+            splits.append(None)
+            branches.append(np.zeros(m[k], dtype=np.intp))
+            continue
+        values = columns[p].values[rows[k]]
+        if columns[p].kind == "numeric":
+            threshold, codes = cut_threshold(lower[p], upper[p]), ()
+        else:
+            threshold, codes = math.nan, tuple(np.flatnonzero(np.bincount(values)).tolist())
+        splits.append((pairs[p][1], threshold, codes))
+        branches.append(_branch(values, threshold, codes))
+    # One stable sort by (node, branch) moves every node's rows into its
+    # branches, each kept in row order.
+    counts = [1 if s is None else max(len(s[2]), 2) for s in splits]
+    key = np.repeat((np.cumsum(counts) - counts).astype(np.min_scalar_type(sum(counts))), m)
+    key += np.concatenate(branches).astype(key.dtype)  # small ids sort by radix
+    moved = node_rows[np.argsort(key, kind="stable")]
+    sizes = np.bincount(key).tolist()
+    attacks = np.bincount(key, weights=y).astype(np.int64).tolist()
+    b = 0
+    for (g, lo, hi, a, parent), split, count, at in zip(nodes, splits, counts, offset.tolist()):
+        if split is None:
+            g.records.extend((parent, hi - lo - a, a, -1, math.nan, 0))
+            b += 1
+            continue
+        g.rows[lo:hi] = moved[at:at + hi - lo]
+        branch_sizes = sizes[b:b + count]
+        feature, threshold, codes = split
+        default = branch_sizes.index(max(branch_sizes)) if codes else 0
+        here = len(g.records) // 6
+        g.records.extend((parent, hi - lo - a, a, feature, threshold, default))
+        if codes:
+            g.codes[here] = codes
+        for c in reversed(range(count)):  # the first branch is popped first
+            g.stack.append((hi - branch_sizes[c], hi, attacks[b + c], here))
+            hi -= branch_sizes[c]
+        b += count
 
 
 def grow(
@@ -262,59 +515,11 @@ def grow(
     A row listed twice counts twice: the tree is ``grow(ds.take_rows(rows))``.
     ``feature_sample`` restricts each node to a random feature subset drawn
     from ``rng``; both default to using all features deterministically.
+    This is ``grow_many``'s one-task case.
     """
-    rows = np.arange(ds.row_count) if rows is None else np.asarray(rows)
-    if rows.size == 0:
-        raise DatasetError("cannot grow a tree on an empty dataset")
-    if not ds.columns:
-        raise DatasetError("cannot grow a tree with no features")
-    if min_leaf < 1:
-        raise DatasetError(f"min_leaf must be >= 1, got {min_leaf}")
-    if feature_sample is not None and rng is None:
-        raise DatasetError("feature sampling needs an rng")
-    d = len(ds.columns)
-    labels = ds.labels.astype(np.int64)
-    xl = xlog2x_table(rows.size)
-    sampling = feature_sample is not None and feature_sample < d
-
-    # Pre-order node records for ``_link``; the stack holds (rows, parent).
-    records: list[tuple] = []
-    stack = [(rows, -1)]
-    while stack:
-        rows, parent = stack.pop()
-        here = len(records)
-        m = rows.size
-        y = labels[rows]
-        attack = int(np.count_nonzero(y))
-        node_counts = (m - attack, attack)
-        if attack == 0 or attack == m or m < min_leaf:
-            records.append((parent, node_counts, -1, math.nan, (), 0))
-            continue
-        parent_entropy = float((xl[m] - xl[attack] - xl[m - attack]) / m)
-        features = (np.sort(rng.choice(d, size=feature_sample, replace=False)).tolist()
-                    if sampling else range(d))
-        # The highest ratio wins; features go in increasing order, so the
-        # lowest index wins ties.
-        best_ratio, feature, threshold = -math.inf, -1, math.nan
-        for f in features:
-            col = ds.columns[f]
-            if col.kind == "numeric":
-                ratio, split_at = _numeric_split(col.values[rows], y, attack, parent_entropy, xl)
-            else:
-                ratio, split_at = _nominal_ratio(col.values[rows], y, parent_entropy, xl), math.nan
-            if ratio > best_ratio:
-                best_ratio, feature, threshold = ratio, f, split_at
-        if best_ratio == -math.inf:
-            records.append((parent, node_counts, -1, math.nan, (), 0))
-            continue
-        values = ds.columns[feature].values[rows]
-        codes = (tuple(np.flatnonzero(np.bincount(values)).tolist())
-                 if ds.columns[feature].kind == "nominal" else ())
-        branches = _route(values, rows, threshold, codes)
-        default = int(np.argmax([b.size for b in branches])) if codes else 0
-        records.append((parent, node_counts, feature, threshold, codes, default))
-        stack.extend((b, here) for b in reversed(branches))
-    return _link(records)
+    task = (range(len(ds.columns)), rows, rng, feature_sample)
+    ((_, tree),) = grow_many(ds, [task], min_leaf=min_leaf)
+    return tree
 
 
 def pessimistic_errors(errors: int, n: int, confidence: float) -> float:
@@ -359,19 +564,20 @@ def prune(tree: Tree, confidence: float = 0.25) -> Tree:
             subtree += estimate[c]
         collapse[i] = node.is_leaf or as_leaf <= subtree + 1e-9
         estimate[i] = as_leaf if collapse[i] else subtree
-    records: list[tuple] = []
+    records, codes = array("d"), {}
     stack = [(0, -1)]
     while stack:
         i, parent = stack.pop()
         node = tree[i]
         if collapse[i]:
-            records.append((parent, node.counts, -1, math.nan, (), 0))
+            records.extend((parent, *node.counts, -1, math.nan, 0))
             continue
-        here = len(records)
-        records.append((parent, node.counts, node.feature, node.threshold, node.codes,
-                        node.default_child))
+        here = len(records) // 6
+        records.extend((parent, *node.counts, node.feature, node.threshold, node.default_child))
+        if node.codes:
+            codes[here] = node.codes
         stack.extend((c, here) for c in reversed(node.children))
-    return _link(records)
+    return _link(records, codes)
 
 
 def predict(tree: Tree, ds: Dataset, rows: np.ndarray | None = None) -> np.ndarray:
@@ -392,7 +598,9 @@ def predict(tree: Tree, ds: Dataset, rows: np.ndarray | None = None) -> np.ndarr
         if node.is_leaf:
             out[at] = node.prediction
             continue
-        values = ds.columns[node.feature].values[rows[at]]
-        branches = _route(values, at, node.threshold, node.codes, node.default_child)
+        branch = _branch(ds.columns[node.feature].values[rows[at]], node.threshold,
+                         node.codes, node.default_child)
+        branches = ([at[branch == b] for b in range(len(node.codes))] if node.codes
+                    else (at[~branch], at[branch]))
         stack.extend(zip(node.children, branches))
     return out

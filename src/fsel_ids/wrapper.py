@@ -48,22 +48,46 @@ def stratified_folds(labels: np.ndarray, folds: int, seed: int) -> list[np.ndarr
     return [np.sort(np.asarray(b, dtype=np.int64)) for b in buckets]
 
 
+def _merits(
+    train: Dataset,
+    subsets: list[tuple[int, ...]],
+    fold_rows: list[np.ndarray],
+    min_leaf: int,
+):
+    """Yield the merit of each of ``subsets`` in order: the mean accuracy of
+    an unpruned tree on the subset, each of ``stratified_folds``'s
+    ``fold_rows`` held out in turn; the merit the search ranks subsets by.
+
+    Every (subset, fold) tree grows in one ``tree.grow_many`` call. Each
+    tree is scored on its held-out fold as soon as it is grown and then
+    dropped, and a merit is yielded once its folds and every earlier
+    subset's are scored.
+    """
+    folds = len(fold_rows)
+    everything = np.arange(train.row_count)
+    fit_rows = [np.delete(everything, held_out) for held_out in fold_rows]
+    tasks = ((subset, fit_rows[f], None, None) for subset in subsets for f in range(folds))
+    accuracies: dict[int, list] = {}
+    done = 0
+    for i, tree in tree_mod.grow_many(train, tasks, min_leaf=min_leaf):
+        s, f = divmod(i, folds)
+        scored = accuracies.setdefault(s, [None] * folds)
+        predicted = tree_mod.predict(tree, train.select(subsets[s]), fold_rows[f])
+        scored[f] = float(np.mean(predicted == train.labels[fold_rows[f]]))
+        while done in accuracies and None not in accuracies[done]:
+            yield float(np.mean(accuracies.pop(done)))
+            done += 1
+
+
 def _merit_on_folds(
     train: Dataset,
     subset: tuple[int, ...],
     fold_rows: list[np.ndarray],
     min_leaf: int,
 ) -> float:
-    """Mean accuracy of an unpruned tree on ``subset``, each of ``stratified_folds``'s
-    ``fold_rows`` held out in turn; the merit the search ranks subsets by."""
-    sub = train.select(subset)
-    accuracies = []
-    for held_out in fold_rows:
-        fit_rows = np.delete(np.arange(sub.row_count), held_out)
-        tree = tree_mod.grow(sub, fit_rows, min_leaf=min_leaf)
-        predicted = tree_mod.predict(tree, sub, held_out)
-        accuracies.append(float(np.mean(predicted == sub.labels[held_out])))
-    return float(np.mean(accuracies))
+    """The merit of one subset: ``_merits``'s one-subset case."""
+    (merit,) = _merits(train, [subset], fold_rows, min_leaf)
+    return merit
 
 
 @dataclass(frozen=True)
@@ -103,7 +127,8 @@ def best_first_search(
 
     The open list holds evaluated subsets keyed by merit; each round pops
     the best unexpanded one and evaluates every single-feature extension
-    (in ascending feature order, skipping subsets already seen). A child
+    (in ascending feature order, skipping subsets already seen), all of
+    them in one ``_merits`` call. A child
     improves the search when its merit exceeds the best so far by more
     than ``epsilon``; after ``stop_after`` consecutive expansions without
     an improvement the search stops. ``stop_after=None`` disables the stop
@@ -133,27 +158,24 @@ def best_first_search(
 
     while heap:
         _, _, parent = heapq.heappop(heap)
-        evaluated = 0
-        improved = False
+        children = []
         for f in range(d):
-            if f in parent:
-                continue
             child = parent + (f,)
-            key = frozenset(child)
-            if key in visited:
-                continue
-            visited.add(key)
-            merit = _merit_on_folds(train, child, fold_rows, min_leaf)
+            if f not in parent and frozenset(child) not in visited:
+                visited.add(frozenset(child))
+                children.append(child)
+        improved = False
+        # Steps are recorded in child order, each as its merit arrives.
+        for child, merit in zip(children, _merits(train, children, fold_rows, min_leaf)):
             steps.append(SearchStep(child, merit, time.time()))
             heapq.heappush(heap, (-merit, counter, child))
             counter += 1
-            evaluated += 1
             if merit > best_merit + epsilon:
                 improved = True
             if merit > best_merit:
                 best_merit = merit
                 best_subset = child
-        expansion_sizes.append(evaluated)
+        expansion_sizes.append(len(children))
         if improved:
             non_improving = 0
         else:

@@ -441,6 +441,54 @@ def test_evaluate_rejects_a_model_file_nested_too_deep(toy_split, tmp_path, caps
     assert not (tmp_path / "saved" / "report.json").exists()
 
 
+@pytest.mark.parametrize("edit, names", [
+    (lambda doc: doc["params"].update(seed=list(range(100_000))),
+     "hyperparameter 'seed' must be int, got [0, 1, 2, 3, 4, 5, ...]"),
+    (lambda doc: doc["payload"][0]["nodes"][0].update(threshold=list(range(100_000))),
+     "node 0 has threshold [0, 1, 2, 3, 4, 5, ...]"),
+    (lambda doc: doc["plan"]["selected"].__setitem__(0, "x" * 100_000),
+     "plan must fit each selected column exactly once: ['f1', 'xxxxxxxx"),
+    (lambda doc: doc.update(version="9" * 100_000), "unsupported model version '999"),
+], ids=["seed-a-long-list", "threshold-a-long-list", "selected-a-long-name",
+        "version-a-long-string"])
+def test_a_long_value_in_a_rejected_model_is_shown_cut_short(toy_split, tmp_path, capsys, edit,
+                                                            names):
+    run_dir = tmp_path / "run"
+    assert main(["train", "--algo", "forest", "--set", "n_trees=2",
+                 *common_flags(toy_split, run_dir)]) == 0
+    doc = json.loads((run_dir / "model.json").read_text())
+    edit(doc)
+    (run_dir / "model.json").write_text(json.dumps(doc))
+    capsys.readouterr()
+    code = main(["evaluate", "--model", str(run_dir / "model.json"),
+                 *common_flags(toy_split, tmp_path / "saved")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1 and len(err) <= 1024
+    assert names in err
+
+
+def test_a_rejected_evaluate_leaves_no_out_directory(toy_split, tmp_path, capsys):
+    run_dir = tmp_path / "run"
+    assert main(["train", "--algo", "tree", *common_flags(toy_split, run_dir)]) == 0
+    doc = json.loads((run_dir / "model.json").read_text())
+    doc["payload"]["nodes"][0]["threshold"] = "0.5"
+    (run_dir / "model.json").write_text(json.dumps(doc))
+    train, test, schema = toy_split
+    bad_test = tmp_path / "bad_test.csv"
+    bad_test.write_text(test.read_text().replace("tcp", "tcp,extra", 1))
+    for flags in (["--model", str(run_dir / "model.json"), "--test", str(test)],
+                  ["--model", str(run_dir.parent / "missing.json"), "--test", str(test)],
+                  ["--train", str(train), "--test", str(bad_test)]):
+        out = tmp_path / "out"
+        assert main(["evaluate", *flags, "--schema", str(schema), "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith("error:")
+        assert not out.exists()
+    assert main(["evaluate", "--train", str(train), "--test", str(test), "--schema", str(schema),
+                 "--out", str(tmp_path / "out")]) == 0
+    assert (tmp_path / "out" / "report.json").exists()
+
+
 @pytest.mark.parametrize("version, message", [
     (1, "unsupported model version 1"),
     (2, "unsupported model version 2"),

@@ -153,13 +153,16 @@ def test_forest_vote_tie_goes_to_attack():
 
 
 def test_forest_default_feature_sample_is_sqrt(monkeypatch):
-    grow, samples = models.tree_mod.grow, []
+    grow_many, samples = models.tree_mod.grow_many, []
 
-    def spy(*args, feature_sample, **kw):
-        samples.append(feature_sample)
-        return grow(*args, feature_sample=feature_sample, **kw)
+    def spy(ds, tasks, **kw):
+        def recorded():
+            for features, rows, rng, feature_sample in tasks:
+                samples.append(feature_sample)
+                yield features, rows, rng, feature_sample
+        return grow_many(ds, recorded(), **kw)
 
-    monkeypatch.setattr(models.tree_mod, "grow", spy)
+    monkeypatch.setattr(models.tree_mod, "grow_many", spy)
     rng = np.random.default_rng(6)
     ds = separable_dataset(rng, 40, noise_features=8)
     fit_model(ds, params_from_dict("forest", {"n_trees": 2}))

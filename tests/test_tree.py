@@ -19,7 +19,6 @@ from fsel_ids.tree import (
     MIN_GAIN,
     Tree,
     TreeNode,
-    _numeric_split,
     cut_threshold,
     depth,
     grow,
@@ -27,7 +26,6 @@ from fsel_ids.tree import (
     pessimistic_errors,
     predict,
     prune,
-    xlog2x_table,
 )
 
 from conftest import make_dataset, random_mixed_dataset
@@ -488,17 +486,104 @@ def test_grow_matches_recursive_reference(seed, min_leaf):
 
 
 @pytest.mark.parametrize("seed", range(3))
-def test_forest_roots_match_recursive_reference(seed, monkeypatch):
+def test_forest_roots_match_recursive_reference(seed):
     raw = random_mixed_dataset(np.random.default_rng(200 + seed), 120, 7)
     params = params_from_dict("forest", {"n_trees": 4, "min_leaf": 1}, seed=seed)
-    datasets = [apply_preprocess(fit_preprocess(ds), ds) for ds in (raw, _all_nominal(raw))]
-    mine = [fit_model(ds, params).payload for ds in datasets]
+    for ds in (apply_preprocess(fit_preprocess(d), d) for d in (raw, _all_nominal(raw))):
+        n, sample = ds.row_count, math.ceil(math.sqrt(len(ds.columns)))
+        reference = []
+        for t in range(params.n_trees):  # each tree's rng draws its bootstrap, then its features
+            rng = np.random.default_rng(seed + t)
+            rows = rng.integers(0, n, size=n)
+            reference.append(_flatten(_reference_grow(ds.take_rows(rows), min_leaf=1, rng=rng,
+                                                      feature_sample=sample)))
+        assert fit_model(ds, params).payload == tuple(reference)
 
-    def reference(ds, rows=None, **kw):
-        return _flatten(_reference_grow(ds if rows is None else ds.take_rows(rows), **kw))
 
-    monkeypatch.setattr(tree_mod, "grow", reference)
-    assert mine == [fit_model(ds, params).payload for ds in datasets]
+def _mixed_tasks(ds, seed):
+    """Grow tasks over ``ds`` that differ in features, rows and sampling:
+    all rows, a bootstrap draw with repeats, and a sorted half, each with
+    and without a feature sample from the task's own rng."""
+    draw = np.random.default_rng(seed)
+    d, n = len(ds.columns), ds.row_count
+    tasks = []
+    for t in range(9):
+        features = sorted(draw.choice(d, size=int(draw.integers(1, d + 1)), replace=False).tolist())
+        rows = (None, draw.integers(0, n, size=n),
+                np.sort(draw.choice(n, size=n // 2, replace=False)))[t % 3]
+        sample = (None, 1, 2)[t // 3]
+        tasks.append((features, rows, np.random.default_rng(1000 * seed + t), sample))
+    return tasks
+
+
+def _reference_task(ds, task, min_leaf):
+    """``_reference_grow`` of one task, with a fresh copy of its rng: (tree, rng)."""
+    features, rows, rng, sample = task
+    sub = ds.select(features)
+    ref_rng = np.random.default_rng()
+    ref_rng.bit_generator.state = rng.bit_generator.state
+    ref = _reference_grow(sub if rows is None else sub.take_rows(rows), min_leaf=min_leaf,
+                          rng=ref_rng, feature_sample=sample)
+    return _flatten(ref), ref_rng
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("min_leaf", [1, 2, 5])
+def test_grow_many_matches_the_recursive_reference_per_task(seed, min_leaf):
+    raw = random_mixed_dataset(np.random.default_rng(400 + seed), 120, 6)
+    for ds in (raw, _with_ties(raw), _all_nominal(raw)):
+        tasks = _mixed_tasks(ds, seed)
+        references = [_reference_task(ds, task, min_leaf) for task in tasks]
+        grown = dict(tree_mod.grow_many(ds, tasks, min_leaf=min_leaf))
+        assert sorted(grown) == list(range(len(tasks)))
+        for i, (tree, ref_rng) in enumerate(references):
+            assert grown[i] == tree
+            assert tasks[i][2].bit_generator.state == ref_rng.bit_generator.state
+
+
+def test_grow_many_splits_a_step_over_the_element_and_row_caps(monkeypatch):
+    ds = random_mixed_dataset(np.random.default_rng(9), 150, 6)
+    tasks = _mixed_tasks(ds, 3)
+    references = [_reference_task(ds, task, 2) for task in tasks]
+    scans = []
+    scan = tree_mod._scan
+
+    def recorded(values, y, m, *args):
+        scans.append(m.copy())
+        return scan(values, y, m, *args)
+
+    monkeypatch.setattr(tree_mod, "_scan", recorded)
+    monkeypatch.setattr(tree_mod, "MAX_SCAN_ELEMENTS", 40)
+    monkeypatch.setattr(tree_mod, "MAX_ROWS_IN_FLIGHT", 200)
+    grown = dict(tree_mod.grow_many(ds, tasks))
+    assert [grown[i] for i in range(len(tasks))] == [tree for tree, _ in references]
+    assert any(m.size == 1 and m[0] > 40 for m in scans)  # a pair above the cap, alone
+    assert any(m.size > 1 for m in scans)
+    assert all(m.size == 1 or m.sum() <= 40 for m in scans)
+
+
+def test_grow_many_yields_each_tree_when_it_is_complete():
+    ds = random_mixed_dataset(np.random.default_rng(5), 200, 4)
+    pure = np.flatnonzero(ds.labels == 1)[:3]
+    order = [i for i, _ in tree_mod.grow_many(ds, [(range(4), None, None, None),
+                                                   ([0], pure, None, None)])]
+    assert order == [1, 0]
+    assert list(tree_mod.grow_many(ds, [])) == []
+
+
+@pytest.mark.parametrize("task, min_leaf, match", [
+    (((), None, None, None), 2, "no features"),
+    (([0], np.array([], dtype=np.int64), None, None), 2, "empty"),
+    (([0], None, None, 1), 2, "rng"),
+    (([0, 4], None, None, None), 2, "feature index out of range"),
+    (([-1], None, None, None), 2, "feature index out of range"),
+    (([0], None, None, None), 0, "min_leaf"),
+])
+def test_grow_many_argument_errors(task, min_leaf, match):
+    ds = make_dataset([("x", "numeric", [1.0, 2.0]), ("y", "numeric", [2.0, 1.0])], [0, 1])
+    fine = ([0, 1], None, None, None)
+    with pytest.raises(DatasetError, match=match):
+        list(tree_mod.grow_many(ds, [fine, task], min_leaf=min_leaf))
 
 
 def test_deep_chain_tree_needs_no_recursion():
@@ -588,9 +673,8 @@ MIDPOINT_REPROS = [(1.0000000000000002, 1.0000000000000004), (1e308, 1.7e308)]
 
 @pytest.mark.parametrize("lower, upper", [(1.0, 2.0), *MIDPOINT_REPROS, (-1.7e308, -1e308)])
 def test_numeric_split_threshold_lies_in_lower_upper(lower, upper):
-    values = np.array([lower, upper] * 5)
-    y = np.array([0, 1] * 5)
-    _, threshold = _numeric_split(values, y, 5, 1.0, xlog2x_table(10))
+    ds = make_dataset([("x", "numeric", [lower, upper] * 5)], [0, 1] * 5)
+    threshold = grow(ds, min_leaf=1)[0].threshold
     mid = (lower + upper) / 2.0
     assert threshold == cut_threshold(lower, upper) == (mid if lower <= mid < upper else lower)
     assert lower <= threshold < upper
