@@ -33,7 +33,9 @@ split from every tree in flight and scores all their (node, numeric
 feature) pairs in one vectorised scan (``_scan``), sorted per pair by one
 float argsort and one stable sort on the pair id; nominal pairs keep
 ``partition_gain``. The split nodes' rows then move into their branches by
-one stable sort. Two bounds keep the memory flat however many trees are
+one stable sort, which keeps each branch's rows in their order: a tree's
+rows start in the order of its first numeric column's values, so its
+pairs on that column are scanned with no sort at all. Two bounds keep the memory flat however many trees are
 asked for and however wide they are: the trees in flight hold at most
 ``MAX_ROWS_IN_FLIGHT`` rows, and one scan covers at most
 ``MAX_SCAN_ELEMENTS`` (row, feature) elements; a single tree, or a single
@@ -249,7 +251,7 @@ def _ranges(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
     return np.repeat(starts + lengths - ends, lengths) + np.arange(ends[-1] if ends.size else 0)
 
 
-def _scan(values, y, m, attack, entropy, xl):
+def _scan(values, y, m, attack, entropy, xl, presorted=False):
     """The best cut of each segment of ``values``: ``(ratio, lower, upper)``,
     one entry per segment, with ratio -inf where no cut is admissible.
 
@@ -266,10 +268,13 @@ def _scan(values, y, m, attack, entropy, xl):
     each product commuted). A segment's best cut is its first highest gain
     ratio, the lowest threshold; ``cut_threshold(lower, upper)`` places it.
     """
-    seg = np.repeat(np.arange(m.size, dtype=np.min_scalar_type(m.size)), m)
-    order = np.argsort(values)
-    order = order[np.argsort(seg[order], kind="stable")]  # seg[order] is seg again
-    vs = values[order]
+    if presorted:
+        vs = values
+    else:
+        seg = np.repeat(np.arange(m.size, dtype=np.min_scalar_type(m.size)), m)
+        order = np.argsort(values)
+        order = order[np.argsort(seg[order], kind="stable")]  # seg[order] is seg again
+        vs, y = values[order], y[order]
     end = np.cumsum(m)
     rise = vs[:-1] < vs[1:]
     rise[end[:-1] - 1] = False  # no cut between two segments
@@ -280,14 +285,14 @@ def _scan(values, y, m, attack, entropy, xl):
         return ratio, lower, upper
     # Per cut: its segment's values repeated, and the counts left and right
     # of it. In-place steps keep each formula's operations and their order.
-    prefix = np.cumsum(y[order], dtype=np.intp)
+    prefix = np.cumsum(y, dtype=np.intp)
     per = np.searchsorted(cuts, end)
     per[1:] -= per[:-1].copy()  # cuts per segment
     start = end - m
     n = np.repeat(m, per)
     n_left = cuts - np.repeat(start - 1, per)
     a_left = prefix[cuts]
-    a_left -= np.repeat(prefix[start] - y[order[start]], per)
+    a_left -= np.repeat(prefix[start] - y[start], per)
     n_right = n - n_left
     a_right = np.repeat(attack, per) - a_left
     f_left = n_left.astype(np.float64)
@@ -334,13 +339,21 @@ class _Growing:
     """A tree in flight: its task's columns, rng and feature sample, a buffer
     of its rows that each split reorders in place, the pre-order stack of
     ``(lo, hi, attack, parent)`` buffer ranges still to grow, and its node
-    records for ``_link``."""
+    records for ``_link``.
 
-    __slots__ = ("index", "columns", "rng", "sample", "rows", "stack", "records", "codes")
+    The buffer starts in the order of the first numeric column's values
+    (``key``), and each split keeps each branch's rows in their order, so
+    every node's rows stay in that order and its scans on ``key`` need no sort.
+    """
+
+    __slots__ = ("index", "columns", "rng", "sample", "key", "rows", "stack", "records",
+                 "codes")
 
     def __init__(self, index, columns, rows, rng, sample, labels):
         self.index, self.columns, self.rng, self.sample = index, columns, rng, sample
-        self.rows = rows
+        self.key = next((f for f, col in enumerate(columns) if col.kind == "numeric"), -1)
+        self.rows = (rows[np.argsort(columns[self.key].values[rows])] if self.key >= 0
+                     else rows.copy())
         self.stack = [(0, rows.size, int(np.count_nonzero(labels[rows])), -1)]
         self.records = array("d")
         self.codes: dict[int, tuple[int, ...]] = {}
@@ -389,7 +402,7 @@ def _start(ds: Dataset, labels: np.ndarray, index: int, task) -> _Growing:
         raise DatasetError("cannot grow a tree with no features")
     if features[0] < 0 or features[-1] >= len(ds.columns):
         raise DatasetError(f"feature index out of range: {features}")
-    rows = np.arange(ds.row_count) if rows is None else np.array(rows, dtype=np.intp)
+    rows = np.arange(ds.row_count) if rows is None else np.asarray(rows, dtype=np.intp)
     if rows.size == 0:
         raise DatasetError("cannot grow a tree on an empty dataset")
     if feature_sample is not None and rng is None:
@@ -439,23 +452,26 @@ def _step(growing: list[_Growing], labels, xl, min_leaf: int) -> None:
     columns = [nodes[k][0].columns[f] for k, f in pairs]
     ratio = np.full(len(pairs), -np.inf)
     lower, upper = np.zeros(len(pairs)), np.zeros(len(pairs))
-    numeric = []
-    for p, (k, _) in enumerate(pairs):
+    numeric = ([], [])  # numeric pairs to sort, and those on their tree's key
+    for p, (k, f) in enumerate(pairs):
         if columns[p].kind == "numeric":
-            numeric.append(p)
+            numeric[f == nodes[k][0].key].append(p)
         else:
             ratio[p] = _nominal_ratio(columns[p].values[rows[k]],
                                       y[offset[k]:offset[k] + m[k]], float(entropy[k]), xl)
-    ends = np.cumsum(m[[pairs[p][0] for p in numeric]]).tolist()
-    i = 0
-    while i < len(numeric):
-        j = max(i + 1, bisect.bisect_right(ends, (ends[i - 1] if i else 0) + MAX_SCAN_ELEMENTS))
-        run = numeric[i:j]
-        k = np.array([pairs[p][0] for p in run])
-        values = np.concatenate([columns[p].values[rows[pairs[p][0]]] for p in run])
-        ratio[run], lower[run], upper[run] = _scan(
-            values, y[_ranges(offset[k], m[k])], m[k], attack[k], entropy[k], xl)
-        i = j
+    for presorted, scanned in enumerate(numeric):
+        scanned_node = [pairs[p][0] for p in scanned]
+        ends = np.cumsum(m[scanned_node]).tolist()
+        scanned, scanned_node = np.array(scanned, dtype=np.intp), np.array(scanned_node, dtype=np.intp)
+        i = 0
+        while i < len(scanned):
+            j = max(i + 1, bisect.bisect_right(ends, (ends[i - 1] if i else 0) + MAX_SCAN_ELEMENTS))
+            run, k = scanned[i:j], scanned_node[i:j]
+            values = np.concatenate([columns[p].values[rows[pairs[p][0]]] for p in run.tolist()])
+            ratio[run], lower[run], upper[run] = _scan(
+                values, y[_ranges(offset[k], m[k])], m[k], attack[k], entropy[k], xl,
+                presorted=bool(presorted))
+            i = j
 
     # Each node's split: (feature, threshold, codes) and the branch of each
     # of its rows; a node with no admissible split keeps its rows as a leaf.

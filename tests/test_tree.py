@@ -548,9 +548,9 @@ def test_grow_many_splits_a_step_over_the_element_and_row_caps(monkeypatch):
     scans = []
     scan = tree_mod._scan
 
-    def recorded(values, y, m, *args):
+    def recorded(values, y, m, *args, **kwargs):
         scans.append(m.copy())
-        return scan(values, y, m, *args)
+        return scan(values, y, m, *args, **kwargs)
 
     monkeypatch.setattr(tree_mod, "_scan", recorded)
     monkeypatch.setattr(tree_mod, "MAX_SCAN_ELEMENTS", 40)
