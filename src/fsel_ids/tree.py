@@ -35,11 +35,11 @@ float argsort and one stable sort on the pair id; nominal pairs keep
 ``partition_gain``. The split nodes' rows then move into their branches by
 one stable sort, which keeps each branch's rows in their order: a tree's
 rows start in the order of its first numeric column's values, so its
-pairs on that column are scanned with no sort at all. Two bounds keep the memory flat however many trees are
-asked for and however wide they are: the trees in flight hold at most
-``MAX_ROWS_IN_FLIGHT`` rows, and one scan covers at most
-``MAX_SCAN_ELEMENTS`` (row, feature) elements; a single tree, or a single
-pair, may exceed its bound alone.
+pairs on that column are scanned with no sort at all. Two bounds keep the
+memory flat however many trees are asked for and however wide they are:
+the trees in flight hold at most ``MAX_ROWS_IN_FLIGHT`` rows, and one scan
+covers at most ``MAX_SCAN_ELEMENTS`` (row, feature) elements; a single
+tree, or a single pair, may exceed its bound alone.
 
 Every count that enters an entropy or split-info term is an integer from 0
 to the row count n, so ``grow_many`` computes ``k * log2(k)`` for k = 0..n
@@ -419,7 +419,8 @@ def _step(growing: list[_Growing], labels, xl, min_leaf: int) -> None:
     A node's features are drawn from its tree's rng as it comes off its
     tree's stack, so every tree takes its draws in its own pre-order.
     Numeric pairs are scanned in runs of at most ``MAX_SCAN_ELEMENTS``
-    (row, feature) elements, a single pair exceeding it alone; nominal
+    (row, feature) elements, a single pair exceeding it alone, those on
+    their tree's ``key`` column in runs of their own that need no sort; nominal
     pairs are scored one by one with ``partition_gain``. A node splits on
     its first pair of the highest ratio, so the lowest feature wins ties,
     and the split nodes' rows are reordered into their branches at once.
@@ -460,14 +461,14 @@ def _step(growing: list[_Growing], labels, xl, min_leaf: int) -> None:
             ratio[p] = _nominal_ratio(columns[p].values[rows[k]],
                                       y[offset[k]:offset[k] + m[k]], float(entropy[k]), xl)
     for presorted, scanned in enumerate(numeric):
-        scanned_node = [pairs[p][0] for p in scanned]
-        ends = np.cumsum(m[scanned_node]).tolist()
-        scanned, scanned_node = np.array(scanned, dtype=np.intp), np.array(scanned_node, dtype=np.intp)
+        ends = np.cumsum(m[[pairs[p][0] for p in scanned]]).tolist()
         i = 0
         while i < len(scanned):
-            j = max(i + 1, bisect.bisect_right(ends, (ends[i - 1] if i else 0) + MAX_SCAN_ELEMENTS))
-            run, k = scanned[i:j], scanned_node[i:j]
-            values = np.concatenate([columns[p].values[rows[pairs[p][0]]] for p in run.tolist()])
+            start = ends[i - 1] if i else 0
+            j = max(i + 1, bisect.bisect_right(ends, start + MAX_SCAN_ELEMENTS))
+            run = scanned[i:j]
+            k = np.array([pairs[p][0] for p in run])
+            values = np.concatenate([columns[p].values[rows[pairs[p][0]]] for p in run])
             ratio[run], lower[run], upper[run] = _scan(
                 values, y[_ranges(offset[k], m[k])], m[k], attack[k], entropy[k], xl,
                 presorted=bool(presorted))

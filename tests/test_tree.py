@@ -508,7 +508,8 @@ def _mixed_tasks(ds, seed):
     d, n = len(ds.columns), ds.row_count
     tasks = []
     for t in range(9):
-        features = sorted(draw.choice(d, size=int(draw.integers(1, d + 1)), replace=False).tolist())
+        width = int(draw.integers(1, d + 1))
+        features = sorted(draw.choice(d, size=width, replace=False).tolist())
         rows = (None, draw.integers(0, n, size=n),
                 np.sort(draw.choice(n, size=n // 2, replace=False)))[t % 3]
         sample = (None, 1, 2)[t // 3]
