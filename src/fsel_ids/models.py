@@ -574,9 +574,13 @@ def model_from_json(text: str) -> tuple[PreprocessPlan, TrainedModel]:
     if doc.get("version") != MODEL_VERSION:
         raise ModelError(f"unsupported model version {shown(doc.get('version'))}")
     try:
-        missing = sorted({f.name for f in fields(TrainParams)} - set(doc["params"]))
+        known = {f.name for f in fields(TrainParams)}
+        missing = sorted(known - set(doc["params"]))
         if missing:
             raise ModelError(f"params lacks {missing}")
+        unknown = sorted(set(doc["params"]) - known)
+        if unknown:  # as TrainParams(**params) would raise it, with the names cut short
+            raise TypeError(f"params has unknown fields {shown(unknown)}")
         params = TrainParams(**doc["params"])
         plan = plan_from_doc(doc["plan"])
         names = plan.output_names

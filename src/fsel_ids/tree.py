@@ -257,16 +257,16 @@ def _scan(values, y, m, attack, entropy, xl, presorted=False):
 
     ``values`` and ``y`` (its 0/1 labels) hold segments of ``m`` rows each,
     one after another; a segment has ``attack`` attack rows and label entropy
-    ``entropy``, and ``xl[k]`` is k*log2(k). Each segment is sorted on its
-    own, by a float argsort and then a stable sort on the segment id (a
-    radix sort on small ids); how equal values are ordered does not matter,
-    since a cut falls only between distinct ones. Cuts
-    fall between neighbouring distinct values of one segment and are
-    admissible where the gain is positive; each cut's gain and split info
-    are computed in one pass, with the operation order of evaluating one
-    segment alone (``f_left * (x / f_left) + f_right * (z / f_right)``,
-    each product commuted). A segment's best cut is its first highest gain
-    ratio, the lowest threshold; ``cut_threshold(lower, upper)`` places it.
+    ``entropy``, and ``xl[k]`` is k*log2(k). Unless ``presorted``, each
+    segment is sorted on its own, by a float argsort and then a stable sort
+    on the segment id (a radix sort on small ids); how equal values are
+    ordered does not matter, since a cut falls only between distinct ones.
+    Cuts are admissible where the gain is positive; each cut's gain and
+    split info are computed in one pass, with the operation order of
+    evaluating one segment alone (``f_left * (x / f_left) + f_right * (z /
+    f_right)``, each product commuted). A segment's best cut is its first
+    highest gain ratio, the lowest threshold; ``cut_threshold(lower,
+    upper)`` places it.
     """
     if presorted:
         vs = values
@@ -336,8 +336,9 @@ def _branch(values, threshold, codes=(), default=0) -> np.ndarray:
 
 
 class _Growing:
-    """A tree in flight: its task's columns, rng and feature sample, a buffer
-    of its rows that each split reorders in place, the pre-order stack of
+    """The tree of ``grow_many``'s task ``index``, in flight: its columns,
+    rng and feature sample (None when it samples nothing), a buffer of its
+    rows that each split reorders in place, the pre-order stack of
     ``(lo, hi, attack, parent)`` buffer ranges still to grow, and its node
     records for ``_link``.
 
@@ -349,12 +350,25 @@ class _Growing:
     __slots__ = ("index", "columns", "rng", "sample", "key", "rows", "stack", "records",
                  "codes")
 
-    def __init__(self, index, columns, rows, rng, sample, labels):
-        self.index, self.columns, self.rng, self.sample = index, columns, rng, sample
-        self.key = next((f for f, col in enumerate(columns) if col.kind == "numeric"), -1)
-        self.rows = (rows[np.argsort(columns[self.key].values[rows])] if self.key >= 0
+    def __init__(self, ds: Dataset, index: int, task):
+        features, rows, rng, sample = task
+        features = sorted(set(int(f) for f in features))
+        if not features:
+            raise DatasetError("cannot grow a tree with no features")
+        if features[0] < 0 or features[-1] >= len(ds.columns):
+            raise DatasetError(f"feature index out of range: {features}")
+        rows = np.arange(ds.row_count) if rows is None else np.asarray(rows, dtype=np.intp)
+        if rows.size == 0:
+            raise DatasetError("cannot grow a tree on an empty dataset")
+        if sample is not None and rng is None:
+            raise DatasetError("feature sampling needs an rng")
+        self.index, self.rng = index, rng
+        self.columns = tuple(ds.columns[f] for f in features)
+        self.sample = sample if sample is not None and sample < len(features) else None
+        self.key = next((f for f, col in enumerate(self.columns) if col.kind == "numeric"), -1)
+        self.rows = (rows[np.argsort(self.columns[self.key].values[rows])] if self.key >= 0
                      else rows.copy())
-        self.stack = [(0, rows.size, int(np.count_nonzero(labels[rows])), -1)]
+        self.stack = [(0, rows.size, int(np.count_nonzero(ds.labels[rows])), -1)]
         self.records = array("d")
         self.codes: dict[int, tuple[int, ...]] = {}
 
@@ -372,9 +386,8 @@ def grow_many(ds: Dataset, tasks, *, min_leaf: int = 2):
     """
     if min_leaf < 1:
         raise DatasetError(f"min_leaf must be >= 1, got {min_leaf}")
-    labels = ds.labels
     xl = xlog2x_table(ds.row_count)  # enlarged for a task that lists more rows
-    started = (_start(ds, labels, i, task) for i, task in enumerate(tasks))
+    started = (_Growing(ds, i, task) for i, task in enumerate(tasks))
     waiting = next(started, None)
     growing: list[_Growing] = []
     in_flight = 0
@@ -386,30 +399,12 @@ def grow_many(ds: Dataset, tasks, *, min_leaf: int = 2):
             if waiting.rows.size >= xl.size:
                 xl = xlog2x_table(waiting.rows.size)
             waiting = next(started, None)
-        _step(growing, labels, xl, min_leaf)
+        _step(growing, ds.labels, xl, min_leaf)
         for g in growing:
             if not g.stack:
                 in_flight -= g.rows.size
                 yield g.index, _link(g.records, g.codes)
         growing = [g for g in growing if g.stack]
-
-
-def _start(ds: Dataset, labels: np.ndarray, index: int, task) -> _Growing:
-    """The checked task ``index`` as a tree in flight at its root."""
-    features, rows, rng, feature_sample = task
-    features = sorted(set(int(f) for f in features))
-    if not features:
-        raise DatasetError("cannot grow a tree with no features")
-    if features[0] < 0 or features[-1] >= len(ds.columns):
-        raise DatasetError(f"feature index out of range: {features}")
-    rows = np.arange(ds.row_count) if rows is None else np.asarray(rows, dtype=np.intp)
-    if rows.size == 0:
-        raise DatasetError("cannot grow a tree on an empty dataset")
-    if feature_sample is not None and rng is None:
-        raise DatasetError("feature sampling needs an rng")
-    sampling = feature_sample is not None and feature_sample < len(features)
-    return _Growing(index, tuple(ds.columns[f] for f in features), rows, rng,
-                    feature_sample if sampling else None, labels)
 
 
 def _step(growing: list[_Growing], labels, xl, min_leaf: int) -> None:

@@ -449,8 +449,10 @@ def test_evaluate_rejects_a_model_file_nested_too_deep(toy_split, tmp_path, caps
     (lambda doc: doc["plan"]["selected"].__setitem__(0, "x" * 100_000),
      "plan must fit each selected column exactly once: ['f1', 'xxxxxxxx"),
     (lambda doc: doc.update(version="9" * 100_000), "unsupported model version '999"),
+    (lambda doc: doc["params"].update({"x" * 100_000: 1}),
+     "malformed model document (TypeError: params has unknown fields ['xxxx"),
 ], ids=["seed-a-long-list", "threshold-a-long-list", "selected-a-long-name",
-        "version-a-long-string"])
+        "version-a-long-string", "param-a-long-name"])
 def test_a_long_value_in_a_rejected_model_is_shown_cut_short(toy_split, tmp_path, capsys, edit,
                                                             names):
     run_dir = tmp_path / "run"
