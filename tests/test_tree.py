@@ -502,17 +502,19 @@ def test_forest_roots_match_recursive_reference(seed):
 
 def _mixed_tasks(ds, seed):
     """Grow tasks over ``ds`` that differ in features, rows and sampling:
-    all rows, a bootstrap draw with repeats, and a sorted half, each with
-    and without a feature sample from the task's own rng."""
+    all rows, a bootstrap draw with repeats, a sorted half, and every row
+    twice (more rows than ``ds`` has), each with and without a feature
+    sample from the task's own rng."""
     draw = np.random.default_rng(seed)
     d, n = len(ds.columns), ds.row_count
     tasks = []
-    for t in range(9):
+    for t in range(12):
         width = int(draw.integers(1, d + 1))
         features = sorted(draw.choice(d, size=width, replace=False).tolist())
         rows = (None, draw.integers(0, n, size=n),
-                np.sort(draw.choice(n, size=n // 2, replace=False)))[t % 3]
-        sample = (None, 1, 2)[t // 3]
+                np.sort(draw.choice(n, size=n // 2, replace=False)),
+                np.tile(np.arange(n), 2))[t % 4]
+        sample = (None, 1, 2)[t // 4]
         tasks.append((features, rows, np.random.default_rng(1000 * seed + t), sample))
     return tasks
 
