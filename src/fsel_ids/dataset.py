@@ -106,8 +106,17 @@ class Dataset:
         if matrix.shape[1:] != (len(names),):
             raise DatasetError(f"{len(names)} column names for a matrix of shape {matrix.shape}")
         _frozen(matrix)
-        return cls(tuple(Column(name, "numeric", matrix[:, j]) for j, name in enumerate(names)),
-                   labels, matrix)
+        # One scan checks every column: a NaN or inf makes the min or the max
+        # non-finite. Column's own check then names the first bad column.
+        if matrix.size and not (math.isfinite(matrix.min()) and math.isfinite(matrix.max())):
+            for j, name in enumerate(names):
+                Column(name, "numeric", matrix[:, j])
+        columns = []
+        for j, name in enumerate(names):  # checked Columns, made without a scan per view
+            col = object.__new__(Column)
+            col.__dict__.update(name=name, kind="numeric", values=matrix[:, j], categories=())
+            columns.append(col)
+        return cls(tuple(columns), labels, matrix)
 
     @property
     def row_count(self) -> int:

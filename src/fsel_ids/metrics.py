@@ -126,7 +126,8 @@ class EvaluationReport:
         return self.fs_seconds + self.train_seconds
 
 
-# Builds a report from keyword fields; acc, dr and far follow from ``cm``.
+# The name perfbench/selftest.py builds its reports by; the package calls
+# ``EvaluationReport`` itself.
 build_report = EvaluationReport
 
 

@@ -270,16 +270,15 @@ def _predict_forest(trees: tuple[Tree, ...], ds: Dataset, params: TrainParams) -
 
 
 def _fit_naive_bayes(train: Dataset, params: TrainParams) -> dict:
-    y = train.labels
-    n = train.row_count
-    counts = [int(np.count_nonzero(y == c)) for c in (0, 1)]
+    masks = [train.labels == c for c in (0, 1)]
+    counts = [int(np.count_nonzero(mask)) for mask in masks]
     for c, have in enumerate(counts):
         if have == 0:
             raise ModelError(f"class {c} has no training rows")
-    log_prior = [math.log(have / n) for have in counts]
+    log_prior = [math.log(have / train.row_count) for have in counts]
     means, variances = [], []
     for col in train.columns:
-        v = [col.values[y == c] for c in (0, 1)]
+        v = [col.values[mask] for mask in masks]
         means.append([float(vc.mean()) for vc in v])
         variances.append([max(float(vc.var()), NB_VAR_FLOOR) for vc in v])
     return _nb_from_doc({"log_prior": log_prior, "mean": means, "var": variances},
@@ -373,12 +372,10 @@ def _predict_knn(p: dict, ds: Dataset, params: TrainParams) -> np.ndarray:
 
 
 def sigmoid(z: np.ndarray) -> np.ndarray:
-    out = np.empty_like(z, dtype=np.float64)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+    """1 / (1 + exp(-z)) where z >= 0 and exp(z) / (1 + exp(z)) elsewhere, so
+    that no exp overflows: both are one division by 1 + e, e = exp(-|z|)."""
+    e = np.exp(-np.abs(z))
+    return np.where(z >= 0, 1.0, e) / (1.0 + e)
 
 
 def mlp_init(d: int, hidden: int, seed: int) -> dict[str, np.ndarray]:
@@ -411,7 +408,9 @@ def mlp_grads(params: dict[str, np.ndarray], x: np.ndarray, y: np.ndarray) -> di
     hidden = sigmoid(x @ params["w1"] + params["b1"])
     z = hidden @ params["w2"] + params["b2"][0]
     dz = (sigmoid(z) - y) / len(y)
-    d_hidden = np.outer(dz, params["w2"]) * hidden * (1.0 - hidden)
+    d_hidden = dz[:, None] * params["w2"]
+    d_hidden *= hidden
+    d_hidden *= 1.0 - hidden
     return {
         "w1": x.T @ d_hidden,
         "b1": d_hidden.sum(axis=0),
@@ -432,9 +431,9 @@ def _fit_mlp(train: Dataset, params: TrainParams) -> dict[str, np.ndarray]:
         with np.errstate(over="ignore", invalid="ignore"):
             for start in range(0, len(x), params.batch_size):
                 batch = order[start:start + params.batch_size]
-                grads = mlp_grads(weights, x[batch], y[batch])
-                for key in weights:
-                    weights[key] = weights[key] - params.mlp_learning_rate * grads[key]
+                for key, grad in mlp_grads(weights, x[batch], y[batch]).items():
+                    grad *= params.mlp_learning_rate
+                    weights[key] -= grad
             loss = mlp_loss(weights, x, y)
         if not math.isfinite(loss):
             raise ModelError(f"mlp training diverged at epoch {epoch} (loss {loss})")
@@ -459,21 +458,31 @@ def svm_objective(w: np.ndarray, b: float, x: np.ndarray, s: np.ndarray, lam: fl
 def _fit_svm(train: Dataset, params: TrainParams) -> dict:
     x = train.as_matrix()
     s = train.labels.astype(np.float64) * 2.0 - 1.0
+    signs = s.tolist()
     n, d = x.shape
     w = np.zeros(d)
     b = 0.0
     rng = np.random.default_rng(params.seed)
     trace = [svm_objective(w, b, x, s, params.svm_lambda)]
+    # A step is w - lr * (2 lambda w - s_i x_i) if the margin is below 1, else
+    # w - lr * (2 lambda w), computed in place through t. Since s_i is +-1,
+    # t - s_i x_i is t - x_i or t + x_i exactly, so every weight is the float
+    # the expression gives. Scalars go in as 0-d arrays, which ufuncs take faster.
+    twice_lambda = np.array(2.0 * params.svm_lambda)
+    t = np.empty(d)
+    add, multiply, subtract = np.add, np.multiply, np.subtract
     for epoch in range(params.svm_epochs):
         lr = params.svm_learning_rate / (1.0 + epoch)
+        rate = np.array(lr)
         with np.errstate(over="ignore", invalid="ignore"):  # as in _fit_mlp
-            for i in rng.permutation(n):
-                margin = s[i] * (float(x[i] @ w) + b)
-                if margin < 1.0:
-                    w = w - lr * (2.0 * params.svm_lambda * w - s[i] * x[i])
-                    b = b + lr * s[i]
-                else:
-                    w = w - lr * (2.0 * params.svm_lambda * w)
+            for i in rng.permutation(n).tolist():
+                xi, si = x[i], signs[i]
+                multiply(w, twice_lambda, t)
+                if si * (float(xi.dot(w)) + b) < 1.0:
+                    (subtract if si > 0.0 else add)(t, xi, t)
+                    b = b + lr * si
+                multiply(t, rate, t)
+                subtract(w, t, w)
             value = svm_objective(w, b, x, s, params.svm_lambda)
         if not math.isfinite(value):
             raise ModelError(f"svm training diverged at epoch {epoch} (objective {value})")

@@ -18,7 +18,7 @@ import numpy as np
 
 from .dataset import Dataset, load_csv, stratified_subsample
 from .filters import FILTER_METHODS, FilterScores, score_features
-from .metrics import EvaluationReport, build_report, confusion
+from .metrics import EvaluationReport, confusion
 from .models import (TrainedModel, TrainParams, check_field_types, fit_model, params_from_dict,
                      predict_model)
 from .preprocess import PreprocessPlan, apply_preprocess, fit_preprocess
@@ -229,7 +229,7 @@ def evaluate_model(
     started = time.perf_counter()
     predictions = predict_model(model, apply_preprocess(plan, test))
     eval_seconds = time.perf_counter() - started
-    report = build_report(
+    report = EvaluationReport(
         dataset=dataset,
         fs_method=fs_method,
         selected_count=len(plan.selected),

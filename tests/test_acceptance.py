@@ -20,7 +20,7 @@ from fsel_ids.filters import feature_codes, relief_weights, score_features
 from fsel_ids.metrics import (
     ConfusionMatrix,
     accuracy,
-    build_report,
+    EvaluationReport,
     confusion,
     detection_rate,
     false_alarm_rate,
@@ -209,7 +209,7 @@ def test_metric_arithmetic_and_rate_identity():
         tp, tn, fp, fn = (int(v) for v in rng.integers(0, 500, size=4))
         if tp + fn == 0 or fp + tn == 0:
             continue
-        report = build_report(
+        report = EvaluationReport(
             dataset="synthetic",
             fs_method="none",
             selected_count=1,

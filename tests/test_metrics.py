@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from fsel_ids.metrics import (
     ConfusionMatrix,
+    EvaluationReport,
     MetricsError,
     accuracy,
     build_report,
@@ -95,10 +96,11 @@ def sample_report(**overrides):
         eval_seconds=0.25,
     )
     fields.update(overrides)
-    return build_report(**fields)
+    return EvaluationReport(**fields)
 
 
 def test_build_report_computes_metrics():
+    assert build_report is EvaluationReport  # the name the benchmark's self-test imports
     report = sample_report()
     assert report.acc == 85.0
     assert report.dr == 80.0
