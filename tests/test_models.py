@@ -439,6 +439,142 @@ def test_a_diverged_fit_raises_without_a_warning(algorithm, overrides):
             fit_model(diverging_data(), params_from_dict(algorithm, overrides))
 
 
+def masked_sigmoid(z):
+    """The sigmoid as it was first written: each sign's branch over a mask."""
+    out = np.empty_like(z, dtype=np.float64)
+    pos = z >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ez = np.exp(z[~pos])
+    out[~pos] = ez / (1.0 + ez)
+    return out
+
+
+def test_sigmoid_is_the_masked_formula_bit_for_bit():
+    tiny, edges = 5e-324, [709.0, 710.0, 745.0, np.inf]
+    special = [0.0, tiny] + edges
+    z = np.concatenate([special, [-v for v in special], [np.nan],
+                        np.random.default_rng(35).normal(0, 20, 1001)])
+    with np.errstate(over="ignore"):
+        want, got = masked_sigmoid(z), models.sigmoid(z)
+    assert np.array_equal(got, want, equal_nan=True)
+    # NaN carries no meaningful sign; every other value keeps the reference's
+    number = ~np.isnan(want)
+    assert np.array_equal(np.signbit(got[number]), np.signbit(want[number]))
+    assert got[[0, 1, 6, 7]].tolist() == [0.5] * 4  # +-0.0 and +-5e-324
+
+
+def reference_fit_svm(x, labels, params):
+    """``_fit_svm`` as it was first written: a new w at every step.
+    Returns the payload arrays, or the ModelError message."""
+    s = labels.astype(np.float64) * 2.0 - 1.0
+    n, d = x.shape
+    w, b = np.zeros(d), 0.0
+    rng = np.random.default_rng(params.seed)
+    trace = [svm_objective(w, b, x, s, params.svm_lambda)]
+    branches = set()
+    for epoch in range(params.svm_epochs):
+        lr = params.svm_learning_rate / (1.0 + epoch)
+        with np.errstate(over="ignore", invalid="ignore"):
+            for i in rng.permutation(n):
+                margin = s[i] * (float(x[i] @ w) + b)
+                branches.add(bool(margin < 1.0))
+                if margin < 1.0:
+                    w = w - lr * (2.0 * params.svm_lambda * w - s[i] * x[i])
+                    b = b + lr * s[i]
+                else:
+                    w = w - lr * (2.0 * params.svm_lambda * w)
+            value = svm_objective(w, b, x, s, params.svm_lambda)
+        if not math.isfinite(value):
+            return f"svm training diverged at epoch {epoch} (objective {value})", branches
+        trace.append(value)
+    return {"w": w, "b": np.asarray(b), "objective_trace": np.asarray(trace)}, branches
+
+
+def reference_fit_mlp(x, labels, params):
+    """``_fit_mlp`` as it was first written, with the masked sigmoid,
+    ``np.outer`` and a new array at every update."""
+    def grads(weights, xb, yb):
+        hidden = masked_sigmoid(xb @ weights["w1"] + weights["b1"])
+        z = hidden @ weights["w2"] + weights["b2"][0]
+        dz = (masked_sigmoid(z) - yb) / len(yb)
+        d_hidden = np.outer(dz, weights["w2"]) * hidden * (1.0 - hidden)
+        return {"w1": xb.T @ d_hidden, "b1": d_hidden.sum(axis=0),
+                "w2": hidden.T @ dz, "b2": np.asarray([dz.sum()])}
+
+    y = labels.astype(np.float64)
+    weights = mlp_init(x.shape[1], params.hidden_units, params.seed)
+    rng = np.random.default_rng(params.seed + 1)
+    for epoch in range(params.mlp_epochs):
+        order = rng.permutation(len(x))
+        with np.errstate(over="ignore", invalid="ignore"):
+            for start in range(0, len(x), params.batch_size):
+                batch = order[start:start + params.batch_size]
+                g = grads(weights, x[batch], y[batch])
+                for key in weights:
+                    weights[key] = weights[key] - params.mlp_learning_rate * g[key]
+            loss = mlp_loss(weights, x, y)
+        if not math.isfinite(loss):
+            return f"mlp training diverged at epoch {epoch} (loss {loss})"
+    return weights
+
+
+def sgd_split(seed, rows=301, width=13):
+    """A width that is not a multiple of 8, rows not a multiple of the batch."""
+    rng = np.random.default_rng(seed)
+    x = rng.normal(0, 1, (rows, width))
+    labels = (x[:, 0] + 0.5 * x[:, 1] + rng.normal(0, 0.8, rows) > 0).astype(np.uint8)
+    return numeric_ds(x, labels.tolist())
+
+
+def fitted_or_error(ds, params):
+    try:
+        return fit_model(ds, params).payload
+    except ModelError as error:
+        return str(error)
+
+
+@pytest.mark.parametrize("overrides", [
+    {"svm_epochs": 3}, {"svm_epochs": 2, "svm_lambda": 0.05, "svm_learning_rate": 0.7},
+    {"svm_epochs": 4, "svm_lambda": 1e-7, "seed": 9}])
+def test_svm_weights_match_the_first_loop_bit_for_bit(overrides):
+    ds = sgd_split(36)
+    params = params_from_dict("linear_svm", overrides)
+    want, branches = reference_fit_svm(ds.as_matrix(), ds.labels, params)
+    assert branches == {True, False}  # both steps were taken
+    got = fit_model(ds, params).payload
+    assert list(got) == list(want)
+    for key in want:
+        assert got[key].tobytes() == want[key].tobytes(), key
+
+
+@pytest.mark.parametrize("overrides", [
+    {"mlp_epochs": 3, "hidden_units": 5}, {"mlp_epochs": 2, "batch_size": 7, "mlp_learning_rate": 0.8},
+    {"mlp_epochs": 2, "hidden_units": 32, "seed": 4}])
+def test_mlp_weights_match_the_first_loop_bit_for_bit(overrides):
+    ds = sgd_split(37)
+    params = params_from_dict("mlp", overrides)
+    want = reference_fit_mlp(ds.as_matrix(), ds.labels, params)
+    got = fit_model(ds, params).payload
+    assert list(got) == list(want)
+    for key in want:
+        assert got[key].tobytes() == want[key].tobytes(), key
+
+
+@pytest.mark.parametrize("algorithm, overrides, epoch", [
+    ("linear_svm", {"svm_lambda": 1e6, "svm_epochs": 3}, 0),
+    ("linear_svm", {"svm_lambda": 25.0, "svm_epochs": 3}, 1),
+    ("mlp", {"mlp_learning_rate": 1e307, "mlp_epochs": 3}, 0),
+])
+def test_a_divergent_fit_fails_at_the_first_loops_epoch(algorithm, overrides, epoch):
+    ds = sgd_split(38, rows=230)
+    params = params_from_dict(algorithm, overrides)
+    reference = reference_fit_svm if algorithm == "linear_svm" else reference_fit_mlp
+    want = reference(ds.as_matrix(), ds.labels, params)
+    want = want[0] if algorithm == "linear_svm" else want
+    assert want.startswith(f"{algorithm.removeprefix('linear_')} training diverged at epoch {epoch} (")
+    assert fitted_or_error(ds, params) == want
+
+
 def one_shot_mlp_loss(params, x, y):
     """The mean cross-entropy over the whole matrix at once."""
     z = mlp_logits(params, x)

@@ -191,6 +191,28 @@ def test_from_matrix_needs_one_name_per_column():
             Dataset.from_matrix(names, np.zeros((4, 3)), np.zeros(4, np.uint8))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_from_matrix_rejects_a_non_finite_value_and_names_its_column(bad):
+    x = np.zeros((5, 4))
+    x[3, 2] = bad
+    with pytest.raises(DatasetError, match="^column 'c': non-finite values$"):
+        Dataset.from_matrix(["a", "b", "c", "d"], x, np.zeros(5, np.uint8))
+
+
+def test_from_matrix_takes_finite_values_at_the_float_limits():
+    # the largest floats of both signs, whose sum would overflow
+    x = np.full((3, 2), np.finfo(np.float64).max)
+    x[1] *= -1
+    out = Dataset.from_matrix(["a", "b"], x, np.zeros(3, np.uint8))
+    assert [(c.name, c.kind, c.categories) for c in out.columns] == [
+        ("a", "numeric", ()), ("b", "numeric", ())]
+    for j, col in enumerate(out.columns):
+        assert col.values.base is x and not col.values.flags.writeable
+        np.testing.assert_array_equal(col.values, x[:, j])
+    empty = Dataset.from_matrix(["a"], np.zeros((0, 1)), np.zeros(0, np.uint8))
+    assert empty.row_count == 0
+
+
 def test_select_and_take_rows_of_the_plan_output_are_plain_datasets():
     out = encode(mixed_ds())
     for part in (out.select([0, 3]), out.take_rows(np.array([4, 0, 6]))):
