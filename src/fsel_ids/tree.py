@@ -21,7 +21,7 @@ saved tree has no nominal split; those are grown only in memory, by the
 wrapper's merit trees on raw columns. Nothing in this module recurses, so
 tree depth is bounded by memory, not by the interpreter's recursion limit.
 ``grow`` and ``predict`` take row indices into one dataset, and ``_branch``
-sends them down a split for both.
+sends them down a split for both, and for ``grow_many``'s held-out rows.
 
 ``grow_many`` grows many independent trees in lock-step: a wrapper
 expansion's (subset, fold) trees, or a forest's trees. Each tree keeps its
@@ -37,9 +37,18 @@ one stable sort, which keeps each branch's rows in their order: a tree's
 rows start in the order of its first numeric column's values, so its
 pairs on that column are scanned with no sort at all. Two bounds keep the
 memory flat however many trees are asked for and however wide they are:
-the trees in flight hold at most ``MAX_ROWS_IN_FLIGHT`` rows, and one scan
-covers at most ``MAX_SCAN_ELEMENTS`` (row, feature) elements; a single
-tree, or a single pair, may exceed its bound alone.
+the trees in flight hold at most ``MAX_ROWS_IN_FLIGHT`` rows, held-out
+rows included, and one scan covers at most ``MAX_SCAN_ELEMENTS`` (row,
+feature) elements; a single tree, or a single pair, may exceed its bound
+alone.
+
+A wrapper merit needs of each fold tree only its count of correctly
+labelled held-out rows, so a ``grow_many`` task may carry held-out rows
+and yield that count in place of its tree. They ride behind the fit rows
+in each node's range of the buffer, unread by the scores, and move into
+their branches in the step's one stable sort, keyed by ``2 * branch id +
+held``; each leaf adds those of its majority class to the count. Such a
+tree keeps no nodes and is never predicted.
 
 Every count that enters an entropy or split-info term is an integer from 0
 to the row count n, so ``grow_many`` computes ``k * log2(k)`` for k = 0..n
@@ -66,11 +75,13 @@ from .dataset import Dataset, DatasetError, is_finite_number, shown
 # splitting on useless features.
 MIN_GAIN = 1e-12
 
-# Lock-step growth bounds: the rows of the trees grown at once, and the
-# (row, feature) elements that one vectorised scan scores. A single tree,
-# or a single (node, feature) pair, may exceed its bound alone.
+# Lock-step growth bounds: the rows of the trees grown at once, held-out
+# rows included, and the (row, feature) elements that one vectorised scan
+# scores. A single tree, or a single (node, feature) pair, may exceed its
+# bound alone. A scan has a fixed cost of tens of microseconds, and most of
+# a wrapper search's scans need no sort, so they take 8,192 elements.
 MAX_ROWS_IN_FLIGHT = 1 << 15
-MAX_SCAN_ELEMENTS = 1 << 12
+MAX_SCAN_ELEMENTS = 1 << 13
 
 
 @dataclass(frozen=True)
@@ -335,42 +346,85 @@ def _branch(values, threshold, codes=(), default=0) -> np.ndarray:
     return branch_of[values]
 
 
+def _task_rows(ds: Dataset, index: int, rows, part: str) -> np.ndarray:
+    """``rows`` as an index array, checked to hold integers in ``[0,
+    ds.row_count)``: a float would be truncated, and a boolean mask read as
+    rows 0 and 1."""
+    rows = np.asarray(rows)
+    if rows.size and rows.dtype.kind not in "iu":
+        raise DatasetError(f"task {index}: {part} rows are {rows.dtype}, not row indices")
+    rows = rows.astype(np.intp, copy=False)
+    outside = (rows < 0) | (rows >= ds.row_count)
+    if outside.any():
+        raise DatasetError(f"task {index}: {part} row {int(rows[outside][0])} is outside"
+                           f" [0, {ds.row_count})")
+    return rows
+
+
 class _Growing:
     """The tree of ``grow_many``'s task ``index``, in flight: its columns,
     rng and feature sample (None when it samples nothing), a buffer of its
     rows that each split reorders in place, the pre-order stack of
-    ``(lo, hi, attack, parent)`` buffer ranges still to grow, and its node
-    records for ``_link``.
+    ``(lo, mid, hi, attack, held_attack, parent)`` buffer ranges still to
+    grow, and its node records for ``_link``, or None when it counts its
+    ``correct`` held-out rows instead.
 
-    The buffer starts in the order of the first numeric column's values
-    (``key``), and each split keeps each branch's rows in their order, so
-    every node's rows stay in that order and its scans on ``key`` need no sort.
+    A node's fit rows are ``[lo, mid)``, ``attack`` of them attack rows,
+    and its held-out rows ``[mid, hi)``. The fit rows start in the order of
+    the first numeric column's values (``key``), and each split keeps each
+    branch's rows in their order, so every node's fit rows stay in that
+    order and its scans on ``key`` need no sort.
     """
 
     __slots__ = ("index", "columns", "rng", "sample", "key", "rows", "stack", "records",
-                 "codes")
+                 "codes", "correct")
 
     def __init__(self, ds: Dataset, index: int, task):
-        features, rows, rng, sample = task
+        features, rows, rng, sample, held_out = (*task, None) if len(task) == 4 else task
         features = sorted(set(int(f) for f in features))
         if not features:
             raise DatasetError("cannot grow a tree with no features")
         if features[0] < 0 or features[-1] >= len(ds.columns):
             raise DatasetError(f"feature index out of range: {features}")
-        rows = np.arange(ds.row_count) if rows is None else np.asarray(rows, dtype=np.intp)
+        rows = np.arange(ds.row_count) if rows is None else _task_rows(ds, index, rows, "fit")
         if rows.size == 0:
             raise DatasetError("cannot grow a tree on an empty dataset")
+        held = (np.empty(0, dtype=np.intp) if held_out is None
+                else _task_rows(ds, index, held_out, "held-out"))
         if sample is not None and rng is None:
             raise DatasetError("feature sampling needs an rng")
         self.index, self.rng = index, rng
         self.columns = tuple(ds.columns[f] for f in features)
         self.sample = sample if sample is not None and sample < len(features) else None
         self.key = next((f for f, col in enumerate(self.columns) if col.kind == "numeric"), -1)
-        self.rows = (rows[np.argsort(self.columns[self.key].values[rows])] if self.key >= 0
-                     else rows.copy())
-        self.stack = [(0, rows.size, int(np.count_nonzero(ds.labels[rows])), -1)]
-        self.records = array("d")
+        if self.key >= 0:
+            rows = rows[np.argsort(self.columns[self.key].values[rows])]
+        self.rows = np.concatenate((rows, held))
+        self.stack = [(0, rows.size, self.rows.size, int(np.count_nonzero(ds.labels[rows])),
+                       int(np.count_nonzero(ds.labels[held])), -1)]
+        self.records = array("d") if held_out is None else None
         self.codes: dict[int, tuple[int, ...]] = {}
+        self.correct = 0
+
+    def leaf(self, lo, mid, hi, attack, held_attack, parent) -> None:
+        """Record a leaf, or count its held-out rows that its majority,
+        attack when attack >= normal, labels correctly."""
+        m = mid - lo
+        if self.records is None:
+            self.correct += held_attack if 2 * attack >= m else hi - mid - held_attack
+        else:
+            self.records.extend((parent, m - attack, attack, -1, math.nan, 0))
+
+    def split(self, m, attack, parent, feature, threshold, codes, default) -> int:
+        """Record a split node of ``m`` fit rows; its node index, or -1 when
+        the tree keeps no records."""
+        if self.records is None:
+            return -1
+        here = len(self.records) // 6
+        self.records.extend((parent, m - attack, attack, feature, threshold, default))
+        if codes:
+            self.codes[here] = codes
+        return here
 
 
 def grow_many(ds: Dataset, tasks, *, min_leaf: int = 2):
@@ -383,6 +437,19 @@ def grow_many(ds: Dataset, tasks, *, min_leaf: int = 2):
     among the sorted ``features``. ``tasks`` may be any iterable; a task is
     taken, and checked, when its tree starts, so a lazy one can draw each
     tree's rows from its rng just in time.
+
+    A task may carry a fifth element, ``held_out`` rows (None is none).
+    Such a task yields ``(i, correct)`` in place of its tree: the number of
+    held-out rows that ``predict`` on the tree would label correctly. Its
+    buffer holds the fit rows, then the held-out rows, and each step's one
+    stable sort, keyed by ``2 * (node's first branch id + branch) + held``,
+    moves both into their branches, each branch's fit rows first. A nominal
+    split's default branch, the first largest by fit rows, takes a category
+    its fit rows never showed. Each leaf adds its held-out rows of its
+    majority class to the count, and the tree keeps no nodes. A row listed
+    twice, fit or held out, counts twice; a row outside ``[0,
+    ds.row_count)`` is refused. Held-out rows count toward
+    ``MAX_ROWS_IN_FLIGHT``, as the buffer holds them.
     """
     if min_leaf < 1:
         raise DatasetError(f"min_leaf must be >= 1, got {min_leaf}")
@@ -403,7 +470,7 @@ def grow_many(ds: Dataset, tasks, *, min_leaf: int = 2):
         for g in growing:
             if not g.stack:
                 in_flight -= g.rows.size
-                yield g.index, _link(g.records, g.codes)
+                yield g.index, g.correct if g.records is None else _link(g.records, g.codes)
         growing = [g for g in growing if g.stack]
 
 
@@ -416,33 +483,37 @@ def _step(growing: list[_Growing], labels, xl, min_leaf: int) -> None:
     Numeric pairs are scanned in runs of at most ``MAX_SCAN_ELEMENTS``
     (row, feature) elements, a single pair exceeding it alone, those on
     their tree's ``key`` column in runs of their own that need no sort; nominal
-    pairs are scored one by one with ``partition_gain``. A node splits on
-    its first pair of the highest ratio, so the lowest feature wins ties,
-    and the split nodes' rows are reordered into their branches at once.
+    pairs are scored one by one with ``partition_gain``. Scores read only a
+    node's fit rows. A node splits on its first pair of the highest ratio,
+    so the lowest feature wins ties, and the split nodes' rows, held-out
+    ones too, are reordered into their branches at once.
     """
-    nodes, pairs = [], []  # (tree, lo, hi, attack, parent); (node, feature) in node order
+    nodes, pairs = [], []  # (tree, lo, mid, hi, attack, held_attack, parent); (node, feature)
     widths = []  # features per node
     for g in growing:
         while g.stack:
-            lo, hi, attack, parent = g.stack.pop()
-            m = hi - lo
+            node = g.stack.pop()
+            lo, mid, _, attack, _, _ = node
+            m = mid - lo
             features = () if attack == 0 or attack == m or m < min_leaf else (
                 np.sort(g.rng.choice(len(g.columns), size=g.sample, replace=False)).tolist()
                 if g.sample is not None else range(len(g.columns)))
             if not features:
-                g.records.extend((parent, m - attack, attack, -1, math.nan, 0))
+                g.leaf(*node)
                 continue
             pairs.extend((len(nodes), f) for f in features)
             widths.append(len(features))
-            nodes.append((g, lo, hi, attack, parent))
+            nodes.append((g, *node))
             break
     if not nodes:
         return
-    m = np.array([hi - lo for _, lo, hi, _, _ in nodes])
-    attack = np.array([a for _, _, _, a, _ in nodes])
+    m = np.array([mid - lo for _, lo, mid, *_ in nodes])  # fit rows per node
+    size = np.array([hi - lo for _, lo, _, hi, *_ in nodes])  # fit and held-out rows
+    attack = np.array([node[4] for node in nodes])
     entropy = (xl[m] - xl[attack] - xl[m - attack]) / m
-    rows = [g.rows[lo:hi] for g, lo, hi, _, _ in nodes]
-    offset = np.cumsum(m) - m
+    rows = [g.rows[lo:hi] for g, lo, _, hi, *_ in nodes]
+    fit = [r[:k] for r, k in zip(rows, m.tolist())]
+    offset = np.cumsum(size) - size
     node_rows = np.concatenate(rows)
     y = labels[node_rows]
     columns = [nodes[k][0].columns[f] for k, f in pairs]
@@ -453,7 +524,7 @@ def _step(growing: list[_Growing], labels, xl, min_leaf: int) -> None:
         if columns[p].kind == "numeric":
             numeric[f == nodes[k][0].key].append(p)
         else:
-            ratio[p] = _nominal_ratio(columns[p].values[rows[k]],
+            ratio[p] = _nominal_ratio(columns[p].values[fit[k]],
                                       y[offset[k]:offset[k] + m[k]], float(entropy[k]), xl)
     for presorted, scanned in enumerate(numeric):
         ends = np.cumsum(m[[pairs[p][0] for p in scanned]]).tolist()
@@ -463,55 +534,59 @@ def _step(growing: list[_Growing], labels, xl, min_leaf: int) -> None:
             j = max(i + 1, bisect.bisect_right(ends, start + MAX_SCAN_ELEMENTS))
             run = scanned[i:j]
             k = np.array([pairs[p][0] for p in run])
-            values = np.concatenate([columns[p].values[rows[pairs[p][0]]] for p in run])
+            values = np.concatenate([columns[p].values[fit[pairs[p][0]]] for p in run])
             ratio[run], lower[run], upper[run] = _scan(
                 values, y[_ranges(offset[k], m[k])], m[k], attack[k], entropy[k], xl,
                 presorted=bool(presorted))
             i = j
 
-    # Each node's split: (feature, threshold, codes) and the branch of each
-    # of its rows; a node with no admissible split keeps its rows as a leaf.
+    # Each node's split: (feature, threshold, codes, default) and the branch
+    # of each of its rows; a node with no admissible split is a leaf.
     _, best = _first_max(ratio, widths)
     ratio, lower, upper = ratio.tolist(), lower.tolist(), upper.tolist()
     splits, branches = [], []
     for k, p in enumerate(best.tolist()):
         if ratio[p] == -math.inf:
             splits.append(None)
-            branches.append(np.zeros(m[k], dtype=np.intp))
+            branches.append(np.zeros(size[k], dtype=np.intp))
             continue
         values = columns[p].values[rows[k]]
         if columns[p].kind == "numeric":
-            threshold, codes = cut_threshold(lower[p], upper[p]), ()
+            threshold, codes, default = cut_threshold(lower[p], upper[p]), (), 0
         else:
-            threshold, codes = math.nan, tuple(np.flatnonzero(np.bincount(values)).tolist())
-        splits.append((pairs[p][1], threshold, codes))
-        branches.append(_branch(values, threshold, codes))
-    # One stable sort by (node, branch) moves every node's rows into its
-    # branches, each kept in row order.
+            seen = np.bincount(values[:m[k]])
+            present = np.flatnonzero(seen)
+            threshold, codes = math.nan, tuple(present.tolist())
+            default = int(np.argmax(seen[present]))
+        splits.append((pairs[p][1], threshold, codes, default))
+        branches.append(_branch(values, threshold, codes, default))
+    # One stable sort by 2 * (node's first branch id + branch) + held moves
+    # every node's rows into its branches: each branch's fit rows, kept in
+    # row order, then its held-out rows.
     counts = [1 if s is None else max(len(s[2]), 2) for s in splits]
-    key = np.repeat((np.cumsum(counts) - counts).astype(np.min_scalar_type(sum(counts))), m)
-    key += np.concatenate(branches).astype(key.dtype)  # small ids sort by radix
+    first = np.cumsum(counts) - counts
+    ids = 2 * sum(counts)
+    parts = np.repeat(2 * first, 2)
+    parts[1::2] += 1
+    key = np.repeat(parts.astype(np.min_scalar_type(ids)), np.column_stack((m, size - m)).ravel())
+    branch = np.concatenate(branches).astype(key.dtype)  # small ids sort by radix
+    key += branch
+    key += branch
     moved = node_rows[np.argsort(key, kind="stable")]
-    sizes = np.bincount(key).tolist()
-    attacks = np.bincount(key, weights=y).astype(np.int64).tolist()
-    b = 0
-    for (g, lo, hi, a, parent), split, count, at in zip(nodes, splits, counts, offset.tolist()):
+    sizes = np.bincount(key, minlength=ids).tolist()
+    attacks = np.bincount(key, weights=y, minlength=ids).astype(np.int64).tolist()
+    for node, split, count, b, at in zip(nodes, splits, counts, first.tolist(),
+                                         offset.tolist()):
+        g, lo, mid, hi, a, _, parent = node
         if split is None:
-            g.records.extend((parent, hi - lo - a, a, -1, math.nan, 0))
-            b += 1
+            g.leaf(*node[1:])
             continue
         g.rows[lo:hi] = moved[at:at + hi - lo]
-        branch_sizes = sizes[b:b + count]
-        feature, threshold, codes = split
-        default = branch_sizes.index(max(branch_sizes)) if codes else 0
-        here = len(g.records) // 6
-        g.records.extend((parent, hi - lo - a, a, feature, threshold, default))
-        if codes:
-            g.codes[here] = codes
-        for c in reversed(range(count)):  # the first branch is popped first
-            g.stack.append((hi - branch_sizes[c], hi, attacks[b + c], here))
-            hi -= branch_sizes[c]
-        b += count
+        here = g.split(mid - lo, a, parent, *split)
+        for c in reversed(range(2 * b, 2 * (b + count), 2)):  # the first branch pops first
+            mid = hi - sizes[c + 1]
+            g.stack.append((mid - sizes[c], mid, hi, attacks[c], attacks[c + 1], here))
+            hi = mid - sizes[c]
 
 
 def grow(

@@ -58,22 +58,23 @@ def _merits(
     an unpruned tree on the subset, each of ``stratified_folds``'s
     ``fold_rows`` held out in turn; the merit the search ranks subsets by.
 
-    Every (subset, fold) tree grows in one ``tree.grow_many`` call. Each
-    tree is scored on its held-out fold as soon as it is grown and then
-    dropped, and a merit is yielded once its folds and every earlier
-    subset's are scored.
+    Every (subset, fold) tree grows in one ``tree.grow_many`` call, which
+    counts each tree's correct held-out rows as it grows and builds no
+    tree. A fold's accuracy is that count over the fold's size, and a
+    merit is yielded once its folds and every earlier subset's are scored.
     """
     folds = len(fold_rows)
     everything = np.arange(train.row_count)
     fit_rows = [np.delete(everything, held_out) for held_out in fold_rows]
-    tasks = ((subset, fit_rows[f], None, None) for subset in subsets for f in range(folds))
+    tasks = ((subset, fit_rows[f], None, None, fold_rows[f])
+             for subset in subsets for f in range(folds))
     accuracies: dict[int, list] = {}
     done = 0
-    for i, tree in tree_mod.grow_many(train, tasks, min_leaf=min_leaf):
+    for i, correct in tree_mod.grow_many(train, tasks, min_leaf=min_leaf):
         s, f = divmod(i, folds)
-        scored = accuracies.setdefault(s, [None] * folds)
-        predicted = tree_mod.predict(tree, train.select(subsets[s]), fold_rows[f])
-        scored[f] = float(np.mean(predicted == train.labels[fold_rows[f]]))
+        # An exact count over the fold size, correctly rounded: the same
+        # float as the mean of the fold's per-row hits.
+        accuracies.setdefault(s, [None] * folds)[f] = correct / len(fold_rows[f])
         while done in accuracies and None not in accuracies[done]:
             yield float(np.mean(accuracies.pop(done)))
             done += 1

@@ -565,6 +565,80 @@ def test_grow_many_splits_a_step_over_the_element_and_row_caps(monkeypatch):
     assert all(m.size == 1 or m.sum() <= 40 for m in scans)
 
 
+def _held_out_tasks(ds, seed):
+    """Tasks that count their held-out hits, over ``ds``: fit rows drawn
+    with repeats, or every row but those of category 0 and most of category
+    1 in one nominal column, which is then in the task's features (alone in
+    some), so that a split on it sends its held-out category-0 rows to a
+    default branch other than the first; held-out rows drawn with repeats,
+    and one task with none."""
+    draw = np.random.default_rng(seed)
+    d, n = len(ds.columns), ds.row_count
+    nominal = [f for f, col in enumerate(ds.columns) if col.kind == "nominal"]
+    tasks = []
+    for t in range(9):
+        features = sorted(draw.choice(d, size=int(draw.integers(1, d + 1)),
+                                      replace=False).tolist())
+        fit, held = draw.integers(0, n, size=n), draw.integers(0, n, size=n // 3)
+        if t % 2 and nominal:
+            f = nominal[t % len(nominal)]
+            features = [f] if t % 4 == 1 else sorted({*features, f})
+            values = ds.columns[f].values
+            fit = np.flatnonzero((values != 0) & ((values != 1) | (draw.random(n) < 0.3)))
+            held = np.concatenate((held, np.flatnonzero(values == 0)))
+        tasks.append((features, fit, None, None, held if t < 8 else []))
+    return tasks
+
+
+def _held_out_hits(ds, task, min_leaf):
+    """(held-out rows that ``predict`` labels right, tree) of one task, by
+    ``grow`` and ``predict``."""
+    features, fit, _, _, held = task
+    sub = ds.select(features)
+    tree = grow(sub, fit, min_leaf=min_leaf)
+    held = np.asarray(held, dtype=np.intp)
+    return int(np.count_nonzero(predict(tree, sub, held) == ds.labels[held])), tree
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("min_leaf", [1, 2, 5])
+@pytest.mark.parametrize("small_caps", [False, True])
+def test_grow_many_counts_the_held_out_rows_predict_gets_right(seed, min_leaf, small_caps,
+                                                               monkeypatch):
+    if small_caps:
+        monkeypatch.setattr(tree_mod, "MAX_SCAN_ELEMENTS", 40)
+        monkeypatch.setattr(tree_mod, "MAX_ROWS_IN_FLIGHT", 200)
+    raw = random_mixed_dataset(np.random.default_rng(500 + seed), 120, 6)
+    unseen = 0  # held-out rows sent to a root's default branch, not its first
+    for ds in (raw, _with_ties(raw), _all_nominal(raw)):
+        scoring = _held_out_tasks(ds, seed)
+        expected = [_held_out_hits(ds, task, min_leaf) for task in scoring]
+        plain = [(f, rows, None, None) for f, rows, _, _ in _mixed_tasks(ds, seed)[:4]]
+        got = dict(tree_mod.grow_many(ds, scoring + plain, min_leaf=min_leaf))
+        assert [got[i] for i in range(len(scoring))] == [hits for hits, _ in expected]
+        assert [got[len(scoring) + i] for i in range(len(plain))] == [
+            grow(ds.select(f), rows, min_leaf=min_leaf) for f, rows, _, _ in plain]
+        for (features, _, _, _, held), (_, tree) in zip(scoring, expected):
+            root = tree[0]
+            if root.codes and 0 not in root.codes and root.default_child > 0:
+                unseen += np.count_nonzero(
+                    ds.columns[features[root.feature]].values[held] == 0)
+    assert unseen > 0
+
+
+def test_grow_many_sends_an_unseen_category_to_the_first_largest_branch():
+    # The fit rows show categories 1, 2 and 3 in 2, 6 and 6 rows, so held-out
+    # rows of category 0 go to category 2's branch, which predicts attack.
+    codes = [1] * 2 + [2] * 6 + [3] * 6 + [0] * 3
+    labels = [0, 0] + [1, 1, 1, 1, 1, 0] + [0] * 6 + [1, 1, 0]
+    ds = make_dataset([("x", "nominal", codes, ("c0", "c1", "c2", "c3"))], labels)
+    fit, held = np.arange(14), np.arange(14, 17)
+    tree = grow(ds, fit)
+    assert tree[0].codes == (1, 2, 3) and tree[0].default_child == 1
+    assert predict(tree, ds, held).tolist() == [1, 1, 1]
+    assert list(tree_mod.grow_many(ds, [([0], fit, None, None, held)])) == [(0, 2)]
+
+
 def test_grow_many_yields_each_tree_when_it_is_complete():
     ds = random_mixed_dataset(np.random.default_rng(5), 200, 4)
     pure = np.flatnonzero(ds.labels == 1)[:3]
@@ -581,6 +655,12 @@ def test_grow_many_yields_each_tree_when_it_is_complete():
     (([0, 4], None, None, None), 2, "feature index out of range"),
     (([-1], None, None, None), 2, "feature index out of range"),
     (([0], None, None, None), 0, "min_leaf"),
+    (([0, 1], [-1, 0], None, None), 2, r"task 1: fit row -1 is outside \[0, 2\)"),
+    (([0, 1], [0, 2], None, None), 2, r"task 1: fit row 2 is outside"),
+    (([0, 1], None, None, None, [1, -1]), 2, r"task 1: held-out row -1 is outside"),
+    (([0, 1], [0, 1], None, None, [2]), 2, r"task 1: held-out row 2 is outside"),
+    (([0, 1], [True, False], None, None), 2, r"task 1: fit rows are bool, not row indices"),
+    (([0, 1], [0, 1], None, None, [0.5]), 2, r"task 1: held-out rows are float64"),
 ])
 def test_grow_many_argument_errors(task, min_leaf, match):
     ds = make_dataset([("x", "numeric", [1.0, 2.0]), ("y", "numeric", [2.0, 1.0])], [0, 1])

@@ -114,6 +114,20 @@ def test_merit_matches_manual_fold_loop():
     assert got == float(np.mean(accs))
 
 
+def test_search_builds_and_predicts_no_tree(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a merit needs only its folds' held-out hits")
+
+    ds = search_dataset()
+    expected = best_first_search(ds, folds=3, stop_after=2)
+    monkeypatch.setattr(tree_mod, "predict", refuse)
+    monkeypatch.setattr(tree_mod, "_link", refuse)
+    subset, trace = best_first_search(ds, folds=3, stop_after=2)
+    assert subset == expected[0]
+    assert [(s.subset, s.merit) for s in trace.steps] == [
+        (s.subset, s.merit) for s in expected[1].steps]
+
+
 def test_merit_rejects_degenerate_folds():
     labels = [0] * 19 + [1]  # lone attack row starves its training split
     ds = make_dataset(
