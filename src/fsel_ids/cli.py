@@ -145,7 +145,7 @@ def _load_config(args, allow_grid: bool = False, replay: bool = False) -> tuple[
     if not replay and "train_path" not in doc:
         needs = "--train" if args.command in ("select", "train") else "--train and --test"
         raise ValueError(f"a run needs {needs} (or config fields)")
-    if "stop_after" in doc and doc["stop_after"] == 0:
+    if type(doc.get("stop_after")) is int and doc["stop_after"] == 0:  # not False or 0.0
         doc["stop_after"] = None
     return RunConfig(**doc), grid
 

@@ -40,6 +40,7 @@ def feature_codes(ds: Dataset, index: int, bins: int = 10) -> np.ndarray:
         raise DatasetError(f"bins must be >= 2, got {bins}")
     v = np.sort(col.values)
     n = v.size
+    bins = min(bins, n)  # more bins cut at the same positions 1..n-1 as n do
     # two cuts at one position give one edge
     edges = [cut_threshold(float(v[k - 1]), float(v[k]))
              for k in sorted({round(b * n / bins) for b in range(1, bins)})

@@ -8,18 +8,18 @@ always resolve to the attack class.
 
 ``ALGORITHM_TABLE`` is the one place that knows the families: it maps each
 tag to an ``Algorithm`` entry holding its fit, predict and from-doc
-functions, plus a to-doc function for the two tree families. ``fit_model``,
-``predict_model``, ``model_to_json`` and ``model_from_json`` look the tag
-up there, and ``ALGORITHMS`` lists the table's tags in order.
+functions. ``fit_model``, ``predict_model`` and ``model_from_json`` look the
+tag up there, and ``ALGORITHMS`` lists the table's tags in order.
 
 ``model_to_json`` saves a model with the plan it was fitted on as one
 ``model.json`` document of ``format``, ``version``, ``params``, ``plan``,
 ``train_seconds`` and ``payload``, and the model that ``model_from_json``
-reads back takes the plan's ``output_names`` as its feature signature. A
-payload is its document, with the same keys in the same order:
+reads back takes the plan's ``output_names`` as its feature signature.
+Every payload is its document, with the same keys in the same order, and
+is written as it is:
 
-- tree: a ``tree.Tree``, written as ``{"nodes": [...]}``;
-- forest: a tuple of ``Tree``s, written as a list of tree documents;
+- tree: a ``tree.Tree``, the document ``{"nodes": [...]}``;
+- forest: a tuple of tree documents, written as a list;
 - naive_bayes: ``{"log_prior", "mean", "var"}``: two log priors, and a
   (feature x class) mean and variance;
 - knn: ``{"matrix", "labels"}``;
@@ -128,8 +128,8 @@ class TrainParams:
             "svm_learning_rate": self.svm_learning_rate,
         }
         for name, value in positive.items():
-            if value <= 0:
-                raise ModelError(f"{name} must be positive, got {value}")
+            if not 0 < value < math.inf:  # NaN fails both
+                raise ModelError(f"{name} must be positive and finite, got {value}")
         if not (0.0 < self.confidence <= 0.5):
             raise ModelError(f"confidence must be in (0, 0.5], got {self.confidence}")
         if self.feature_sample is not None and self.feature_sample < 1:
@@ -504,23 +504,21 @@ class Algorithm:
 
     ``fit(train, params)`` returns the payload and ``predict(payload, ds,
     params)`` the uint8 class ids; ``from_doc(doc, width, params)`` reads the
-    payload of a model over ``width`` features back from its JSON document, and
-    ``to_doc`` writes it as one. A payload that is its own document needs no
-    ``to_doc``, and its fit returns it through ``from_doc``, so a fitted
-    payload is the one its document loads as.
+    payload of a model over ``width`` features back from its JSON document.
+    Every payload is its own document, written as it is; the array families'
+    fits return theirs through ``from_doc``, so a fitted payload is the one
+    its document loads as.
     """
 
     fit: Callable[[Dataset, TrainParams], object]
     predict: Callable[[object, Dataset, TrainParams], np.ndarray]
     from_doc: Callable[[dict, int, TrainParams], object]
-    to_doc: Callable[[object], object] | None = None
 
 
 ALGORITHM_TABLE = {
     "tree": Algorithm(_fit_tree, _predict_tree,
-                      lambda doc, width, params: tree_mod.from_doc(doc, width), tree_mod.to_doc),
-    "forest": Algorithm(_fit_forest, _predict_forest, _forest_from_doc,
-                        lambda trees: [tree_mod.to_doc(t) for t in trees]),
+                      lambda doc, width, params: tree_mod.from_doc(doc, width)),
+    "forest": Algorithm(_fit_forest, _predict_forest, _forest_from_doc),
     "naive_bayes": Algorithm(_fit_naive_bayes, _predict_naive_bayes, _nb_from_doc),
     "knn": Algorithm(_fit_knn, _predict_knn, _knn_from_doc),
     "mlp": Algorithm(_fit_mlp, _predict_mlp, _mlp_from_doc),
@@ -559,16 +557,15 @@ def model_to_json(plan: PreprocessPlan, model: TrainedModel) -> str:
     """The ``model.json`` document of ``model``, fitted on ``plan``'s output."""
     if model.feature_names != plan.output_names:
         raise ModelError("the model was not fitted on the plan's output")
-    to_doc = ALGORITHM_TABLE[model.algorithm].to_doc
     doc = {
         "format": MODEL_FORMAT,
         "version": MODEL_VERSION,
         "params": asdict(model.params),
         "plan": plan_to_doc(plan),
         "train_seconds": model.train_seconds,
-        "payload": model.payload if to_doc is None else to_doc(model.payload),
+        "payload": model.payload,
     }
-    return json.dumps(doc, default=_to_builtin)
+    return json.dumps(doc, default=_to_builtin, allow_nan=False)
 
 
 def model_from_json(text: str) -> tuple[PreprocessPlan, TrainedModel]:

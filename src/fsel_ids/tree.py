@@ -10,18 +10,22 @@ better than a leaf's.
 Labels are binary: 0 = normal, 1 = attack. Leaf prediction is the majority
 class with ties going to attack.
 
-A ``Tree`` is a tuple of ``TreeNode`` in pre-order, the root at index 0,
-first branch first; a split node's ``children`` are indices into that
-tuple, so no node holds another and comparing, hashing or printing a tree
-never recurses. The JSON document of a tree (``to_doc``/``from_doc``) is
-the same list, one entry per node: a leaf holds its ``counts``, a split
-node also its ``feature``, two ``children`` and numeric ``threshold``.
+A tree is its JSON document, ``{"nodes": [...]}``: one dict per node in
+pre-order, the root at index 0, first branch first. A leaf is ``{"counts":
+[normal, attack]}``, the training mass that reached it. A numeric split
+adds ``feature``, two ``children`` (node indices) and ``threshold``, in
+that key order, and sends a value <= threshold to its first child. A
+nominal split holds ``codes`` and ``default_child`` in place of
+``threshold``: one child per category id in ``codes``, an id not in them
+going to ``children[default_child]``, the first largest training branch.
+No node holds another, so comparing or printing a tree never recurses.
 Models are fitted on the preprocessing plan's all-numeric output, so a
-saved tree has no nominal split; those are grown only in memory, by the
-wrapper's merit trees on raw columns. Nothing in this module recurses, so
-tree depth is bounded by memory, not by the interpreter's recursion limit.
-``grow`` and ``predict`` take row indices into one dataset, and ``_branch``
-sends them down a split for both, and for ``grow_many``'s held-out rows.
+saved tree has no nominal split, and ``from_doc`` refuses one; those are
+grown only in memory, by the wrapper's merit trees on raw columns. Nothing
+in this module recurses, so tree depth is bounded by memory, not by the
+interpreter's recursion limit. ``grow`` and ``predict`` take row indices
+into one dataset, and ``_branch`` sends them down a split for both, and
+for ``grow_many``'s held-out rows.
 
 ``grow_many`` grows many independent trees in lock-step: a wrapper
 expansion's (subset, fold) trees, or a forest's trees. Each tree keeps its
@@ -64,8 +68,6 @@ from __future__ import annotations
 import bisect
 import math
 import statistics
-from array import array
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -84,88 +86,27 @@ MAX_ROWS_IN_FLIGHT = 1 << 15
 MAX_SCAN_ELEMENTS = 1 << 13
 
 
-@dataclass(frozen=True)
-class TreeNode:
-    """Leaf (no children) or split node over one feature.
-
-    counts is the training (normal, attack) mass that reached the node.
-    ``children`` holds the tree indices of the branches in order. A numeric
-    split sends value <= threshold to children[0]; a nominal split has one
-    child per observed category id in ``codes`` and routes unseen ids to
-    ``children[default_child]`` (the largest training branch).
-    """
-
-    counts: tuple[int, int]
-    feature: int = -1
-    threshold: float = math.nan
-    codes: tuple[int, ...] = ()
-    children: tuple[int, ...] = ()
-    default_child: int = 0
-
-    def __post_init__(self):
-        if self.children and len(self.children) < 2:
-            raise DatasetError("split nodes need at least 2 children")
-
-    @property
-    def is_leaf(self) -> bool:
-        return not self.children
-
-    @property
-    def prediction(self) -> int:
-        normal, attack = self.counts
-        return 1 if attack >= normal else 0
-
-
-Tree = tuple[TreeNode, ...]
-
-
-def _link(records: array, codes: dict[int, tuple[int, ...]]) -> Tree:
-    """Tree of the pre-order nodes in ``records``, six numbers each: parent,
-    normal and attack counts, feature (-1 at a leaf), threshold (NaN but at
-    a numeric split) and default child; ``codes`` holds each nominal split's
-    category codes by node index."""
-    table = np.frombuffer(records).reshape(-1, 6)
-    parent, normal, attack, feature, default = (
-        table[:, c].astype(np.int64).tolist() for c in (0, 1, 2, 3, 5))
-    children: list[list[int]] = [[] for _ in parent]
-    for i in range(1, len(parent)):
-        children[parent[i]].append(i)
-    return tuple(TreeNode((normal[i], attack[i]), feature[i], t if t == t else math.nan,
-                          codes.get(i, ()), tuple(children[i]), default[i])
-                 for i, t in enumerate(table[:, 4].tolist()))
-
-
-def to_doc(tree: Tree) -> dict:
-    """JSON-ready document of a tree of numeric splits: ``{"nodes": [...]}``,
-    one entry per node."""
-    nodes: list[dict] = []
-    for node in tree:
-        doc: dict = {"counts": list(node.counts)}
-        nodes.append(doc)
-        if not node.is_leaf:
-            doc.update(feature=node.feature, children=list(node.children),
-                       threshold=node.threshold)
-    return {"nodes": nodes}
+Tree = dict  # {"nodes": [...]}, in pre-order
 
 
 def from_doc(doc: dict, width: int) -> Tree:
-    """Inverse of ``to_doc`` for a tree over ``width`` features; rejects a
+    """The tree of a saved document over ``width`` features; rejects a
     document that is not a well-formed tree of finite thresholds on them."""
     nodes = doc["nodes"]
     if not nodes:
         raise DatasetError("tree document has no nodes")
     has_parent = [False] * len(nodes)
-    tree: list[TreeNode] = []
     for i, entry in enumerate(nodes):
         counts = entry["counts"]
         if len(counts) != 2 or not all(type(c) is int and c >= 0 for c in counts):
             raise DatasetError(f"tree document: node {i} has counts {shown(counts)},"
                                " not two non-negative integers")
-        counts = tuple(counts)
-        if "children" not in entry:
-            tree.append(TreeNode(counts))
+        if len(entry) == 1:  # counts alone: a leaf
             continue
-        children = tuple(entry["children"])
+        if entry.keys() != {"counts", "feature", "children", "threshold"}:
+            raise DatasetError(f"tree document: node {i} has codes or no threshold or other"
+                               f" keys: {shown(list(entry))}; a saved split is numeric")
+        children = entry["children"]
         for c in children:
             if type(c) is not int or not i < c < len(nodes) or has_parent[c]:
                 raise DatasetError(f"tree document: node {i} has child index {shown(c)}")
@@ -175,30 +116,26 @@ def from_doc(doc: dict, width: int) -> Tree:
             raise DatasetError(
                 f"tree node {i} splits on feature {shown(feature)}, but the model has {width}"
                 " features")
-        if "codes" in entry or "threshold" not in entry:
-            raise DatasetError(f"tree document: node {i} has codes or no threshold;"
-                               " a saved tree splits on numeric thresholds only")
         threshold = entry["threshold"]
         if not is_finite_number(threshold):
             raise DatasetError(f"tree document: node {i} has threshold {shown(threshold)}")
         if len(children) != 2:
             raise DatasetError(
                 f"tree document: numeric node {i} has {len(children)} children, not 2")
-        tree.append(TreeNode(counts, feature, float(threshold), (), children))
     if not all(has_parent[1:]):
         raise DatasetError(f"tree document: node {has_parent.index(False, 1)} has no parent")
-    return tuple(tree)
+    return {"nodes": nodes}
 
 
 def node_count(tree: Tree) -> int:
-    return len(tree)
+    return len(tree["nodes"])
 
 
 def depth(tree: Tree) -> int:
     # Children follow their parent, so one forward pass sees every parent first.
-    levels = [0] * len(tree)
-    for i, node in enumerate(tree):
-        for c in node.children:
+    levels = [0] * node_count(tree)
+    for i, node in enumerate(tree["nodes"]):
+        for c in node.get("children", ()):
             levels[c] = levels[i] + 1
     return max(levels)
 
@@ -335,14 +272,15 @@ def _scan(values, y, m, attack, entropy, xl, presorted=False):
     return ratio, lower, upper
 
 
-def _branch(values, threshold, codes=(), default=0) -> np.ndarray:
-    """The branch of each of ``values`` at a split: 1 above ``threshold``,
-    else 0; or with ``codes``, the position of its code in ``codes``, a code
-    not in ``codes`` going to branch ``default``."""
-    if not codes:
-        return values > threshold
-    branch_of = np.full(max(int(values.max(initial=0)), max(codes)) + 1, default)
-    branch_of[list(codes)] = np.arange(len(codes))
+def _branch(values, node: dict) -> np.ndarray:
+    """The branch of each of ``values`` at split ``node``: 1 above its
+    ``threshold``, else 0; or at a nominal split, the position of its code
+    in ``codes``, a code not in them going to branch ``default_child``."""
+    codes = node.get("codes")
+    if codes is None:
+        return values > node["threshold"]
+    branch_of = np.full(max(int(values.max(initial=0)), max(codes)) + 1, node["default_child"])
+    branch_of[codes] = np.arange(len(codes))
     return branch_of[values]
 
 
@@ -366,7 +304,7 @@ class _Growing:
     rng and feature sample (None when it samples nothing), a buffer of its
     rows that each split reorders in place, the pre-order stack of
     ``(lo, mid, hi, attack, held_attack, parent)`` buffer ranges still to
-    grow, and its node records for ``_link``, or None when it counts its
+    grow, and its node documents in pre-order, or None when it counts its
     ``correct`` held-out rows instead.
 
     A node's fit rows are ``[lo, mid)``, ``attack`` of them attack rows,
@@ -376,8 +314,8 @@ class _Growing:
     order and its scans on ``key`` need no sort.
     """
 
-    __slots__ = ("index", "columns", "rng", "sample", "key", "rows", "stack", "records",
-                 "codes", "correct")
+    __slots__ = ("index", "columns", "rng", "sample", "key", "rows", "stack", "nodes",
+                 "correct")
 
     def __init__(self, ds: Dataset, index: int, task):
         features, rows, rng, sample, held_out = (*task, None) if len(task) == 4 else task
@@ -402,29 +340,25 @@ class _Growing:
         self.rows = np.concatenate((rows, held))
         self.stack = [(0, rows.size, self.rows.size, int(np.count_nonzero(ds.labels[rows])),
                        int(np.count_nonzero(ds.labels[held])), -1)]
-        self.records = array("d") if held_out is None else None
-        self.codes: dict[int, tuple[int, ...]] = {}
+        self.nodes: list[dict] | None = [] if held_out is None else None
         self.correct = 0
 
     def leaf(self, lo, mid, hi, attack, held_attack, parent) -> None:
-        """Record a leaf, or count its held-out rows that its majority,
+        """Add a leaf, or count its held-out rows that its majority,
         attack when attack >= normal, labels correctly."""
         m = mid - lo
-        if self.records is None:
+        if self.nodes is None:
             self.correct += held_attack if 2 * attack >= m else hi - mid - held_attack
         else:
-            self.records.extend((parent, m - attack, attack, -1, math.nan, 0))
+            self.add(parent, {"counts": [m - attack, attack]})
 
-    def split(self, m, attack, parent, feature, threshold, codes, default) -> int:
-        """Record a split node of ``m`` fit rows; its node index, or -1 when
-        the tree keeps no records."""
-        if self.records is None:
-            return -1
-        here = len(self.records) // 6
-        self.records.extend((parent, m - attack, attack, feature, threshold, default))
-        if codes:
-            self.codes[here] = codes
-        return here
+    def add(self, parent: int, node: dict) -> int:
+        """Append ``node`` as the next child of node ``parent`` (-1 at the
+        root); its index."""
+        if parent >= 0:
+            self.nodes[parent]["children"].append(len(self.nodes))
+        self.nodes.append(node)
+        return len(self.nodes) - 1
 
 
 def grow_many(ds: Dataset, tasks, *, min_leaf: int = 2):
@@ -470,7 +404,7 @@ def grow_many(ds: Dataset, tasks, *, min_leaf: int = 2):
         for g in growing:
             if not g.stack:
                 in_flight -= g.rows.size
-                yield g.index, g.correct if g.records is None else _link(g.records, g.codes)
+                yield g.index, g.correct if g.nodes is None else {"nodes": g.nodes}
         growing = [g for g in growing if g.stack]
 
 
@@ -540,8 +474,8 @@ def _step(growing: list[_Growing], labels, xl, min_leaf: int) -> None:
                 presorted=bool(presorted))
             i = j
 
-    # Each node's split: (feature, threshold, codes, default) and the branch
-    # of each of its rows; a node with no admissible split is a leaf.
+    # Each node's split, its document but for counts, and the branch of each
+    # of its rows; a node with no admissible split is a leaf.
     _, best = _first_max(ratio, widths)
     ratio, lower, upper = ratio.tolist(), lower.tolist(), upper.tolist()
     splits, branches = [], []
@@ -551,19 +485,19 @@ def _step(growing: list[_Growing], labels, xl, min_leaf: int) -> None:
             branches.append(np.zeros(size[k], dtype=np.intp))
             continue
         values = columns[p].values[rows[k]]
+        split = {"feature": pairs[p][1], "children": []}
         if columns[p].kind == "numeric":
-            threshold, codes, default = cut_threshold(lower[p], upper[p]), (), 0
+            split["threshold"] = cut_threshold(lower[p], upper[p])
         else:
             seen = np.bincount(values[:m[k]])
             present = np.flatnonzero(seen)
-            threshold, codes = math.nan, tuple(present.tolist())
-            default = int(np.argmax(seen[present]))
-        splits.append((pairs[p][1], threshold, codes, default))
-        branches.append(_branch(values, threshold, codes, default))
+            split.update(codes=present.tolist(), default_child=int(np.argmax(seen[present])))
+        splits.append(split)
+        branches.append(_branch(values, split))
     # One stable sort by 2 * (node's first branch id + branch) + held moves
     # every node's rows into its branches: each branch's fit rows, kept in
     # row order, then its held-out rows.
-    counts = [1 if s is None else max(len(s[2]), 2) for s in splits]
+    counts = [1 if s is None else max(len(s.get("codes", ())), 2) for s in splits]
     first = np.cumsum(counts) - counts
     ids = 2 * sum(counts)
     parts = np.repeat(2 * first, 2)
@@ -582,7 +516,7 @@ def _step(growing: list[_Growing], labels, xl, min_leaf: int) -> None:
             g.leaf(*node[1:])
             continue
         g.rows[lo:hi] = moved[at:at + hi - lo]
-        here = g.split(mid - lo, a, parent, *split)
+        here = -1 if g.nodes is None else g.add(parent, {"counts": [mid - lo - a, a], **split})
         for c in reversed(range(2 * b, 2 * (b + count), 2)):  # the first branch pops first
             mid = hi - sizes[c + 1]
             g.stack.append((mid - sizes[c], mid, hi, attacks[c], attacks[c + 1], here))
@@ -632,39 +566,39 @@ def prune(tree: Tree, confidence: float = 0.25) -> Tree:
     """Bottom-up subtree replacement under the pessimistic error estimate.
 
     A subtree collapses to a leaf when the leaf's estimated errors do not
-    exceed the sum of its leaves' estimates. Returns a new tree; the input
-    is never mutated.
+    exceed the sum of its leaves' estimates. Returns a new tree of new
+    nodes; the input is never mutated.
     """
     if not (0.0 < confidence <= 0.5):
         raise DatasetError(f"confidence must be in (0, 0.5], got {confidence}")
+    nodes = tree["nodes"]
     # Children follow their parent, so a reverse scan sees every child's
     # estimate before its parent's.
-    estimate = [0.0] * len(tree)
-    collapse = [False] * len(tree)
-    for i in range(len(tree) - 1, -1, -1):
-        node = tree[i]
-        as_leaf = pessimistic_errors(min(node.counts), sum(node.counts), confidence)
+    estimate = [0.0] * len(nodes)
+    collapse = [False] * len(nodes)
+    for i in range(len(nodes) - 1, -1, -1):
+        counts, children = nodes[i]["counts"], nodes[i].get("children", ())
+        as_leaf = pessimistic_errors(min(counts), sum(counts), confidence)
         # A plain loop, not sum(): sum() of floats is compensated from
         # Python 3.12 and would change the estimates.
         subtree = 0.0
-        for c in node.children:
+        for c in children:
             subtree += estimate[c]
-        collapse[i] = node.is_leaf or as_leaf <= subtree + 1e-9
+        collapse[i] = not children or as_leaf <= subtree + 1e-9
         estimate[i] = as_leaf if collapse[i] else subtree
-    records, codes = array("d"), {}
+    pruned: list[dict] = []
     stack = [(0, -1)]
     while stack:
         i, parent = stack.pop()
-        node = tree[i]
+        if parent >= 0:
+            pruned[parent]["children"].append(len(pruned))
+        node = nodes[i]
         if collapse[i]:
-            records.extend((parent, *node.counts, -1, math.nan, 0))
+            pruned.append({"counts": list(node["counts"])})
             continue
-        here = len(records) // 6
-        records.extend((parent, *node.counts, node.feature, node.threshold, node.default_child))
-        if node.codes:
-            codes[here] = node.codes
-        stack.extend((c, here) for c in reversed(node.children))
-    return _link(records, codes)
+        stack.extend((c, len(pruned)) for c in reversed(node["children"]))
+        pruned.append({**node, "counts": list(node["counts"]), "children": []})
+    return {"nodes": pruned}
 
 
 def predict(tree: Tree, ds: Dataset, rows: np.ndarray | None = None) -> np.ndarray:
@@ -681,13 +615,14 @@ def predict(tree: Tree, ds: Dataset, rows: np.ndarray | None = None) -> np.ndarr
         i, at = stack.pop()
         if at.size == 0:
             continue
-        node = tree[i]
-        if node.is_leaf:
-            out[at] = node.prediction
+        node = tree["nodes"][i]
+        if "children" not in node:
+            normal, attack = node["counts"]
+            out[at] = 1 if attack >= normal else 0
             continue
-        branch = _branch(ds.columns[node.feature].values[rows[at]], node.threshold,
-                         node.codes, node.default_child)
-        branches = ([at[branch == b] for b in range(len(node.codes))] if node.codes
+        branch = _branch(ds.columns[node["feature"]].values[rows[at]], node)
+        codes = node.get("codes")
+        branches = ([at[branch == b] for b in range(len(codes))] if codes
                     else (at[~branch], at[branch]))
-        stack.extend(zip(node.children, branches))
+        stack.extend(zip(node["children"], branches))
     return out

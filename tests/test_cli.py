@@ -1189,6 +1189,9 @@ def test_bench_rejects_a_one_bin_grid_before_loading(toy_split, tmp_path, monkey
     ("folds", 1, "folds must be >= 2, got 1"),
     ("relief_neighbors", 0, "relief_neighbors must be >= 1, got 0"),
     ("stop_after", -2, "stop_after must be >= 1, got -2"),
+    # only an int 0 means an exhaustive search
+    ("stop_after", False, "config field 'stop_after' must be int | None, got False"),
+    ("stop_after", 0.0, "config field 'stop_after' must be int | None, got 0.0"),
     ("epsilon", -1, "epsilon must be >= 0, got -1"),
 ])
 def test_a_bad_selection_setting_fails_before_any_file_is_read(toy_split, tmp_path, monkeypatch,
@@ -1214,6 +1217,10 @@ def test_a_bad_selection_setting_fails_before_any_file_is_read(toy_split, tmp_pa
     (["--set", "k=2.5"], "hyperparameter 'k' must be int, got 2.5"),
     (["--algo", "tree", "--set", "algorithm=knn"],
      "unknown hyperparameters: ['algorithm']; set the algorithm with --algo"),
+    (["--set", "mlp_learning_rate=NaN"], "mlp_learning_rate must be positive and finite, got nan"),
+    (["--set", "svm_lambda=NaN"], "svm_lambda must be positive and finite, got nan"),
+    (["--set", "svm_learning_rate=Infinity"],
+     "svm_learning_rate must be positive and finite, got inf"),
 ])
 def test_a_bad_model_setting_fails_before_any_file_is_read(toy_split, tmp_path, monkeypatch,
                                                            capsys, command, flags, message):

@@ -1,4 +1,5 @@
 import math
+import signal
 from collections import Counter, defaultdict
 
 import numpy as np
@@ -194,6 +195,24 @@ def test_feature_codes_are_monotone_without_empty_bins():
     by_value = codes[np.argsort(values, kind="stable")]
     assert np.all(np.diff(by_value) >= 0)
     assert set(codes.tolist()) == set(range(codes.max() + 1))
+
+
+def _alarm(signum, frame):
+    raise TimeoutError("feature_codes did not finish")
+
+
+def test_feature_codes_with_more_bins_than_rows_cut_between_every_row():
+    rng = np.random.default_rng(8)
+    for values in (rng.normal(0, 1, 50), np.round(rng.normal(0, 1, 50), 1)):
+        column = numeric_column(values)
+        previous = signal.signal(signal.SIGALRM, _alarm)
+        signal.alarm(10)
+        try:
+            huge = feature_codes(column, 0, bins=10**12)
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+        assert huge.tolist() == feature_codes(column, 0, bins=values.size).tolist()
 
 
 def test_feature_codes_rejects_small_bins():

@@ -30,7 +30,6 @@ from fsel_ids.models import (
 from fsel_ids import models
 from fsel_ids.dataset import Column, Dataset, load_csv
 from fsel_ids.preprocess import apply_preprocess, fit_preprocess
-from fsel_ids.tree import TreeNode
 from fsel_ids.unsw import UNSW_SCHEMA
 
 from conftest import make_dataset, random_mixed_dataset, separable_dataset
@@ -77,6 +76,36 @@ def test_train_params_validation():
     with pytest.raises(ModelError, match="hyperparameter 'k' must be int"):
         TrainParams("knn", k=True)
     assert TrainParams("mlp", mlp_learning_rate=1, feature_sample=None).mlp_learning_rate == 1
+
+
+@pytest.mark.parametrize("name", ["mlp_learning_rate", "svm_lambda", "svm_learning_rate"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_train_params_rejects_a_rate_that_is_not_finite(name, value):
+    with pytest.raises(ModelError, match=f"{name} must be positive and finite, got {value}"):
+        TrainParams("tree", **{name: value})
+
+
+def test_model_to_json_writes_no_bare_nan_token():
+    # A tree payload is its document, written as it is: a NaN threshold put
+    # in memory is refused, not written as a token strict readers reject.
+    train = separable_dataset(np.random.default_rng(16), 40)
+    model = fit_model(train, params_from_dict("tree", {"prune": False}))
+    model.payload["nodes"][0]["threshold"] = math.nan
+    with pytest.raises(ValueError, match="not JSON compliant"):
+        model_to_json(fit_preprocess(train), model)
+
+
+@pytest.mark.parametrize("algorithm", ALGORITHMS)
+def test_a_saved_model_saves_again_byte_for_byte(algorithm):
+    # Two nominal columns one-hot encoded by the plan and two scaled ones;
+    # the tree is pruned.
+    raw = random_mixed_dataset(np.random.default_rng(18), 120, 6)
+    plan = fit_preprocess(raw, [0, 1, 3, 4])
+    assert [name for name, _ in plan.onehot] == ["f0", "f3"]
+    model = fit_model(apply_preprocess(plan, raw), small_params(algorithm))
+    text = model_to_json(plan, model)
+    assert model_to_json(*model_from_json(text)) == text
+    json.loads(text, parse_constant=lambda token: pytest.fail(f"bare {token} token"))
 
 
 def test_params_from_dict_rejects_unknown_keys():
@@ -141,8 +170,8 @@ def test_forest_with_one_full_tree_degenerates_to_tree():
 
 
 def test_forest_vote_tie_goes_to_attack():
-    always_normal = (TreeNode((5, 0)),)
-    always_attack = (TreeNode((0, 5)),)
+    always_normal = {"nodes": [{"counts": [5, 0]}]}
+    always_attack = {"nodes": [{"counts": [0, 5]}]}
     model = TrainedModel(
         TrainParams("forest", n_trees=2),
         ("x0",),

@@ -1,3 +1,4 @@
+import json
 import math
 import signal
 from dataclasses import dataclass
@@ -18,7 +19,6 @@ from fsel_ids.preprocess import apply_preprocess, fit_preprocess
 from fsel_ids.tree import (
     MIN_GAIN,
     Tree,
-    TreeNode,
     cut_threshold,
     depth,
     grow,
@@ -32,16 +32,14 @@ from conftest import make_dataset, random_mixed_dataset
 
 
 def leaf_count(tree: Tree) -> int:
-    return sum(node.is_leaf for node in tree)
+    return sum("children" not in node for node in tree["nodes"])
 
 
 def test_pure_labels_give_single_leaf():
     ds = make_dataset([("x", "numeric", [1.0, 2.0, 3.0])], [1, 1, 1])
     tree = grow(ds)
-    assert tree == (TreeNode((0, 3)),)
-    root = tree[0]
-    assert root.is_leaf
-    assert root.prediction == 1
+    assert tree == {"nodes": [{"counts": [0, 3]}]}
+    np.testing.assert_array_equal(predict(tree, ds), [1, 1, 1])
 
 
 def test_perfect_nominal_feature_splits_once():
@@ -50,8 +48,11 @@ def test_perfect_nominal_feature_splits_once():
         [("flag", "nominal", labels, ("off", "on"))], labels
     )
     tree = grow(ds)
-    assert tree[0].feature == 0
-    assert tree[0].codes == (0, 1)
+    assert tree == {"nodes": [
+        {"counts": [3, 3], "feature": 0, "children": [1, 2], "codes": [0, 1], "default_child": 0},
+        {"counts": [3, 0]},
+        {"counts": [0, 3]},
+    ]}
     assert depth(tree) == 1
     np.testing.assert_array_equal(predict(tree, ds), labels)
 
@@ -61,27 +62,23 @@ def test_hand_traced_numeric_tree():
         [("x", "numeric", [1.0, 2.0, 3.0, 4.0, 5.0])], [0, 0, 1, 1, 1]
     )
     tree = grow(ds, min_leaf=1)
-    root = tree[0]
-    assert root.feature == 0
-    assert root.threshold == 2.5
+    assert tree == {"nodes": [
+        {"counts": [2, 3], "feature": 0, "children": [1, 2], "threshold": 2.5},
+        {"counts": [2, 0]},
+        {"counts": [0, 3]},
+    ]}
     assert node_count(tree) == 3
     assert leaf_count(tree) == 2
-    left, right = (tree[c] for c in root.children)
-    assert left.counts == (2, 0) and left.prediction == 0
-    assert right.counts == (0, 3) and right.prediction == 1
+    np.testing.assert_array_equal(predict(tree, ds), [0, 0, 1, 1, 1])
     # boundary value routes into the <= branch
     probe = make_dataset([("x", "numeric", [2.5, 2.500001])], [0, 0])
     np.testing.assert_array_equal(predict(tree, probe), [0, 1])
 
 
 def test_leaf_tie_predicts_attack():
-    assert TreeNode((1, 1)).prediction == 1
-    assert TreeNode((0, 0)).prediction == 1
-
-
-def test_split_node_requires_two_children():
-    with pytest.raises(DatasetError, match="children"):
-        TreeNode((1, 1), feature=0, children=(1,))
+    ds = make_dataset([("x", "numeric", [0.0])], [0])
+    for counts in ([1, 1], [0, 0]):
+        np.testing.assert_array_equal(predict({"nodes": [{"counts": counts}]}, ds), [1])
 
 
 def oracle_entropy(attack, total):
@@ -137,19 +134,19 @@ def oracle_candidates(ds):
 def test_root_split_attains_best_gain_ratio(seed):
     rng = np.random.default_rng(seed)
     ds = random_mixed_dataset(rng, 50, 3)
-    root = grow(ds, min_leaf=2)[0]
+    root = grow(ds, min_leaf=2)["nodes"][0]
     candidates = oracle_candidates(ds)
     assert candidates, "oracle found no admissible split"
     best_ratio = max(r for _, _, r in candidates)
-    assert not root.is_leaf
-    if not root.codes:
+    assert "children" in root
+    if "codes" not in root:
         mine = [
             r
             for f, thr, r in candidates
-            if f == root.feature and thr == pytest.approx(root.threshold, abs=1e-12)
+            if f == root["feature"] and thr == pytest.approx(root["threshold"], abs=1e-12)
         ]
     else:
-        mine = [r for f, thr, r in candidates if f == root.feature and math.isnan(thr)]
+        mine = [r for f, thr, r in candidates if f == root["feature"] and math.isnan(thr)]
     assert len(mine) == 1
     assert mine[0] == pytest.approx(best_ratio, abs=1e-9)
 
@@ -167,7 +164,7 @@ def test_distinct_numeric_values_reproduce_training_labels():
 
 def test_min_leaf_larger_than_dataset_gives_leaf():
     ds = make_dataset([("x", "numeric", [1.0, 2.0, 3.0, 4.0])], [0, 1, 0, 1])
-    assert grow(ds, min_leaf=5) == (TreeNode((2, 2)),)
+    assert grow(ds, min_leaf=5) == {"nodes": [{"counts": [2, 2]}]}
 
 
 def test_unseen_category_routes_to_largest_child():
@@ -176,8 +173,9 @@ def test_unseen_category_routes_to_largest_child():
     labels = [0] * 6 + [1] * 3 + [1] * 2
     train = make_dataset([("proto", "nominal", codes, cats)], labels)
     tree = grow(train)
-    assert tree[0].codes == (0, 1, 2)
-    assert tree[0].default_child == 0  # six rows went down the first branch
+    # six rows went down the first branch
+    assert tree["nodes"][0] == {"counts": [6, 5], "feature": 0, "children": [1, 2, 3],
+                                "codes": [0, 1, 2], "default_child": 0}
     probe = make_dataset([("proto", "nominal", [3, 1], cats)], [0, 0])
     np.testing.assert_array_equal(predict(tree, probe), [0, 1])
 
@@ -197,7 +195,8 @@ def test_grow_and_predict_on_rows_match_the_taken_rows(seed):
             tree = grow(ds, rows, min_leaf=min_leaf, rng=mine_rng, feature_sample=sample)
             assert tree == grow(taken, min_leaf=min_leaf, rng=ref_rng, feature_sample=sample)
             assert mine_rng.bit_generator.state == ref_rng.bit_generator.state
-            assert {bool(node.codes) for node in tree if not node.is_leaf} == {True, False}
+            assert {"codes" in node for node in tree["nodes"] if "children" in node} == {
+                True, False}
             for probe in (rows, draw, np.arange(n)[::-1]):
                 np.testing.assert_array_equal(predict(tree, ds, probe),
                                               predict(tree, ds.take_rows(probe)))
@@ -213,9 +212,9 @@ def test_rows_of_a_category_unseen_at_a_node_take_its_default_child():
     fit_rows = np.arange(20)
     tree = grow(ds, fit_rows, min_leaf=1)
     assert tree == grow(ds.take_rows(fit_rows), min_leaf=1)
-    nominal = [node for node in tree if node.codes]
-    assert tree[0].codes == () and len(nominal) == 1
-    assert nominal[0].codes == (0, 1, 2) and nominal[0].default_child == 1
+    nominal = [node for node in tree["nodes"] if "codes" in node]
+    assert "threshold" in tree["nodes"][0]
+    assert [(node["codes"], node["default_child"]) for node in nominal] == [([0, 1, 2], 1)]
     probe = np.array([22, 15, 20, 3, 12, 22])
     np.testing.assert_array_equal(predict(tree, ds, probe), predict(tree, ds.take_rows(probe)))
     # "d" goes to the largest branch, proto "b"'s four attack rows
@@ -264,7 +263,7 @@ def test_pruning_never_grows_the_tree(seed):
     tree = grow(ds, min_leaf=1)
     pruned = prune(tree)
     assert node_count(pruned) <= node_count(tree)
-    assert pruned[0].counts == tree[0].counts
+    assert pruned["nodes"][0]["counts"] == tree["nodes"][0]["counts"]
     # pruned tree still routes every row somewhere
     assert predict(pruned, ds).shape == (80,)
 
@@ -280,19 +279,19 @@ def test_pruning_collapses_label_noise():
 
 
 def test_prune_leaf_is_identity():
-    leaf = (TreeNode((4, 1)),)
+    leaf = {"nodes": [{"counts": [4, 1]}]}
     assert prune(leaf) == leaf
 
 
 def test_prune_rejects_bad_confidence():
     with pytest.raises(DatasetError, match="confidence"):
-        prune((TreeNode((1, 1)),), confidence=0.0)
+        prune({"nodes": [{"counts": [1, 1]}]}, confidence=0.0)
 
 
 # Reference implementation: the recursive grower that ``grow`` replaced,
 # kept unchanged so that the iterative one can be checked against it for
 # equal trees, floats and rng draws included. It builds nested nodes, which
-# ``_flatten`` turns into a ``Tree``.
+# ``_flatten`` turns into a tree document.
 
 @dataclass(frozen=True, eq=False)
 class _RefNode:
@@ -305,17 +304,22 @@ class _RefNode:
 
 
 def _flatten(root: _RefNode) -> Tree:
-    """The pre-order ``Tree`` of a nested reference tree."""
-    nodes: list[tuple[_RefNode, list[int]]] = []
+    """The pre-order tree document of a nested reference tree."""
+    nodes: list[dict] = []
     stack = [(root, -1)]
     while stack:
         node, parent = stack.pop()
         if parent >= 0:
-            nodes[parent][1].append(len(nodes))
+            nodes[parent]["children"].append(len(nodes))
         stack.extend((child, len(nodes)) for child in reversed(node.children))
-        nodes.append((node, []))
-    return tuple(TreeNode(n.counts, n.feature, n.threshold, n.codes, tuple(kids), n.default_child)
-                 for n, kids in nodes)
+        doc = {"counts": list(node.counts)}
+        if node.children:
+            doc.update(feature=node.feature, children=[])
+            doc.update({"codes": list(node.codes), "default_child": node.default_child}
+                       if node.codes else {"threshold": node.threshold})
+        nodes.append(doc)
+    return {"nodes": nodes}
+
 
 def _xlog2x(v: np.ndarray) -> np.ndarray:
     out = np.zeros(v.shape, dtype=np.float64)
@@ -619,10 +623,10 @@ def test_grow_many_counts_the_held_out_rows_predict_gets_right(seed, min_leaf, s
         assert [got[len(scoring) + i] for i in range(len(plain))] == [
             grow(ds.select(f), rows, min_leaf=min_leaf) for f, rows, _, _ in plain]
         for (features, _, _, _, held), (_, tree) in zip(scoring, expected):
-            root = tree[0]
-            if root.codes and 0 not in root.codes and root.default_child > 0:
+            root = tree["nodes"][0]
+            if "codes" in root and 0 not in root["codes"] and root["default_child"] > 0:
                 unseen += np.count_nonzero(
-                    ds.columns[features[root.feature]].values[held] == 0)
+                    ds.columns[features[root["feature"]]].values[held] == 0)
     assert unseen > 0
 
 
@@ -634,7 +638,8 @@ def test_grow_many_sends_an_unseen_category_to_the_first_largest_branch():
     ds = make_dataset([("x", "nominal", codes, ("c0", "c1", "c2", "c3"))], labels)
     fit, held = np.arange(14), np.arange(14, 17)
     tree = grow(ds, fit)
-    assert tree[0].codes == (1, 2, 3) and tree[0].default_child == 1
+    assert tree["nodes"][0] == {"counts": [9, 5], "feature": 0, "children": [1, 2, 3],
+                                "codes": [1, 2, 3], "default_child": 1}
     assert predict(tree, ds, held).tolist() == [1, 1, 1]
     assert list(tree_mod.grow_many(ds, [([0], fit, None, None, held)])) == [(0, 2)]
 
@@ -682,9 +687,11 @@ def test_deep_chain_tree_needs_no_recursion():
     assert leaf_count(tree) == n
     np.testing.assert_array_equal(predict(tree, ds), labels)
     assert node_count(prune(tree)) <= node_count(tree)
-    twin = grow(ds, min_leaf=1)
-    assert tree == twin and hash(tree) == hash(twin)
-    assert repr(tree).startswith("(TreeNode(counts=(1000, 1000), feature=0")
+    assert tree == grow(ds, min_leaf=1)
+    assert tree["nodes"][:2] == [
+        {"counts": [1000, 1000], "feature": 0, "children": [1, 2], "threshold": 0.5},
+        {"counts": [1, 0]},
+    ]
 
     model = fit_model(ds, params_from_dict("tree", {"min_leaf": 1, "prune": False}))
     assert repr(model).startswith("TrainedModel(")
@@ -697,12 +704,8 @@ def test_deep_chain_tree_needs_no_recursion():
 def test_tree_document_is_flat_preorder():
     ds = make_dataset([("x", "numeric", [1.0, 2.0, 3.0, 4.0, 5.0])], [0, 0, 1, 1, 1])
     tree = grow(ds, min_leaf=1)
-    doc = tree_mod.to_doc(tree)
-    assert doc == {"nodes": [
-        {"counts": [2, 3], "feature": 0, "children": [1, 2], "threshold": 2.5},
-        {"counts": [2, 0]},
-        {"counts": [0, 3]},
-    ]}
+    doc = json.loads(json.dumps(tree))
+    assert json.dumps(tree) == json.dumps(_split_doc())
     assert tree_mod.from_doc(doc, 1) == tree
     doc["nodes"][0]["children"] = [1, 0]
     with pytest.raises(DatasetError, match="child index"):
@@ -727,6 +730,12 @@ def _split_doc(**root):
                 {"counts": [2, 0]}, {"counts": [0, 3]}]},
      "node 0 has codes or no threshold"),
     (_split_doc(feature=-1), "node 0 splits on feature -1"),
+    ({"nodes": [{"counts": [2, 3], "feature": 0, "children": [1], "threshold": 2.5},
+                {"counts": [2, 3]}]},
+     "numeric node 0 has 1 children"),
+    # a node with a key that its form does not have
+    ({"nodes": [{"counts": [2, 3], "threshold": 2.5}]}, "node 0 has .* other keys"),
+    (_split_doc(default_child=0), "node 0 has .* other keys"),
     ({"nodes": [{"counts": [2, 3], "feature": 0, "children": [1, 2, 3], "threshold": 2.5},
                 {"counts": [2, 0]}, {"counts": [0, 3]}, {"counts": [0, 0]}]},
      "numeric node 0 has 3 children"),
@@ -757,7 +766,7 @@ MIDPOINT_REPROS = [(1.0000000000000002, 1.0000000000000004), (1e308, 1.7e308)]
 @pytest.mark.parametrize("lower, upper", [(1.0, 2.0), *MIDPOINT_REPROS, (-1.7e308, -1e308)])
 def test_numeric_split_threshold_lies_in_lower_upper(lower, upper):
     ds = make_dataset([("x", "numeric", [lower, upper] * 5)], [0, 1] * 5)
-    threshold = grow(ds, min_leaf=1)[0].threshold
+    threshold = grow(ds, min_leaf=1)["nodes"][0]["threshold"]
     mid = (lower + upper) / 2.0
     assert threshold == cut_threshold(lower, upper) == (mid if lower <= mid < upper else lower)
     assert lower <= threshold < upper
@@ -778,5 +787,5 @@ def test_grow_splits_neighbouring_values_whose_midpoint_rounds_up(lower, upper):
         signal.alarm(0)
         signal.signal(signal.SIGALRM, previous)
     assert node_count(tree) == 3
-    assert tree[0].threshold == lower
+    assert tree["nodes"][0]["threshold"] == lower
     np.testing.assert_array_equal(predict(tree, ds), ds.labels)

@@ -121,7 +121,7 @@ def test_search_builds_and_predicts_no_tree(monkeypatch):
     ds = search_dataset()
     expected = best_first_search(ds, folds=3, stop_after=2)
     monkeypatch.setattr(tree_mod, "predict", refuse)
-    monkeypatch.setattr(tree_mod, "_link", refuse)
+    monkeypatch.setattr(tree_mod._Growing, "add", refuse)
     subset, trace = best_first_search(ds, folds=3, stop_after=2)
     assert subset == expected[0]
     assert [(s.subset, s.merit) for s in trace.steps] == [
