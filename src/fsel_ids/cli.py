@@ -177,11 +177,11 @@ def cmd_select(args) -> int:
     config, _ = _load_config(args)
     if config.fs == "none":
         raise ValueError("select needs an fs method other than 'none'")
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     train = load_file(config, config.train_path)
     _, (subset, fs_seconds, scores, trace) = subsample_and_select(train, config)
     names = subset_names(train, subset)
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
     _write_selection(out, config, train.feature_names, names, scores, trace)
     print(f"{config.fs}: selected {len(names)} features in {fs_seconds:.2f}s "
           f"-> {out / 'selected.json'}")
@@ -192,11 +192,11 @@ def cmd_select(args) -> int:
 
 def cmd_train(args) -> int:
     config, _ = _load_config(args)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     train, (subset, _, scores, trace) = subsample_and_select(
         load_file(config, config.train_path), config)
     plan, model, train_seconds = fit_for_config(train, subset, config)
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
     (out / "model.json").write_text(model_to_json(plan, model), encoding="utf-8")
     _write_selection(out, config, train.feature_names, subset_names(train, subset),
                      scores, trace)
@@ -212,16 +212,18 @@ def _write_report(report, out: Path) -> None:
 
 def cmd_evaluate(args) -> int:
     # A saved model reads only --test; --train, if given, names the report.
-    # --out is made once there is a report, so a rejected input leaves none.
     config, _ = _load_config(args, replay=args.model is not None)
-    out = Path(args.out)
     if args.model:
-        plan, model = model_from_json(Path(args.model).read_text(encoding="utf-8"))
+        try:
+            plan, model = model_from_json(Path(args.model).read_text(encoding="utf-8"))
+        except ValueError as exc:
+            raise ValueError(f"{args.model}: {exc}") from exc
         test = load_file(config, config.test_path)
         _, report = evaluate_model(plan, model, test, dataset=config.name, fs_method="saved",
                                    fs_seconds=0.0, train_seconds=model.train_seconds)
     else:
         report = run_pipeline(config).report
+    out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     _write_report(report, out)
     print(markdown_table([report]), end="")
@@ -317,8 +319,6 @@ def cmd_bench(args) -> int:
     algorithms = grid.get("algorithms") or [base.algorithm]
     rows = [dataclasses.replace(base, fs=fs) for fs in fs_methods]
     cells = [dataclasses.replace(row, algorithm=algo) for row in rows for algo in algorithms]
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     # Every cell shares one (train, test) pair; the columns are read-only.
     splits = load_splits(base)[:2]
     selections = _map(lambda i: subsample_and_select(splits[0], rows[i])[1],
@@ -330,6 +330,7 @@ def cmd_bench(args) -> int:
 
     outcomes = _map(run_cell, len(cells), args.jobs)
 
+    out = Path(args.out)
     reports, failures = [], []
     for i, (config, (report, error)) in enumerate(zip(cells, outcomes)):
         cell_dir = out / f"cell_{config.fs}_{config.algorithm}"

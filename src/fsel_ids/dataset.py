@@ -308,6 +308,8 @@ def stratified_subsample(ds: Dataset, fraction: float, seed: int) -> Dataset:
     """
     if not (0.0 < fraction <= 1.0):
         raise DatasetError(f"fraction must be in (0, 1], got {fraction}")
+    if ds.row_count == 0:
+        raise DatasetError("cannot subsample an empty dataset")
     rng = np.random.default_rng(seed)
     chosen = []
     for cls in (NORMAL, ATTACK):

@@ -84,7 +84,7 @@ def relief_weights(
         raise DatasetError(f"neighbors must be >= 1, got {neighbors}")
     n = ds.row_count
     d = len(ds.columns)
-    if n == 0 or d == 0:
+    if d == 0:
         return np.zeros(d, dtype=np.float64)
     labels = ds.labels
     for cls in (0, 1):
@@ -169,6 +169,8 @@ def score_features(
     """Run one filter scorer over every input feature."""
     if method not in FILTER_METHODS:
         raise DatasetError(f"unknown filter method {method!r}; pick from {FILTER_METHODS}")
+    if ds.row_count == 0:
+        raise DatasetError("cannot score the features of an empty dataset")
     if method == "relief":
         scores = relief_weights(
             ds, neighbors=neighbors, sample_count=sample_count, seed=seed
@@ -177,7 +179,7 @@ def score_features(
         n, y = ds.row_count, ds.labels.astype(np.int64)
         attack = int(np.count_nonzero(y))
         xl = xlog2x_table(n)
-        h_class = float((xl[n] - xl[attack] - xl[n - attack]) / max(n, 1))  # 0 for no rows
+        h_class = float((xl[n] - xl[attack] - xl[n - attack]) / n)
         values = []
         for f in range(len(ds.columns)):
             gain, split_info, branches = partition_gain(feature_codes(ds, f, bins), y, h_class, xl)

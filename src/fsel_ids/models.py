@@ -249,11 +249,8 @@ def _fit_forest(train: Dataset, params: TrainParams) -> tuple[Tree, ...]:
                 if params.bootstrap else None)
         return range(d), rows, rng, sample
 
-    trees: list = [None] * params.n_trees
-    for t, tree in tree_mod.grow_many(train, map(task, range(params.n_trees)),
-                                      min_leaf=params.min_leaf):
-        trees[t] = tree
-    return tuple(trees)
+    return tuple(tree_mod.grow_many(train, map(task, range(params.n_trees)),
+                                    min_leaf=params.min_leaf))
 
 
 def _forest_from_doc(doc: list, width: int, params: TrainParams) -> tuple[Tree, ...]:

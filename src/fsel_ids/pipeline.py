@@ -226,9 +226,10 @@ def evaluate_model(
     ``eval_seconds`` covers the replay and the prediction; the selection
     and training times are the caller's.
     """
-    started = time.perf_counter()
-    predictions = predict_model(model, apply_preprocess(plan, test))
-    eval_seconds = time.perf_counter() - started
+    with _stage("evaluate"):
+        started = time.perf_counter()
+        predictions = predict_model(model, apply_preprocess(plan, test))
+        eval_seconds = time.perf_counter() - started
     report = EvaluationReport(
         dataset=dataset,
         fs_method=fs_method,
@@ -259,10 +260,9 @@ def run_pipeline(config: RunConfig, splits: tuple[Dataset, Dataset] | None = Non
 
     plan, model, train_seconds = fit_for_config(train, subset, config)
 
-    with _stage("evaluate"):
-        predictions, report = evaluate_model(
-            plan, model, test, dataset=config.name, fs_method=config.fs,
-            fs_seconds=fs_seconds, train_seconds=train_seconds)
+    predictions, report = evaluate_model(
+        plan, model, test, dataset=config.name, fs_method=config.fs,
+        fs_seconds=fs_seconds, train_seconds=train_seconds)
 
     return PipelineResult(
         report=report,

@@ -23,9 +23,10 @@ Models are fitted on the preprocessing plan's all-numeric output, so a
 saved tree has no nominal split, and ``from_doc`` refuses one; those are
 grown only in memory, by the wrapper's merit trees on raw columns. Nothing
 in this module recurses, so tree depth is bounded by memory, not by the
-interpreter's recursion limit. ``grow`` and ``predict`` take row indices
-into one dataset, and ``_branch`` sends them down a split for both, and
-for ``grow_many``'s held-out rows.
+interpreter's recursion limit. ``grow`` and ``predict`` take whole
+datasets; a row subset, an rng or a feature sample is a ``grow_many``
+task's, and ``_branch`` sends rows down a split for growing and
+predicting alike.
 
 ``grow_many`` grows many independent trees in lock-step: a wrapper
 expansion's (subset, fold) trees, or a forest's trees. Each tree keeps its
@@ -363,17 +364,19 @@ class _Growing:
 
 def grow_many(ds: Dataset, tasks, *, min_leaf: int = 2):
     """Grow one unpruned tree per task of ``tasks``, many in lock-step, and
-    yield ``(i, tree)`` for the i-th task as soon as its tree is complete.
+    yield each task's tree in task order, as soon as it and every earlier
+    task's are complete; a result that is complete early waits until then.
 
-    A task is ``(features, rows, rng, feature_sample)``, and its tree is
-    ``grow(ds.select(features), rows, min_leaf=min_leaf, rng=rng,
-    feature_sample=feature_sample)``: a node's ``feature`` is its position
-    among the sorted ``features``. ``tasks`` may be any iterable; a task is
+    A task is ``(features, rows, rng, feature_sample)``. Its tree is grown
+    on ``ds.select(features).take_rows(rows)`` (every row when ``rows`` is
+    None), a node's ``feature`` being its position among the sorted
+    ``features``; with a ``feature_sample``, each node splits on that many
+    features drawn from ``rng``. ``tasks`` may be any iterable; a task is
     taken, and checked, when its tree starts, so a lazy one can draw each
     tree's rows from its rng just in time.
 
     A task may carry a fifth element, ``held_out`` rows (None is none).
-    Such a task yields ``(i, correct)`` in place of its tree: the number of
+    Such a task yields ``correct`` in place of its tree: the number of
     held-out rows that ``predict`` on the tree would label correctly. Its
     buffer holds the fit rows, then the held-out rows, and each step's one
     stable sort, keyed by ``2 * (node's first branch id + branch) + held``,
@@ -392,6 +395,7 @@ def grow_many(ds: Dataset, tasks, *, min_leaf: int = 2):
     waiting = next(started, None)
     growing: list[_Growing] = []
     in_flight = 0
+    done, yielded = {}, 0  # finished tasks' results by index; the results yielded
     while waiting is not None or growing:
         while waiting is not None and (
                 not growing or in_flight + waiting.rows.size <= MAX_ROWS_IN_FLIGHT):
@@ -404,8 +408,11 @@ def grow_many(ds: Dataset, tasks, *, min_leaf: int = 2):
         for g in growing:
             if not g.stack:
                 in_flight -= g.rows.size
-                yield g.index, g.correct if g.nodes is None else {"nodes": g.nodes}
+                done[g.index] = g.correct if g.nodes is None else {"nodes": g.nodes}
         growing = [g for g in growing if g.stack]
+        while yielded in done:
+            yield done.pop(yielded)
+            yielded += 1
 
 
 def _step(growing: list[_Growing], labels, xl, min_leaf: int) -> None:
@@ -523,23 +530,10 @@ def _step(growing: list[_Growing], labels, xl, min_leaf: int) -> None:
             hi = mid - sizes[c]
 
 
-def grow(
-    ds: Dataset,
-    rows: np.ndarray | None = None,
-    *,
-    min_leaf: int = 2,
-    rng: np.random.Generator | None = None,
-    feature_sample: int | None = None,
-) -> Tree:
-    """Induce an unpruned tree on ``rows`` of ``ds``, every row by default.
-
-    A row listed twice counts twice: the tree is ``grow(ds.take_rows(rows))``.
-    ``feature_sample`` restricts each node to a random feature subset drawn
-    from ``rng``; both default to using all features deterministically.
-    This is ``grow_many``'s one-task case.
-    """
-    task = (range(len(ds.columns)), rows, rng, feature_sample)
-    ((_, tree),) = grow_many(ds, [task], min_leaf=min_leaf)
+def grow(ds: Dataset, *, min_leaf: int = 2) -> Tree:
+    """Induce an unpruned tree on every row and feature of ``ds``:
+    ``grow_many``'s one-task case."""
+    (tree,) = grow_many(ds, [(range(len(ds.columns)), None, None, None)], min_leaf=min_leaf)
     return tree
 
 
@@ -601,16 +595,14 @@ def prune(tree: Tree, confidence: float = 0.25) -> Tree:
     return {"nodes": pruned}
 
 
-def predict(tree: Tree, ds: Dataset, rows: np.ndarray | None = None) -> np.ndarray:
-    """The majority class of the leaf each of ``rows`` reaches, in ``rows``
-    order; every row of ``ds`` by default.
+def predict(tree: Tree, ds: Dataset) -> np.ndarray:
+    """The majority class of the leaf each row of ``ds`` reaches.
 
     The tree must split only on features of ``ds``: ``grow`` fits its
     dataset, and ``from_doc`` checks a saved tree against the model's width.
     """
-    rows = np.arange(ds.row_count) if rows is None else np.asarray(rows)
-    out = np.empty(rows.size, dtype=np.uint8)
-    stack = [(0, np.arange(rows.size))]  # (node, positions in rows)
+    out = np.empty(ds.row_count, dtype=np.uint8)
+    stack = [(0, np.arange(ds.row_count))]  # (node, its rows)
     while stack:
         i, at = stack.pop()
         if at.size == 0:
@@ -620,7 +612,7 @@ def predict(tree: Tree, ds: Dataset, rows: np.ndarray | None = None) -> np.ndarr
             normal, attack = node["counts"]
             out[at] = 1 if attack >= normal else 0
             continue
-        branch = _branch(ds.columns[node["feature"]].values[rows[at]], node)
+        branch = _branch(ds.columns[node["feature"]].values[at], node)
         codes = node.get("codes")
         branches = ([at[branch == b] for b in range(len(codes))] if codes
                     else (at[~branch], at[branch]))

@@ -59,36 +59,19 @@ def _merits(
     ``fold_rows`` held out in turn; the merit the search ranks subsets by.
 
     Every (subset, fold) tree grows in one ``tree.grow_many`` call, which
-    counts each tree's correct held-out rows as it grows and builds no
-    tree. A fold's accuracy is that count over the fold's size, and a
-    merit is yielded once its folds and every earlier subset's are scored.
+    counts each tree's correct held-out rows as it grows, builds no tree,
+    and yields the counts in task order. A fold's accuracy is that count
+    over the fold's size, and a merit is yielded once its folds are scored.
     """
-    folds = len(fold_rows)
     everything = np.arange(train.row_count)
     fit_rows = [np.delete(everything, held_out) for held_out in fold_rows]
-    tasks = ((subset, fit_rows[f], None, None, fold_rows[f])
-             for subset in subsets for f in range(folds))
-    accuracies: dict[int, list] = {}
-    done = 0
-    for i, correct in tree_mod.grow_many(train, tasks, min_leaf=min_leaf):
-        s, f = divmod(i, folds)
+    counts = tree_mod.grow_many(
+        train, ((subset, fit, None, None, held) for subset in subsets
+                for fit, held in zip(fit_rows, fold_rows)), min_leaf=min_leaf)
+    for _ in subsets:
         # An exact count over the fold size, correctly rounded: the same
         # float as the mean of the fold's per-row hits.
-        accuracies.setdefault(s, [None] * folds)[f] = correct / len(fold_rows[f])
-        while done in accuracies and None not in accuracies[done]:
-            yield float(np.mean(accuracies.pop(done)))
-            done += 1
-
-
-def _merit_on_folds(
-    train: Dataset,
-    subset: tuple[int, ...],
-    fold_rows: list[np.ndarray],
-    min_leaf: int,
-) -> float:
-    """The merit of one subset: ``_merits``'s one-subset case."""
-    (merit,) = _merits(train, [subset], fold_rows, min_leaf)
-    return merit
+        yield float(np.mean([next(counts) / len(held) for held in fold_rows]))
 
 
 @dataclass(frozen=True)

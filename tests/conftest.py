@@ -82,10 +82,8 @@ def write_csv(path, header, rows):
         writer.writerows(rows)
 
 
-@pytest.fixture
-def toy_split(tmp_path):
-    """Small separable train/test CSV pair plus a schema file."""
-    rng = np.random.default_rng(42)
+def write_toy_split(directory):
+    """Small separable train/test CSV pair plus a schema file, in ``directory``."""
 
     def rows(n, seed):
         r = np.random.default_rng(seed)
@@ -98,11 +96,16 @@ def toy_split(tmp_path):
             out.append([f"{f1:.6f}", f"{f2:.6f}", proto, "1" if attack else "0"])
         return out
 
-    train = tmp_path / "train.csv"
-    test = tmp_path / "test.csv"
-    schema = tmp_path / "schema.txt"
+    train = directory / "train.csv"
+    test = directory / "test.csv"
+    schema = directory / "schema.txt"
     write_csv(train, ["f1", "f2", "proto", "label"], rows(240, 1))
     write_csv(test, ["f1", "f2", "proto", "label"], rows(120, 2))
     schema.write_text("f1,numeric\nf2,numeric\nproto,nominal\nlabel,class\n",
                       encoding="utf-8")
     return train, test, schema
+
+
+@pytest.fixture
+def toy_split(tmp_path):
+    return write_toy_split(tmp_path)

@@ -48,7 +48,7 @@ from fsel_ids.unsw import (
     TRAIN_ROWS,
     UNSW_SCHEMA,
 )
-from fsel_ids.wrapper import _merit_on_folds, best_first_search, stratified_folds
+from fsel_ids.wrapper import _merits, best_first_search, stratified_folds
 
 from conftest import make_dataset, random_mixed_dataset, write_csv
 
@@ -181,11 +181,11 @@ def test_subset_search_matches_exhaustive_enumeration():
         ds = random_mixed_dataset(rng, n_rows, n_features)
         seed = case
         fold_rows = stratified_folds(ds.labels, folds, seed)
-        best_merit = max(
-            _merit_on_folds(ds, subset, fold_rows, 2)
+        best_merit = max(_merits(ds, [
+            subset
             for r in range(1, n_features + 1)
             for subset in itertools.combinations(range(n_features), r)
-        )
+        ], fold_rows, 2))
         _, free = best_first_search(ds, folds=folds, stop_after=None, seed=seed)
         assert free.best_merit == best_merit, f"case {case}"
         _, stopped = best_first_search(ds, folds=folds, stop_after=5, seed=seed)

@@ -436,7 +436,8 @@ def test_evaluate_rejects_a_model_file_nested_too_deep(toy_split, tmp_path, caps
     code = main(["evaluate", "--model", str(model), *common_flags(toy_split, tmp_path / "saved")])
     assert code == 1
     err = capsys.readouterr().err
-    assert err.startswith("error: malformed model document (RecursionError: maximum recursion")
+    assert err.startswith(
+        f"error: {model}: malformed model document (RecursionError: maximum recursion")
     assert err.count("\n") == 1
     assert not (tmp_path / "saved" / "report.json").exists()
 
@@ -470,7 +471,7 @@ def test_a_long_value_in_a_rejected_model_is_shown_cut_short(toy_split, tmp_path
     assert names in err
 
 
-def test_a_rejected_evaluate_leaves_no_out_directory(toy_split, tmp_path, capsys):
+def test_a_rejected_command_leaves_no_out_directory(toy_split, tmp_path, capsys):
     run_dir = tmp_path / "run"
     assert main(["train", "--algo", "tree", *common_flags(toy_split, run_dir)]) == 0
     doc = json.loads((run_dir / "model.json").read_text())
@@ -479,16 +480,62 @@ def test_a_rejected_evaluate_leaves_no_out_directory(toy_split, tmp_path, capsys
     train, test, schema = toy_split
     bad_test = tmp_path / "bad_test.csv"
     bad_test.write_text(test.read_text().replace("tcp", "tcp,extra", 1))
-    for flags in (["--model", str(run_dir / "model.json"), "--test", str(test)],
-                  ["--model", str(run_dir.parent / "missing.json"), "--test", str(test)],
-                  ["--train", str(train), "--test", str(bad_test)]):
+    one_class = tmp_path / "one_class.csv"
+    lines = train.read_text().splitlines()
+    one_class.write_text("\n".join([lines[0]] + [ln for ln in lines[1:] if ln.endswith(",1")]))
+    missing = str(tmp_path / "missing.csv")
+    for command in (["evaluate", "--model", str(run_dir / "model.json"), "--test", str(test)],
+                    ["evaluate", "--model", str(run_dir.parent / "missing.json"),
+                     "--test", str(test)],
+                    ["evaluate", "--train", str(train), "--test", str(bad_test)],
+                    ["select", "--fs", "infogain", "--train", missing],
+                    ["train", "--algo", "naive_bayes", "--train", str(one_class)],
+                    ["bench", "--train", missing, "--test", str(test)]):
         out = tmp_path / "out"
-        assert main(["evaluate", *flags, "--schema", str(schema), "--out", str(out)]) == 1
+        assert main([*command, "--schema", str(schema), "--out", str(out)]) == 1
         assert capsys.readouterr().err.startswith("error:")
         assert not out.exists()
     assert main(["evaluate", "--train", str(train), "--test", str(test), "--schema", str(schema),
                  "--out", str(tmp_path / "out")]) == 0
     assert (tmp_path / "out" / "report.json").exists()
+
+
+@pytest.mark.parametrize("fs", ["infogain", "gainratio", "relief", "wrapper"])
+@pytest.mark.parametrize("subsample", [1.0, 0.5])
+def test_a_training_file_with_no_rows_is_refused(toy_split, tmp_path, capsys, fs, subsample):
+    train, _, schema = toy_split
+    header_only = tmp_path / "header_only.csv"
+    header_only.write_text(train.read_text().splitlines()[0] + "\n")
+    out = tmp_path / "out"
+    code = main(["select", "--fs", fs, "--subsample", str(subsample), "--train",
+                 str(header_only), "--schema", str(schema), "--out", str(out)])
+    assert code == 1
+    err = capsys.readouterr().err
+    if subsample < 1.0:
+        assert err == "error: [subsample] cannot subsample an empty dataset\n"
+    elif fs == "wrapper":
+        assert err == "error: [select] cannot search an empty dataset\n"
+    else:
+        assert err == "error: [select] cannot score the features of an empty dataset\n"
+    assert not out.exists()
+
+
+def test_evaluate_model_failures_name_the_file_or_the_stage(toy_split, tmp_path, capsys):
+    run_dir = tmp_path / "run"
+    assert main(["train", "--algo", "tree", *common_flags(toy_split, run_dir)]) == 0
+    model = run_dir / "model.json"
+    doc = json.loads(model.read_text())
+    no_params = tmp_path / "no_params.json"
+    no_params.write_text(json.dumps({key: v for key, v in doc.items() if key != "params"}))
+    nope = tmp_path / "nope.json"
+    nope.write_text(json.dumps(doc).replace('"f1"', '"nope"'))
+    _, test, schema = toy_split
+    for path, error in ((no_params, f"error: {no_params}: malformed model document"
+                                    " (KeyError: 'params')\n"),
+                        (nope, "error: [evaluate] no column named 'nope'\n")):
+        assert main(["evaluate", "--model", str(path), "--test", str(test), "--schema",
+                     str(schema), "--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err == error
 
 
 @pytest.mark.parametrize("version, message", [

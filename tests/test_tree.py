@@ -35,6 +35,13 @@ def leaf_count(tree: Tree) -> int:
     return sum("children" not in node for node in tree["nodes"])
 
 
+def grow_task(ds, rows=None, *, min_leaf=2, rng=None, feature_sample=None) -> Tree:
+    """The tree of one ``grow_many`` task on every feature of ``ds``."""
+    (tree,) = tree_mod.grow_many(ds, [(range(len(ds.columns)), rows, rng, feature_sample)],
+                                 min_leaf=min_leaf)
+    return tree
+
+
 def test_pure_labels_give_single_leaf():
     ds = make_dataset([("x", "numeric", [1.0, 2.0, 3.0])], [1, 1, 1])
     tree = grow(ds)
@@ -181,7 +188,7 @@ def test_unseen_category_routes_to_largest_child():
 
 
 @pytest.mark.parametrize("seed", [301, 302, 304, 306])
-def test_grow_and_predict_on_rows_match_the_taken_rows(seed):
+def test_a_task_on_rows_grows_the_tree_of_the_taken_rows(seed):
     rng = np.random.default_rng(seed)
     ds = random_mixed_dataset(rng, 160, 6)
     n = ds.row_count
@@ -192,13 +199,14 @@ def test_grow_and_predict_on_rows_match_the_taken_rows(seed):
         taken = ds.take_rows(rows)
         for min_leaf, sample in ((2, None), (1, 3)):
             mine_rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-            tree = grow(ds, rows, min_leaf=min_leaf, rng=mine_rng, feature_sample=sample)
-            assert tree == grow(taken, min_leaf=min_leaf, rng=ref_rng, feature_sample=sample)
+            tree = grow_task(ds, rows, min_leaf=min_leaf, rng=mine_rng, feature_sample=sample)
+            assert tree == grow_task(taken, min_leaf=min_leaf, rng=ref_rng,
+                                     feature_sample=sample)
             assert mine_rng.bit_generator.state == ref_rng.bit_generator.state
             assert {"codes" in node for node in tree["nodes"] if "children" in node} == {
                 True, False}
             for probe in (rows, draw, np.arange(n)[::-1]):
-                np.testing.assert_array_equal(predict(tree, ds, probe),
+                np.testing.assert_array_equal(predict(tree, ds)[probe],
                                               predict(tree, ds.take_rows(probe)))
 
 
@@ -210,15 +218,15 @@ def test_rows_of_a_category_unseen_at_a_node_take_its_default_child():
     x = [0.0] * 10 + [1.0] * 13
     ds = make_dataset([("x", "numeric", x), ("proto", "nominal", codes, "abcd")], labels)
     fit_rows = np.arange(20)
-    tree = grow(ds, fit_rows, min_leaf=1)
+    tree = grow_task(ds, fit_rows, min_leaf=1)
     assert tree == grow(ds.take_rows(fit_rows), min_leaf=1)
     nominal = [node for node in tree["nodes"] if "codes" in node]
     assert "threshold" in tree["nodes"][0]
     assert [(node["codes"], node["default_child"]) for node in nominal] == [([0, 1, 2], 1)]
     probe = np.array([22, 15, 20, 3, 12, 22])
-    np.testing.assert_array_equal(predict(tree, ds, probe), predict(tree, ds.take_rows(probe)))
+    np.testing.assert_array_equal(predict(tree, ds)[probe], predict(tree, ds.take_rows(probe)))
     # "d" goes to the largest branch, proto "b"'s four attack rows
-    np.testing.assert_array_equal(predict(tree, ds, probe), [1, 1, 1, 0, 0, 1])
+    np.testing.assert_array_equal(predict(tree, ds.take_rows(probe)), [1, 1, 1, 0, 0, 1])
 
 
 def test_grow_argument_errors():
@@ -226,7 +234,7 @@ def test_grow_argument_errors():
     with pytest.raises(DatasetError, match="min_leaf"):
         grow(ds, min_leaf=0)
     with pytest.raises(DatasetError, match="rng"):
-        grow(ds, feature_sample=1)
+        grow_task(ds, feature_sample=1)
     empty = make_dataset([("x", "numeric", [])], [])
     with pytest.raises(DatasetError, match="empty"):
         grow(empty)
@@ -235,8 +243,8 @@ def test_grow_argument_errors():
 def test_feature_sampling_is_deterministic_per_rng():
     rng_data = np.random.default_rng(2)
     ds = random_mixed_dataset(rng_data, 60, 5)
-    a = grow(ds, min_leaf=2, rng=np.random.default_rng(7), feature_sample=2)
-    b = grow(ds, min_leaf=2, rng=np.random.default_rng(7), feature_sample=2)
+    a = grow_task(ds, min_leaf=2, rng=np.random.default_rng(7), feature_sample=2)
+    b = grow_task(ds, min_leaf=2, rng=np.random.default_rng(7), feature_sample=2)
     assert a == b
 
 
@@ -483,7 +491,7 @@ def test_grow_matches_recursive_reference(seed, min_leaf):
         assert grow(ds, min_leaf=min_leaf) == _flatten(_reference_grow(ds, min_leaf=min_leaf))
         for sample in (2, 3):
             mine_rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-            mine = grow(ds, min_leaf=min_leaf, rng=mine_rng, feature_sample=sample)
+            mine = grow_task(ds, min_leaf=min_leaf, rng=mine_rng, feature_sample=sample)
             ref = _reference_grow(ds, min_leaf=min_leaf, rng=ref_rng, feature_sample=sample)
             assert mine == _flatten(ref)
             assert mine_rng.bit_generator.state == ref_rng.bit_generator.state
@@ -541,8 +549,8 @@ def test_grow_many_matches_the_recursive_reference_per_task(seed, min_leaf):
     for ds in (raw, _with_ties(raw), _all_nominal(raw)):
         tasks = _mixed_tasks(ds, seed)
         references = [_reference_task(ds, task, min_leaf) for task in tasks]
-        grown = dict(tree_mod.grow_many(ds, tasks, min_leaf=min_leaf))
-        assert sorted(grown) == list(range(len(tasks)))
+        grown = list(tree_mod.grow_many(ds, tasks, min_leaf=min_leaf))
+        assert len(grown) == len(tasks)
         for i, (tree, ref_rng) in enumerate(references):
             assert grown[i] == tree
             assert tasks[i][2].bit_generator.state == ref_rng.bit_generator.state
@@ -562,8 +570,8 @@ def test_grow_many_splits_a_step_over_the_element_and_row_caps(monkeypatch):
     monkeypatch.setattr(tree_mod, "_scan", recorded)
     monkeypatch.setattr(tree_mod, "MAX_SCAN_ELEMENTS", 40)
     monkeypatch.setattr(tree_mod, "MAX_ROWS_IN_FLIGHT", 200)
-    grown = dict(tree_mod.grow_many(ds, tasks))
-    assert [grown[i] for i in range(len(tasks))] == [tree for tree, _ in references]
+    grown = list(tree_mod.grow_many(ds, tasks))
+    assert grown == [tree for tree, _ in references]
     assert any(m.size == 1 and m[0] > 40 for m in scans)  # a pair above the cap, alone
     assert any(m.size > 1 for m in scans)
     assert all(m.size == 1 or m.sum() <= 40 for m in scans)
@@ -596,12 +604,12 @@ def _held_out_tasks(ds, seed):
 
 def _held_out_hits(ds, task, min_leaf):
     """(held-out rows that ``predict`` labels right, tree) of one task, by
-    ``grow`` and ``predict``."""
+    ``grow`` and ``predict`` on the taken rows."""
     features, fit, _, _, held = task
     sub = ds.select(features)
-    tree = grow(sub, fit, min_leaf=min_leaf)
+    tree = grow(sub.take_rows(fit), min_leaf=min_leaf)
     held = np.asarray(held, dtype=np.intp)
-    return int(np.count_nonzero(predict(tree, sub, held) == ds.labels[held])), tree
+    return int(np.count_nonzero(predict(tree, sub.take_rows(held)) == ds.labels[held])), tree
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -618,10 +626,10 @@ def test_grow_many_counts_the_held_out_rows_predict_gets_right(seed, min_leaf, s
         scoring = _held_out_tasks(ds, seed)
         expected = [_held_out_hits(ds, task, min_leaf) for task in scoring]
         plain = [(f, rows, None, None) for f, rows, _, _ in _mixed_tasks(ds, seed)[:4]]
-        got = dict(tree_mod.grow_many(ds, scoring + plain, min_leaf=min_leaf))
-        assert [got[i] for i in range(len(scoring))] == [hits for hits, _ in expected]
-        assert [got[len(scoring) + i] for i in range(len(plain))] == [
-            grow(ds.select(f), rows, min_leaf=min_leaf) for f, rows, _, _ in plain]
+        got = list(tree_mod.grow_many(ds, scoring + plain, min_leaf=min_leaf))
+        assert got[:len(scoring)] == [hits for hits, _ in expected]
+        assert got[len(scoring):] == [
+            grow_task(ds.select(f), rows, min_leaf=min_leaf) for f, rows, _, _ in plain]
         for (features, _, _, _, held), (_, tree) in zip(scoring, expected):
             root = tree["nodes"][0]
             if "codes" in root and 0 not in root["codes"] and root["default_child"] > 0:
@@ -637,20 +645,48 @@ def test_grow_many_sends_an_unseen_category_to_the_first_largest_branch():
     labels = [0, 0] + [1, 1, 1, 1, 1, 0] + [0] * 6 + [1, 1, 0]
     ds = make_dataset([("x", "nominal", codes, ("c0", "c1", "c2", "c3"))], labels)
     fit, held = np.arange(14), np.arange(14, 17)
-    tree = grow(ds, fit)
+    tree = grow(ds.take_rows(fit))
     assert tree["nodes"][0] == {"counts": [9, 5], "feature": 0, "children": [1, 2, 3],
                                 "codes": [1, 2, 3], "default_child": 1}
-    assert predict(tree, ds, held).tolist() == [1, 1, 1]
-    assert list(tree_mod.grow_many(ds, [([0], fit, None, None, held)])) == [(0, 2)]
+    assert predict(tree, ds.take_rows(held)).tolist() == [1, 1, 1]
+    assert list(tree_mod.grow_many(ds, [([0], fit, None, None, held)])) == [2]
 
 
-def test_grow_many_yields_each_tree_when_it_is_complete():
+def test_grow_many_yields_in_task_order_when_a_later_task_finishes_first(monkeypatch):
     ds = random_mixed_dataset(np.random.default_rng(5), 200, 4)
     pure = np.flatnonzero(ds.labels == 1)[:3]
-    order = [i for i, _ in tree_mod.grow_many(ds, [(range(4), None, None, None),
-                                                   ([0], pure, None, None)])]
-    assert order == [1, 0]
+    steps, finished = [], {}  # growing tasks per step; the step each task finished in
+    step = tree_mod._step
+
+    def counted(growing, *args):
+        steps.append(len(growing))
+        step(growing, *args)
+        finished.update((g.index, len(steps)) for g in growing
+                         if not g.stack and g.index not in finished)
+
+    monkeypatch.setattr(tree_mod, "_step", counted)
+    got = list(tree_mod.grow_many(ds, [(range(4), None, None, None), ([0], pure, None, None)]))
+    assert finished[1] == 1 < finished[0] == len(steps)  # the pure one: its root is a leaf
+    assert got == [grow(ds), {"nodes": [{"counts": [0, 3]}]}]
     assert list(tree_mod.grow_many(ds, [])) == []
+
+
+def test_grow_many_takes_a_lazy_task_only_as_its_tree_can_start(monkeypatch):
+    monkeypatch.setattr(tree_mod, "MAX_ROWS_IN_FLIGHT", 300)
+    ds = random_mixed_dataset(np.random.default_rng(6), 200, 4)
+    taken = []
+
+    def tasks():
+        for t in range(6):
+            taken.append(t)
+            yield range(4), None, np.random.default_rng(t), 2
+
+    results = tree_mod.grow_many(ds, tasks())
+    first = next(results)
+    assert taken == [0, 1]  # tree 0 grows alone: 200 + 200 rows pass the bound
+    assert [first, *results] == [grow_task(ds, rng=np.random.default_rng(t), feature_sample=2)
+                                 for t in range(6)]
+    assert taken == list(range(6))
 
 
 @pytest.mark.parametrize("task, min_leaf, match", [

@@ -7,7 +7,7 @@ import pytest
 from fsel_ids import tree as tree_mod
 from fsel_ids.dataset import DatasetError
 from fsel_ids.wrapper import (
-    _merit_on_folds,
+    _merits,
     best_first_search,
     stratified_folds,
     subset_names,
@@ -19,7 +19,8 @@ from conftest import make_dataset, random_mixed_dataset
 
 def wrapper_merit(ds, subset, folds=5, seed=0):
     """The search's own merit of ``subset``, on the folds the search deals."""
-    return _merit_on_folds(ds, tuple(subset), stratified_folds(ds.labels, folds, seed), 2)
+    (merit,) = _merits(ds, [tuple(subset)], stratified_folds(ds.labels, folds, seed), 2)
+    return merit
 
 
 def test_folds_partition_the_rows():
