@@ -219,8 +219,8 @@ def cmd_evaluate(args) -> int:
         except ValueError as exc:
             raise ValueError(f"{args.model}: {exc}") from exc
         test = load_file(config, config.test_path)
-        _, report = evaluate_model(plan, model, test, dataset=config.name, fs_method="saved",
-                                   fs_seconds=0.0, train_seconds=model.train_seconds)
+        report = evaluate_model(plan, model, test, dataset=config.name, fs_method="saved",
+                                fs_seconds=0.0, train_seconds=model.train_seconds)
     else:
         report = run_pipeline(config).report
     out = Path(args.out)

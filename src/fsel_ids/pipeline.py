@@ -14,8 +14,6 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 
-import numpy as np
-
 from .dataset import Dataset, load_csv, stratified_subsample
 from .filters import FILTER_METHODS, FilterScores, score_features
 from .metrics import EvaluationReport, confusion
@@ -96,7 +94,6 @@ class PipelineResult:
     selected_names: tuple[str, ...]  # in the method's own order
     model: TrainedModel
     plan: PreprocessPlan
-    predictions: np.ndarray
     scores: FilterScores | None = None
     trace: SearchTrace | None = None
 
@@ -220,7 +217,7 @@ def fit_for_config(
 def evaluate_model(
     plan: PreprocessPlan, model: TrainedModel, test: Dataset, *,
     dataset: str, fs_method: str, fs_seconds: float, train_seconds: float,
-) -> tuple[np.ndarray, EvaluationReport]:
+) -> EvaluationReport:
     """Replay ``plan`` on ``test``, predict, and score the predictions.
 
     ``eval_seconds`` covers the replay and the prediction; the selection
@@ -230,7 +227,7 @@ def evaluate_model(
         started = time.perf_counter()
         predictions = predict_model(model, apply_preprocess(plan, test))
         eval_seconds = time.perf_counter() - started
-    report = EvaluationReport(
+    return EvaluationReport(
         dataset=dataset,
         fs_method=fs_method,
         selected_count=len(plan.selected),
@@ -240,7 +237,6 @@ def evaluate_model(
         train_seconds=train_seconds,
         eval_seconds=eval_seconds,
     )
-    return predictions, report
 
 
 def run_pipeline(config: RunConfig, splits: tuple[Dataset, Dataset] | None = None,
@@ -260,7 +256,7 @@ def run_pipeline(config: RunConfig, splits: tuple[Dataset, Dataset] | None = Non
 
     plan, model, train_seconds = fit_for_config(train, subset, config)
 
-    predictions, report = evaluate_model(
+    report = evaluate_model(
         plan, model, test, dataset=config.name, fs_method=config.fs,
         fs_seconds=fs_seconds, train_seconds=train_seconds)
 
@@ -269,7 +265,6 @@ def run_pipeline(config: RunConfig, splits: tuple[Dataset, Dataset] | None = Non
         selected_names=subset_names(train, subset),
         model=model,
         plan=plan,
-        predictions=predictions,
         scores=scores,
         trace=trace,
     )

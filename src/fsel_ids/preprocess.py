@@ -147,10 +147,37 @@ def plan_to_doc(plan: PreprocessPlan) -> dict:
     }
 
 
+def _entries(doc: dict, key: str, width: int) -> list:
+    """``doc[key]``, refused by its name and value unless it is a list of
+    lists of ``width`` items, each led by a name string."""
+    entries = doc[key]
+    if not isinstance(entries, list):
+        raise DatasetError(f"plan.{key} is {shown(entries)}, not a list")
+    for i, entry in enumerate(entries):
+        if not (isinstance(entry, list) and len(entry) == width and isinstance(entry[0], str)):
+            raise DatasetError(f"plan.{key}[{i}] is {shown(entry)}, not a name and"
+                               f" {width - 1} more in a list")
+    return entries
+
+
 def plan_from_doc(doc: dict) -> PreprocessPlan:
-    """Read a ``plan`` field back, with every check of ``PreprocessPlan``."""
+    """Read a ``plan`` field back, with every check of ``PreprocessPlan``.
+
+    Each field's shape is checked before it is read, so an error names the
+    field and its value: ``selected`` is a list, ``minmax`` a list of
+    ``[name, lo, hi]`` and ``onehot`` of ``[name, [category, ...]]``.
+    """
+    if not isinstance(doc, dict):
+        raise DatasetError(f"plan is {shown(doc)}, not an object")
+    selected = doc["selected"]
+    if not isinstance(selected, list):
+        raise DatasetError(f"plan.selected is {shown(selected)}, not a list")
+    onehot = _entries(doc, "onehot", 2)
+    for i, (_, cats) in enumerate(onehot):
+        if not isinstance(cats, list):
+            raise DatasetError(f"plan.onehot[{i}][1] is {shown(cats)}, not a list")
     return PreprocessPlan(
-        selected=tuple(doc["selected"]),
-        minmax=tuple((n, lo, hi) for n, lo, hi in doc["minmax"]),
-        onehot=tuple((n, tuple(cats)) for n, cats in doc["onehot"]),
+        selected=tuple(selected),
+        minmax=tuple(tuple(entry) for entry in _entries(doc, "minmax", 3)),
+        onehot=tuple((name, tuple(cats)) for name, cats in onehot),
     )

@@ -1,11 +1,16 @@
 """Decision-tree induction over mixed nominal/numeric features.
 
 Grown trees split nominal features multiway over their observed categories
-and numeric features on midpoint thresholds, choosing the candidate with
-the highest gain ratio among those with positive information gain. Nodes
-stop splitting when pure, smaller than min_leaf, or gainless. Optional
-pessimistic-error pruning replaces subtrees whose estimated error is no
-better than a leaf's.
+and numeric features on midpoint thresholds. A numeric feature's cut is C4.5
+Release 8's (Quinlan, "Improved Use of Continuous Attributes in C4.5", JAIR
+4, 1996): the highest information gain among the cuts that leave at least
+min_leaf rows on each side, a gain less log2(those cuts) / n at a node of n
+rows. A feature scores that penalised gain, or a nominal one its plain
+gain, over its split info, and a node splits on its first feature of the
+highest ratio among those whose gain is positive. There is no average-gain
+test. Nodes stop splitting when pure, smaller than min_leaf, or gainless.
+Optional pessimistic-error pruning replaces subtrees whose estimated error
+is no better than a leaf's.
 
 Labels are binary: 0 = normal, 1 = attack. Leaf prediction is the majority
 class with ties going to attack.
@@ -200,7 +205,7 @@ def _ranges(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
     return np.repeat(starts + lengths - ends, lengths) + np.arange(ends[-1] if ends.size else 0)
 
 
-def _scan(values, y, m, attack, entropy, xl, presorted=False):
+def _scan(values, y, m, attack, entropy, xl, min_leaf, presorted=False):
     """The best cut of each segment of ``values``: ``(ratio, lower, upper)``,
     one entry per segment, with ratio -inf where no cut is admissible.
 
@@ -210,12 +215,16 @@ def _scan(values, y, m, attack, entropy, xl, presorted=False):
     segment is sorted on its own, by a float argsort and then a stable sort
     on the segment id (a radix sort on small ids); how equal values are
     ordered does not matter, since a cut falls only between distinct ones.
-    Cuts are admissible where the gain is positive; each cut's gain and
-    split info are computed in one pass, with the operation order of
-    evaluating one segment alone (``f_left * (x / f_left) + f_right * (z /
-    f_right)``, each product commuted). A segment's best cut is its first
-    highest gain ratio, the lowest threshold; ``cut_threshold(lower,
-    upper)`` places it.
+
+    The pick is C4.5 Release 8's (Quinlan, JAIR 4, 1996). A cut is
+    admissible when it leaves at least ``min_leaf`` rows on each side. A
+    segment's cut is its first highest information gain among those, the
+    lowest threshold; ``cut_threshold(lower, upper)`` places it. That gain,
+    less ``log2(admissible cuts) / m``, over the cut's split info is the
+    segment's ratio, and the ratio is -inf when the penalised gain is at
+    most ``MIN_GAIN``. Each cut's gain is computed with the operation order
+    of evaluating one segment alone (``f_left * (x / f_left) + f_right * (z
+    / f_right)``, each product commuted).
     """
     if presorted:
         vs = values
@@ -244,6 +253,7 @@ def _scan(values, y, m, attack, entropy, xl, presorted=False):
     a_left -= np.repeat(prefix[start] - y[start], per)
     n_right = n - n_left
     a_right = np.repeat(attack, per) - a_left
+    admissible = (n_left >= min_leaf) & (n_right >= min_leaf)
     f_left = n_left.astype(np.float64)
     f_right = n - f_left
     xl_left, xl_right = xl[n_left], xl[n_right]
@@ -261,14 +271,16 @@ def _scan(values, y, m, attack, entropy, xl, presorted=False):
     cond /= n
     gains = np.repeat(entropy, per)
     gains -= cond
-    split_info = np.repeat(xl[m], per)
-    split_info -= xl_left
-    split_info -= xl_right
-    split_info /= n
-    ratios = np.divide(gains, split_info, out=split_info)
-    ratios[~(gains > MIN_GAIN)] = -np.inf
+    gains[~admissible] = -np.inf
     has = per > 0
-    ratio[has], best = _first_max(ratios, per[has])
+    sizes, rows = per[has], m[has]
+    gain, best = _first_max(gains, sizes)
+    count = np.add.reduceat(admissible.astype(np.intp), np.cumsum(sizes) - sizes)
+    gain -= np.log2(np.maximum(count, 1)) / rows  # count 0 leaves gain -inf
+    split_info = xl[rows] - xl_left[best]
+    split_info -= xl_right[best]
+    split_info /= rows
+    ratio[has] = np.where(gain > MIN_GAIN, gain / split_info, -np.inf)
     lower[has], upper[has] = vs[cuts[best]], vs[cuts[best] + 1]
     return ratio, lower, upper
 
@@ -425,9 +437,11 @@ def _step(growing: list[_Growing], labels, xl, min_leaf: int) -> None:
     (row, feature) elements, a single pair exceeding it alone, those on
     their tree's ``key`` column in runs of their own that need no sort; nominal
     pairs are scored one by one with ``partition_gain``. Scores read only a
-    node's fit rows. A node splits on its first pair of the highest ratio,
-    so the lowest feature wins ties, and the split nodes' rows, held-out
-    ones too, are reordered into their branches at once.
+    node's fit rows: a numeric pair's is ``_scan``'s C4.5 ratio, a cut
+    admissible only with ``min_leaf`` fit rows on each side, and a nominal
+    pair's its plain gain ratio. A node splits on its first pair of the
+    highest ratio, so the lowest feature wins ties, and the split nodes'
+    rows, held-out ones too, are reordered into their branches at once.
     """
     nodes, pairs = [], []  # (tree, lo, mid, hi, attack, held_attack, parent); (node, feature)
     widths = []  # features per node
@@ -478,7 +492,7 @@ def _step(growing: list[_Growing], labels, xl, min_leaf: int) -> None:
             values = np.concatenate([columns[p].values[fit[pairs[p][0]]] for p in run])
             ratio[run], lower[run], upper[run] = _scan(
                 values, y[_ranges(offset[k], m[k])], m[k], attack[k], entropy[k], xl,
-                presorted=bool(presorted))
+                min_leaf, presorted=bool(presorted))
             i = j
 
     # Each node's split, its document but for counts, and the branch of each

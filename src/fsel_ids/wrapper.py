@@ -74,7 +74,7 @@ def _merits(
         yield float(np.mean([next(counts) / len(held) for held in fold_rows]))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SearchStep:
     """One merit evaluation: the subset in discovery order, score, wall time."""
 

@@ -317,7 +317,7 @@ def _float_child(model, plan):
     ("tree", lambda model, plan: plan.pop("selected"),
      "malformed model document (KeyError"),
     ("tree", lambda model, plan: plan.update(minmax=5),
-     "malformed model document (TypeError"),
+     "malformed model document (DatasetError: plan.minmax is 5, not a list"),
     ("knn", lambda model, plan: model["payload"]["matrix"].pop(), "malformed model document"),
     ("knn", lambda model, plan: model["payload"]["matrix"][0].pop(), "malformed model document"),
     ("knn", lambda model, plan: model["payload"]["labels"].__setitem__(0, 300),
@@ -377,7 +377,8 @@ def _float_child(model, plan):
      "malformed model document (DatasetError: selected names [0, 'f2', 'proto'] are"
      " not all strings"),
     *[("tree", lambda model, plan, value=value: model.update(plan=value),
-       "malformed model document (TypeError") for value in ([1, 2], "plan", None)],
+       f"malformed model document (DatasetError: plan is {value!r}, not an object")
+      for value in ([1, 2], "plan", None)],
     ("forest", lambda model, plan: model.update(payload=[]),
      "malformed model document (ModelError: forest has 0 trees, params.n_trees is 100"),
     ("forest", lambda model, plan: model["payload"].pop(),

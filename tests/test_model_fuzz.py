@@ -105,13 +105,10 @@ def _mutate(data, text: str) -> str:
     return encoded.replace(json.dumps(marker), "{" + ", ".join(members) + "}")
 
 
-@settings(max_examples=300, deadline=None, derandomize=True,
-          suppress_health_check=[HealthCheck.data_too_large, HealthCheck.too_slow])
-@given(data=st.data())
-def test_a_mutated_model_document_fails_in_one_short_line(saved, data):
-    (test, schema), texts = saved
-    algorithm = data.draw(st.sampled_from(ALGORITHMS))
-    text = _mutate(data, texts[algorithm])
+def _evaluate(saved, text: str) -> tuple[int, str, str, list | None]:
+    """``evaluate --model`` on a model file of ``text``: (exit code, standard
+    error, the model path, the files made in ``--out``, or None if none was)."""
+    (test, schema), _ = saved
     with tempfile.TemporaryDirectory() as scratch:
         model, out = Path(scratch) / "model.json", Path(scratch) / "out"
         model.write_text(text, encoding="utf-8")
@@ -119,12 +116,38 @@ def test_a_mutated_model_document_fails_in_one_short_line(saved, data):
         with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
             code = main(["evaluate", "--model", str(model), "--test", str(test),
                          "--schema", str(schema), "--out", str(out)])
-        err = err.getvalue()
-        if code == 0:
-            assert (out / "report.json").exists()
-            return
-        assert code == 1, err
-        assert err.startswith("error: ") and err.count("\n") == 1, err[:2000]
-        assert len(err.encode()) <= 1024 and "Traceback" not in err, err[:2000]
-        assert str(model) in err or err.startswith("error: [evaluate] "), err
-        assert not out.exists()
+        made = sorted(p.name for p in out.iterdir()) if out.exists() else None
+    return code, err.getvalue(), str(model), made
+
+
+@settings(max_examples=300, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.data_too_large, HealthCheck.too_slow])
+@given(data=st.data())
+def test_a_mutated_model_document_fails_in_one_short_line(saved, data):
+    algorithm = data.draw(st.sampled_from(ALGORITHMS))
+    code, err, model, made = _evaluate(saved, _mutate(data, saved[1][algorithm]))
+    if code == 0:
+        assert "report.json" in made
+        return
+    assert code == 1, err
+    assert err.startswith("error: ") and err.count("\n") == 1, err[:2000]
+    assert len(err.encode()) <= 1024 and "Traceback" not in err, err[:2000]
+    assert model in err or err.startswith("error: [evaluate] "), err
+    assert made is None
+
+
+@pytest.mark.parametrize("path, value, named", [
+    ([], 5, "plan is 5, not an object"),
+    (["selected"], {}, "plan.selected is {}, not a list"),
+    (["minmax"], 0.5, "plan.minmax is 0.5, not a list"),
+    (["minmax", 0], True, "plan.minmax[0] is True, not a name and 2 more in a list"),
+    (["minmax", 0, 0], None, "plan.minmax[0] is [None, "),
+    (["onehot"], 7, "plan.onehot is 7, not a list"),
+    (["onehot", 0], ["proto"], "plan.onehot[0] is ['proto'], not a name and 1 more"),
+    (["onehot", 0, 1], "tcp", "plan.onehot[0][1] is 'tcp', not a list"),
+])
+def test_a_mistyped_plan_field_is_named_with_its_value(saved, path, value, named):
+    doc = json.loads(saved[1]["naive_bayes"])
+    code, err, _, made = _evaluate(saved, json.dumps(_replace(doc, ["plan", *path], value)))
+    assert code == 1 and err.count("\n") == 1 and made is None, err
+    assert f"malformed model document (DatasetError: {named}" in err, err

@@ -1,6 +1,7 @@
 import json
 import math
 import signal
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -99,8 +100,13 @@ def oracle_entropy(attack, total):
     return acc
 
 
-def oracle_candidates(ds):
-    """Every admissible root split with its gain ratio, by brute force."""
+def oracle_candidates(ds, min_leaf):
+    """Every admissible root split by brute force, as (feature, threshold,
+    gain, score). A nominal split (threshold nan) scores its gain ratio. A
+    numeric cut is admissible when each side keeps ``min_leaf`` rows, and
+    scores what C4.5 Release 8 would give its feature were it the feature's
+    cut: its gain less log2(the feature's admissible cuts) / n, over its
+    split info. Splits scoring a gain of at most MIN_GAIN are left out."""
     y = ds.labels.tolist()
     n = len(y)
     parent = oracle_entropy(sum(y), n)
@@ -118,54 +124,92 @@ def oracle_candidates(ds):
             if gain <= MIN_GAIN:
                 continue
             info = -sum((t / n) * math.log2(t / n) for t, _ in groups.values())
-            found.append((f, math.nan, gain / info))
+            found.append((f, math.nan, gain, gain / info))
         else:
             vals = sorted(set(col.values.tolist()))
+            cuts = []
             for lo, hi in zip(vals, vals[1:]):
                 thr = (lo + hi) / 2.0
                 left = [lab for v, lab in zip(col.values.tolist(), y) if v <= thr]
                 right = [lab for v, lab in zip(col.values.tolist(), y) if v > thr]
+                if min(len(left), len(right)) < min_leaf:
+                    continue
                 cond = (
                     len(left) * oracle_entropy(sum(left), len(left))
                     + len(right) * oracle_entropy(sum(right), len(right))
                 ) / n
-                gain = parent - cond
-                if gain <= MIN_GAIN:
-                    continue
-                info = oracle_entropy(len(left), n)
-                found.append((f, thr, gain / info))
+                cuts.append((thr, parent - cond, oracle_entropy(len(left), n)))
+            for thr, gain, info in cuts:
+                penalised = gain - math.log2(len(cuts)) / n
+                if penalised > MIN_GAIN:
+                    found.append((f, thr, gain, penalised / info))
     return found
 
 
-@pytest.mark.parametrize("seed", range(6))
-def test_root_split_attains_best_gain_ratio(seed):
-    rng = np.random.default_rng(seed)
-    ds = random_mixed_dataset(rng, 50, 3)
-    root = grow(ds, min_leaf=2)["nodes"][0]
-    candidates = oracle_candidates(ds)
+def assert_best_split(node, ds, min_leaf):
+    """``node``, grown on all of ``ds``, splits as the oracle's best candidate
+    says, or is a leaf that may not split or has no candidate."""
+    candidates = oracle_candidates(ds, min_leaf)
+    if "children" not in node:
+        normal, attack = node["counts"]
+        assert not candidates or 0 in (normal, attack) or normal + attack < min_leaf
+        return
     assert candidates, "oracle found no admissible split"
-    best_ratio = max(r for _, _, r in candidates)
-    assert "children" in root
-    if "codes" not in root:
+    # A numeric feature competes with its highest-gain cuts only.
+    top = {}
+    for f, _, gain, _ in candidates:
+        top[f] = max(top.get(f, -math.inf), gain)
+    competing = [(f, thr, r) for f, thr, gain, r in candidates if gain >= top[f] - 1e-12]
+    best_ratio = max(r for _, _, r in competing)
+    if "codes" not in node:
         mine = [
             r
-            for f, thr, r in candidates
-            if f == root["feature"] and thr == pytest.approx(root["threshold"], abs=1e-12)
+            for f, thr, r in competing
+            if f == node["feature"] and thr == pytest.approx(node["threshold"], abs=1e-12)
         ]
     else:
-        mine = [r for f, thr, r in candidates if f == root["feature"] and math.isnan(thr)]
+        mine = [r for f, thr, r in competing if f == node["feature"] and math.isnan(thr)]
     assert len(mine) == 1
     assert mine[0] == pytest.approx(best_ratio, abs=1e-9)
 
 
+@pytest.mark.parametrize("rows", [16, 50])
+@pytest.mark.parametrize("min_leaf", [1, 2, 5])
+@pytest.mark.parametrize("seed", range(6))
+def test_root_split_attains_best_gain_ratio(seed, min_leaf, rows):
+    rng = np.random.default_rng(seed)
+    ds = random_mixed_dataset(rng, rows, 3)
+    root = grow(ds, min_leaf=min_leaf)["nodes"][0]
+    assert "children" in root
+    assert_best_split(root, ds, min_leaf)
+
+
+@pytest.mark.parametrize("min_leaf", [1, 2, 5])
+@pytest.mark.parametrize("seed", range(4))
+def test_every_node_attains_the_best_gain_ratio_of_its_rows(seed, min_leaf):
+    ds = random_mixed_dataset(np.random.default_rng(seed), 60, 3)
+    tree = grow(ds, min_leaf=min_leaf)
+    stack = [(0, np.arange(ds.row_count))]  # (node, the rows that reach it)
+    while stack:
+        i, rows = stack.pop()
+        node = tree["nodes"][i]
+        assert_best_split(node, ds.take_rows(rows), min_leaf)
+        if "children" in node:
+            values = ds.columns[node["feature"]].values[rows]
+            masks = ([values == code for code in node["codes"]] if "codes" in node
+                     else [values <= node["threshold"], values > node["threshold"]])
+            stack.extend((c, rows[mask]) for c, mask in zip(node["children"], masks))
+
+
 def test_distinct_numeric_values_reproduce_training_labels():
+    # Shuffled distinct values whose labels alternate in runs of 10 along
+    # the sorted order: every run boundary is a cut the penalty admits.
     rng = np.random.default_rng(17)
-    values = rng.permutation(np.linspace(0.0, 1.0, 40))
-    labels = rng.integers(0, 2, size=40).tolist()
-    if len(set(labels)) == 1:
-        labels[0] = 1 - labels[0]
+    values = rng.permutation(np.linspace(0.0, 1.0, 400))
+    labels = (np.argsort(np.argsort(values)) // 10 % 2).tolist()
     ds = make_dataset([("x", "numeric", values)], labels)
     tree = grow(ds, min_leaf=1)
+    assert leaf_count(tree) == 40
     np.testing.assert_array_equal(predict(tree, ds), labels)
 
 
@@ -277,13 +321,19 @@ def test_pruning_never_grows_the_tree(seed):
 
 
 def test_pruning_collapses_label_noise():
+    # Labels follow x's sign with a tenth of them flipped, and a nominal
+    # column of noise: the tree splits on x, then on the noise below it,
+    # which pruning collapses, keeping the split on x.
     rng = np.random.default_rng(3)
-    values = rng.normal(0, 1, 120)
-    labels = rng.integers(0, 2, size=120)
-    ds = make_dataset([("noise", "numeric", values)], labels)
+    x = rng.normal(0, 1, 120)
+    labels = (x > 0) ^ (rng.random(120) < 0.1)
+    noise = rng.integers(0, 4, size=120)
+    ds = make_dataset([("x", "numeric", x), ("noise", "nominal", noise, "abcd")], labels)
     full = grow(ds, min_leaf=1)
+    assert any("codes" in node for node in full["nodes"])
     pruned = prune(full)
     assert node_count(pruned) < node_count(full)
+    assert node_count(pruned) == 3 and pruned["nodes"][0]["feature"] == 0
 
 
 def test_prune_leaf_is_identity():
@@ -296,10 +346,14 @@ def test_prune_rejects_bad_confidence():
         prune({"nodes": [{"counts": [1, 1]}]}, confidence=0.0)
 
 
-# Reference implementation: the recursive grower that ``grow`` replaced,
-# kept unchanged so that the iterative one can be checked against it for
-# equal trees, floats and rng draws included. It builds nested nodes, which
-# ``_flatten`` turns into a tree document.
+# Reference implementation: a recursive grower that scores each node alone,
+# numeric cuts by a plain-Python loop over every admissible cut under C4.5
+# Release 8's rule, so that the lock-step vectorised one can be checked
+# against it for equal trees, floats and rng draws included. Its
+# ``k * log2(k)`` terms and its penalty's log2 are numpy's, as the grower's
+# are, and each formula keeps the grower's operation order, so equal trees
+# mean equal floats. It builds nested nodes, which ``_flatten`` turns into a
+# tree document.
 
 @dataclass(frozen=True, eq=False)
 class _RefNode:
@@ -350,31 +404,36 @@ class _Candidate:
     threshold: float = math.nan
 
 
-def _best_numeric_split(values, labels, parent_entropy) -> _Candidate | None:
-    n = values.size
-    order = np.argsort(values, kind="stable")
-    vs = values[order]
-    ys = labels[order].astype(np.int64)
-    cuts = np.flatnonzero(vs[:-1] < vs[1:])
-    if cuts.size == 0:
+def _best_numeric_split(values, labels, parent_entropy, min_leaf, xl) -> _Candidate | None:
+    """C4.5 Release 8's cut of one numeric feature at a node, by an exhaustive
+    loop: the first highest gain among the cuts that leave ``min_leaf`` rows
+    on each side, less log2(those cuts) / n, over that cut's split info."""
+    rows = sorted(zip(values.tolist(), labels.tolist()))
+    n = len(rows)
+    total_attack = sum(lab for _, lab in rows)
+    admissible, best = 0, None  # best: (gain, rows left of the cut, threshold)
+    n_left = a_left = 0
+    for (v, lab), (upper, _) in zip(rows, rows[1:]):
+        n_left += 1
+        a_left += lab
+        n_right = n - n_left
+        if v == upper or n_left < min_leaf or n_right < min_leaf:
+            continue
+        admissible += 1
+        a_right = total_attack - a_left
+        cond = ((xl[n_left] - xl[a_left] - xl[n_left - a_left]) / n_left * n_left
+                + (xl[n_right] - xl[a_right] - xl[n_right - a_right]) / n_right * n_right) / n
+        gain = parent_entropy - cond
+        if best is None or gain > best[0]:
+            best = (gain, n_left, (v + upper) / 2.0)
+    if best is None:
         return None
-    attack_prefix = np.cumsum(ys)
-    total_attack = int(attack_prefix[-1])
-    n_left = (cuts + 1).astype(np.float64)
-    a_left = attack_prefix[cuts].astype(np.float64)
-    n_right = n - n_left
-    a_right = total_attack - a_left
-    cond = (n_left * _entropy_counts(a_left, n_left)
-            + n_right * _entropy_counts(a_right, n_right)) / n
-    gains = parent_entropy - cond
-    split_info = _entropy_counts(n_left, np.full_like(n_left, float(n)))
-    usable = gains > MIN_GAIN
-    if not usable.any():
+    gain, n_left, threshold = best
+    gain -= float(np.log2(admissible)) / n
+    if gain <= MIN_GAIN:
         return None
-    ratios = np.where(usable, gains / split_info, -np.inf)
-    best = int(np.argmax(ratios))  # argmax keeps the lowest threshold on ties
-    threshold = (vs[cuts[best]] + vs[cuts[best] + 1]) / 2.0
-    return _Candidate(-1, float(gains[best]), float(ratios[best]), float(threshold))
+    split_info = (xl[n] - xl[n_left] - xl[n - n_left]) / n
+    return _Candidate(-1, gain, gain / split_info, threshold)
 
 
 def _nominal_split(codes, labels, parent_entropy) -> _Candidate | None:
@@ -401,6 +460,7 @@ class _Grower:
         self.min_leaf = min_leaf
         self.rng = rng
         self.feature_sample = feature_sample
+        self.xl = _xlog2x(np.arange(ds.row_count + 1, dtype=np.float64)).tolist()
 
     def _candidate_features(self) -> np.ndarray:
         d = len(self.ds.columns)
@@ -423,7 +483,7 @@ class _Grower:
             col = self.ds.columns[int(f)]
             values = col.values[rows]
             if col.kind == "numeric":
-                cand = _best_numeric_split(values, y, parent_entropy)
+                cand = _best_numeric_split(values, y, parent_entropy, self.min_leaf, self.xl)
             else:
                 cand = _nominal_split(values, y, parent_entropy)
             if cand is None:
@@ -711,30 +771,40 @@ def test_grow_many_argument_errors(task, min_leaf, match):
 
 
 def test_deep_chain_tree_needs_no_recursion():
-    # Alternating labels on sorted distinct values: every split peels one
-    # row off, so the tree is a chain twice as deep as the default
-    # recursion limit.
-    n = 2000
-    labels = [i % 2 for i in range(n)]
+    # Sorted distinct values labelled in alternating runs of 300, 299, ...,
+    # 1 rows: each split peels the longest run off the low end, so the tree
+    # is a chain of 299 splits, deeper than the recursion limit set here.
+    runs = 300
+    labels = np.repeat(np.arange(runs) % 2, np.arange(runs, 0, -1))
+    n = labels.size
     ds = make_dataset([("x", "numeric", np.arange(n, dtype=np.float64))], labels)
-    tree = grow(ds, min_leaf=1)
-    assert depth(tree) == n - 1
-    assert node_count(tree) == 2 * n - 1
-    assert leaf_count(tree) == n
-    np.testing.assert_array_equal(predict(tree, ds), labels)
-    assert node_count(prune(tree)) <= node_count(tree)
-    assert tree == grow(ds, min_leaf=1)
-    assert tree["nodes"][:2] == [
-        {"counts": [1000, 1000], "feature": 0, "children": [1, 2], "threshold": 0.5},
-        {"counts": [1, 0]},
-    ]
+    frames, frame = 0, sys._getframe()
+    while frame is not None:
+        frames, frame = frames + 1, frame.f_back
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(frames + 100)
+    try:
+        assert runs - 1 > sys.getrecursionlimit()
+        tree = grow(ds, min_leaf=1)
+        assert depth(tree) == runs - 1
+        assert node_count(tree) == 2 * runs - 1
+        assert leaf_count(tree) == runs
+        np.testing.assert_array_equal(predict(tree, ds), labels)
+        assert node_count(prune(tree)) <= node_count(tree)
+        assert tree == grow(ds, min_leaf=1)
+        assert tree["nodes"][:2] == [
+            {"counts": [22650, 22500], "feature": 0, "children": [1, 2], "threshold": 299.5},
+            {"counts": [300, 0]},
+        ]
 
-    model = fit_model(ds, params_from_dict("tree", {"min_leaf": 1, "prune": False}))
-    assert repr(model).startswith("TrainedModel(")
-    _, again = model_from_json(model_to_json(fit_preprocess(ds), model))
-    assert again.payload == model.payload
-    np.testing.assert_array_equal(predict_model(again, ds), predict_model(model, ds))
-    np.testing.assert_array_equal(predict_model(again, ds), labels)
+        model = fit_model(ds, params_from_dict("tree", {"min_leaf": 1, "prune": False}))
+        assert repr(model).startswith("TrainedModel(")
+        _, again = model_from_json(model_to_json(fit_preprocess(ds), model))
+        assert again.payload == model.payload
+        np.testing.assert_array_equal(predict_model(again, ds), predict_model(model, ds))
+        np.testing.assert_array_equal(predict_model(again, ds), labels)
+    finally:
+        sys.setrecursionlimit(limit)
 
 
 def test_tree_document_is_flat_preorder():

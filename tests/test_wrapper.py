@@ -1,9 +1,11 @@
 import itertools
 import json
+import pickle
 
 import numpy as np
 import pytest
 
+from fsel_ids import cli
 from fsel_ids import tree as tree_mod
 from fsel_ids.dataset import DatasetError
 from fsel_ids.wrapper import (
@@ -274,3 +276,13 @@ def test_trace_jsonl_round_trip():
     assert summary["stop_reason"] == trace.stop_reason
     assert summary["expansions"] == trace.expansions
     assert summary["best_merit"] == trace.best_merit
+
+
+def test_a_trace_of_slotted_steps_crosses_the_fork_unchanged():
+    # A bench wrapper row sends its trace from a forked child, pickled.
+    ds = random_mixed_dataset(np.random.default_rng(3), 60, 4)
+    _, trace = best_first_search(ds, folds=3, stop_after=2)
+    assert not hasattr(trace.steps[0], "__dict__")
+    assert pickle.loads(pickle.dumps(trace)) == trace
+    for jobs in (1, 2):
+        assert cli._map(lambda i: trace, 2, jobs) == [(trace, None)] * 2
